@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -215,26 +214,19 @@ def sample_lattes_equilibrium(
     """Backward-orbit sample of the Legendre Lattes equilibrium measure.
 
     A single chain: each step replaces the current point by a uniformly random
-    preimage among the 4 roots (with multiplicity) of L(t) = current.  The
-    first ``burn_in`` points are discarded.  Deterministic given the seed.
+    one of the four preimages of L(t) = current, repeated by multiplicity and
+    sorted by (real, imag) as ``lattes_preimages`` returns them.  The first
+    ``burn_in`` points are discarded.  Deterministic given the seed.  The
+    parameter must avoid 0 and 1 (``DegenerateQuadruple`` otherwise).
     """
     if n < 100:
         raise ValueError("need n >= 100 samples")
-    if isinstance(lam, LegendreParam):
-        lamc = complex(lam.lam)
-    elif isinstance(lam, Fraction):
-        lamc = complex(lam)
-    else:
-        lamc = complex(lam)
+    lamc = complex((lam if isinstance(lam, LegendreParam) else LegendreParam(lam)).lam)
     rng = np.random.default_rng(seed)
     t = complex(start)
     out = np.empty(n, dtype=complex)
     for k in range(burn_in + n):
-        pre = lattes_preimages(t, lamc)
-        roots = [p for p, m in pre for _ in range(m)]
-        if len(roots) != 4:
-            raise NonConvergentRoots("expected four preimages with multiplicity")
-        t = roots[rng.integers(4)]
+        t = lattes_preimages(t, lamc)[rng.integers(4)]
         if not (math.isfinite(t.real) and math.isfinite(t.imag)):
             raise NonConvergentRoots("backward orbit left the finite plane")
         if k >= burn_in:

@@ -10,6 +10,7 @@ itself, and 2-power torsion images over C by iterated preimages.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -17,7 +18,6 @@ from typing import Iterable
 from .energy_ua import SegmentMeasure, segment_measure
 from .errors import DegenerateQuadruple, LevelTooLarge, ResidueCharTwo
 from .places import INFINITY, P1Point, Place, format_p1_point, log_abs, parse_p1_point
-from .quartic import poly_roots
 from .tree import Segment, TreePoint, median, points_equal, segment_between, type1
 
 TORSION_LEVEL_CAP = 5
@@ -120,10 +120,6 @@ class MobiusMap:
         if den == 0:
             return INFINITY
         return (self.a * t + self.b) / den
-
-    def apply_complex(self, z: complex) -> complex:
-        a, b, c, d = (complex(x) for x in (self.a, self.b, self.c, self.d))
-        return (a * z + b) / (c * z + d)
 
     def inverse(self) -> "MobiusMap":
         return MobiusMap(self.d, -self.b, -self.c, self.a)
@@ -256,31 +252,30 @@ def legendre_lattes_eval(lam: LegendreParam | Fraction | int | str, t):
     return (t * t - lam_p) ** 2 / den
 
 
-def lattes_preimages(w, lam: Fraction | complex) -> list[tuple[complex | object, int]]:
-    """The four preimages of w under the Legendre map, with multiplicities.
+def lattes_preimages(w, lam: Fraction | complex) -> list[complex | object]:
+    """The four preimages of w under the Legendre map, repeated by multiplicity.
 
-    Branch values use the exact quadratic factorizations
-        L - 0   : (t^2 - lam)^2
-        L - 1   : (t^2 - 2t + lam)^2
-        L - lam : (t^2 - 2 lam t + lam)^2
-    and L^{-1}(inf) = {0, 1, lam, inf}; other values go through the quartic.
+    With r_i = sqrt(w - e_i) for e = (0, 1, lam), the halving formula
+    u = w + r1 r2 + r1 r3 + r2 r3 gives one preimage per sign class of
+    (r1, r2, r3); the class of largest modulus avoids cancellation.  The deck
+    group t -> lam / t, (t - lam) / (t - 1), lam (t - 1) / (t - lam) gives the
+    other three, so branch values come out as two coincident pairs.
+    L^{-1}(inf) = [0, 1, lam, inf].  Finite preimages are sorted by
+    (real, imag).
     """
     lamc = complex(lam)
     if w is INFINITY:
-        return [(0j, 1), (1 + 0j, 1), (lamc, 1), (INFINITY, 1)]
+        return [0j, 1 + 0j, lamc, INFINITY]
     wc = complex(w)
-    for value, b_coeff in ((0j, 0j), (1 + 0j, -2 + 0j), (lamc, -2 * lamc)):
-        if wc == value:
-            r1, r2 = poly_roots([1.0, b_coeff, lamc if value != 0 else -lamc])
-            return [(complex(r1), 2), (complex(r2), 2)]
-    coeffs = [
-        1.0,
-        -4 * wc,
-        -2 * lamc + 4 * wc * (1 + lamc),
-        -4 * wc * lamc,
-        lamc * lamc,
-    ]
-    return [(complex(r), 1) for r in poly_roots(coeffs)]
+    r1, r2, r3 = (cmath.sqrt(wc - e) for e in (0, 1, lamc))
+    p12, p13, p23 = r1 * r2, r1 * r3, r2 * r3
+    u = max(
+        (wc + p12 + p13 + p23, wc - p12 - p13 + p23, wc - p12 + p13 - p23, wc + p12 - p13 - p23),
+        key=abs,
+    )
+    pts = [u, lamc / u, (u - lamc) / (u - 1), lamc * (u - 1) / (u - lamc)]
+    pts.sort(key=lambda z: (z.real, z.imag))
+    return pts
 
 
 def _dedup_points(pts: Iterable[tuple[complex | object, int]], tol: float):
@@ -313,31 +308,24 @@ def torsion_images(
 
     Returns deduplicated complex points with multiplicities (total 4^(level+1));
     for a general quadruple the Legendre picture is pulled back through the
-    normalizing Moebius map.
+    normalizing Moebius map.  A Legendre parameter of 0 or 1 raises
+    ``DegenerateQuadruple``.
     """
     if level < 0 or level > level_cap:
         raise LevelTooLarge(f"level must lie in [0, {level_cap}]")
     mobius = None
-    if isinstance(gamma_or_lambda, LegendreParam):
-        lam = gamma_or_lambda.lam
-    elif isinstance(gamma_or_lambda, (Quadruple, tuple, list)):
+    if isinstance(gamma_or_lambda, (Quadruple, tuple, list)):
         param, mobius = normalize_to_legendre(gamma_or_lambda)
-        lam = param.lam
+    elif isinstance(gamma_or_lambda, LegendreParam):
+        param = gamma_or_lambda
     else:
-        lam = parse_p1_point(gamma_or_lambda)
-    lamc = complex(lam)
-    current: list[tuple[complex | object, int]] = [
-        (0j, 1),
-        (1 + 0j, 1),
-        (lamc, 1),
-        (INFINITY, 1),
-    ]
+        param = LegendreParam(parse_p1_point(gamma_or_lambda))
+    lamc = complex(param.lam)
+    current = [(p, 1) for p in lattes_preimages(INFINITY, lamc)]
     for _ in range(level):
-        nxt: list[tuple[complex | object, int]] = []
-        for w, mult in current:
-            for p, m in lattes_preimages(w, lamc):
-                nxt.append((p, m * mult))
-        current = _dedup_points(nxt, tol)
+        current = _dedup_points(
+            [(p, m) for w, m in current for p in lattes_preimages(w, lamc)], tol
+        )
     if mobius is not None:
         inv = mobius.inverse()
         moved = []
@@ -353,7 +341,3 @@ def torsion_images(
                     moved.append(((complex(inv.a) * p + complex(inv.b)) / den, m))
         current = _dedup_points(moved, tol)
     return current
-
-
-def torsion_support(points_with_mult) -> list[complex | object]:
-    return [p for p, _ in points_with_mult]

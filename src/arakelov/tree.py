@@ -309,10 +309,6 @@ def invert_point(x: TreePoint, v: Place) -> TreePoint:
     return TreePoint(1 / x.center, x.log_radius - 2.0 * la)
 
 
-def transform_segment(seg: Segment, move, v: Place) -> Segment:
-    return segment_between(move(seg.a, v), move(seg.b, v), v)
-
-
 # ---------------------------------------------------------------------------
 # JSON encoding
 

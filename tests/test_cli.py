@@ -127,6 +127,19 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert json.loads(out)["error"] == "DegenerateQuadruple"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["energy", "arch", "--lambda-a", "1", "--lambda-b", "2", "--samples", "200"],
+            ["lattes", "torsion", "--lambda", "0", "--level", "1"],
+            ["adelic", "bft", "--lambda-a", "1", "--lambda-b", "2", "--level", "1"],
+        ],
+    )
+    def test_degenerate_legendre_parameter(self, argv, capsys):
+        code, out, _ = run(argv, capsys)
+        assert code == 1
+        assert json.loads(out)["error"] == "DegenerateQuadruple"
+
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["energy", "nope"])

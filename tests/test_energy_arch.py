@@ -136,6 +136,29 @@ class TestSampling:
         c2 = sample_lattes_equilibrium(Fraction(2), 300, seed=9)
         assert np.array_equal(c1.points, c2.points)
 
+    # points 0, 1, 999, 1999 and the mean of two clouds, recorded from the
+    # companion-matrix solver that the closed-form preimages replaced
+    PINNED = {
+        (2, 0): (
+            [1.2709947656248723 + 0.6432903122881058j, 0.25816274282780355 - 0.45021806776343193j,
+             11.470149432653365 - 6.090639691179653j, 1.1242008372502688 + 0.23116314684914432j],
+            1.1814314053204864 - 0.28903734293568134j,
+        ),
+        (3, 1): (
+            [-0.333131542644792 + 0.48564273992824225j, 1.3136174410209458 + 0.13575978787556486j,
+             1.5550855631684846 + 2.310402559250305j, 0.12950756462101667 + 0.16302252234441195j],
+            5.015996641214972 + 4.981563380701819j,
+        ),
+    }
+
+    @pytest.mark.parametrize("lam, seed", sorted(PINNED))
+    def test_pinned_clouds(self, lam, seed):
+        points, mean = self.PINNED[(lam, seed)]
+        cloud = sample_lattes_equilibrium(Fraction(lam), 2000, seed=seed)
+        got = [complex(cloud.points[i]) for i in (0, 1, 999, 1999)]
+        assert got == pytest.approx(points, rel=1e-8, abs=1e-8)
+        assert complex(cloud.points.mean()) == pytest.approx(mean, rel=1e-8, abs=1e-8)
+
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             sample_lattes_equilibrium(Fraction(2), 10, seed=1)

@@ -1,6 +1,8 @@
+import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -232,7 +234,51 @@ class TestSemiconjugacy:
         for _ in range(25):
             t = complex(rng.normal(), rng.normal())
             pre = lattes_preimages(t, lam)
-            assert sum(m for _, m in pre) == 4
-            for p, _ in pre:
+            assert len(pre) == 4
+            for p in pre:
                 back = legendre_lattes_eval(Fraction(2), p)
                 assert abs(back - t) < 1e-6
+
+
+LAMBDAS = (2, 3, -1, 1.001, 0.5 + 0.5j)
+
+
+def _probe_values(lam):
+    near_branch = [e + 1e-6 * complex(0.6, 0.8) for e in (0, 1, lam)]
+    return near_branch + [cmath.rect(r, arg) for r, arg in ((1, 1.27), (1e3, 0.7), (1e6, -2.1))]
+
+
+class TestPreimageRoute:
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_accuracy_against_mpmath(self, lam):
+        lamc = complex(lam)
+        with mpmath.workdps(50):
+            lm = mpmath.mpc(lamc)
+            for w in _probe_values(lamc):
+                wm = mpmath.mpc(w)
+                coeffs = [1, -4 * wm, 4 * wm * (1 + lm) - 2 * lm, -4 * wm * lm, lm * lm]
+                exact = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
+                got = lattes_preimages(w, lamc)
+                assert len(got) == 4
+                for r in exact:
+                    err = min(abs(mpmath.mpc(p) - r) for p in got)
+                    assert err <= 1e-13 * abs(r), (lam, w)
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_branch_values_give_coincident_pairs(self, lam):
+        lamc = complex(lam)
+        for w in (0j, 1 + 0j, lamc):
+            pts = lattes_preimages(w, lamc)
+            assert len(pts) == 4
+            for p in pts:
+                near = [q for q in pts if abs(q - p) <= 1e-12]
+                assert len(near) == 2, (lam, w, pts)
+
+    def test_infinity(self):
+        assert lattes_preimages(INFINITY, Fraction(2)) == [0j, 1 + 0j, 2 + 0j, INFINITY]
+
+    @pytest.mark.parametrize("source", [Fraction(2), ["0", "1", "2", "5"]])
+    def test_level_five_torsion_counts(self, source):
+        pts = torsion_images(source, 5)
+        assert sum(m for _, m in pts) == 4**6
+        assert len(pts) == 2050

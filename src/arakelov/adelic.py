@@ -710,35 +710,34 @@ def _point_key(p) -> tuple:
     return (0, p.real, p.imag)
 
 
+def _finite_array(points) -> np.ndarray:
+    return np.array([p for p in points if p is not INFINITY], dtype=complex)
+
+
 def _min_gap(points) -> float:
-    finite_pts = [p for p in points if p is not INFINITY]
-    best = math.inf
-    for i, p in enumerate(finite_pts):
-        for q in finite_pts[i + 1 :]:
-            best = min(best, abs(p - q))
-    return best
+    arr = _finite_array(points)
+    gaps = [np.abs(arr[i + 1 :] - arr[i]).min() for i in range(len(arr) - 1)]
+    return float(min(gaps, default=math.inf))
 
 
 def bft_scan(quad_or_lambda_a, quad_or_lambda_b, level: int, tol: float = 1e-7) -> dict:
     """Count common 2-power torsion images of two configurations at one level.
 
-    Points are matched by euclidean distance < tol after deduplication; a
+    Points are matched by euclidean distance <= tol after deduplication; a
     collision audit reports the minimum pairwise gap inside each set.
     """
     set_a = torsion_images(quad_or_lambda_a, level)
     set_b = torsion_images(quad_or_lambda_b, level)
     pts_a = [p for p, _ in set_a]
     pts_b = [p for p, _ in set_b]
+    finite_b = _finite_array(pts_b)
     matched = []
     for p in pts_a:
         if p is INFINITY:
             if any(q is INFINITY for q in pts_b):
                 matched.append(p)
-            continue
-        for q in pts_b:
-            if q is not INFINITY and abs(p - q) <= tol:
-                matched.append(p)
-                break
+        elif (np.abs(finite_b - p) <= tol).any():
+            matched.append(p)
     matched.sort(key=_point_key)
     return {
         "level": level,

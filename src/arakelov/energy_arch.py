@@ -18,7 +18,8 @@ from scipy.integrate import quad
 from .errors import CoincidentAtoms, NonConvergentRoots, QuadratureFailure, SingularPair
 from .lattes import LegendreParam, lattes_preimages
 
-_BLOCK = 512
+_TILE = 256
+_UPPER = np.triu(np.ones((_TILE, _TILE), dtype=bool), k=1)
 _MAX_COINCIDENT_FRACTION = 1e-3
 
 
@@ -87,62 +88,36 @@ def _circle_circle_mean(c1: complex, r1: float, c2: complex, r2: float, tol: flo
     return val / math.pi
 
 
-def _sq_dist_block(a: np.ndarray, b: np.ndarray, na2: np.ndarray, nb2: np.ndarray) -> np.ndarray:
-    """Squared distances |a_i - b_j|^2 via one GEMM; a, b are (m, 2) real stacks."""
-    d2 = a @ b.T
-    d2 *= -2.0
-    d2 += na2[:, None]
-    d2 += nb2[None, :]
-    np.maximum(d2, 0.0, out=d2)  # clip rounding negatives
-    return d2
+def _log_dist_sum(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
+    """Sum of log|x_i - y_j|^2 over pairs at nonzero distance, and the zero count.
 
-
-def _as_real_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.column_stack((x.real, x.imag))
-    return a, (a * a).sum(axis=1)
-
-
-def _cloud_cross_mean(x: np.ndarray, y: np.ndarray) -> float:
-    a, na2 = _as_real_stack(x)
-    b, nb2 = _as_real_stack(y)
-    total = 0.0
-    excluded = 0
-    for i0 in range(0, len(x), _BLOCK):
-        d2 = _sq_dist_block(a[i0 : i0 + _BLOCK], b, na2[i0 : i0 + _BLOCK], nb2)
-        zero = d2 == 0.0
-        nz = int(zero.sum())
-        if nz:
-            excluded += nz
-            d2[zero] = 1.0
-        total += float(np.log(d2).sum())
-    pairs = len(x) * len(y) - excluded
-    if excluded > _MAX_COINCIDENT_FRACTION * len(x) * len(y):
-        raise CoincidentAtoms(f"{excluded} coincident atom pairs across the clouds")
-    return 0.5 * total / pairs
-
-
-def _cloud_self_mean(x: np.ndarray) -> float:
-    """Off-diagonal mean of log|x_i - x_j|."""
-    n = len(x)
-    if n < 2:
-        raise SingularPair("cloud self-energy needs at least two atoms")
-    a, na2 = _as_real_stack(x)
-    total = 0.0
-    excluded = 0
-    for i0 in range(0, n, _BLOCK):
-        d2 = _sq_dist_block(a[i0 : i0 + _BLOCK], a, na2[i0 : i0 + _BLOCK], na2)
-        idx = np.arange(d2.shape[0])
-        d2[idx, i0 + idx] = 1.0  # diagonal masked
-        zero = d2 == 0.0
-        nz = int(zero.sum())
-        if nz:
-            excluded += nz
-            d2[zero] = 1.0
-        total += float(np.log(d2).sum())
-    pairs = n * (n - 1) - excluded
-    if excluded > _MAX_COINCIDENT_FRACTION * n * n:
-        raise CoincidentAtoms(f"{excluded} coincident off-diagonal pairs in a cloud")
-    return 0.5 * total / pairs
+    Direct differences over fixed tiles; when ``y is x`` only the pairs i < j.
+    """
+    same = y is x
+    xr, xi = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
+    yr, yi = (xr, xi) if same else (np.ascontiguousarray(y.real), np.ascontiguousarray(y.imag))
+    d2_buf, t_buf = np.empty((_TILE, _TILE)), np.empty((_TILE, _TILE))
+    sums, zeros = [], 0
+    for i0 in range(0, len(xr), _TILE):
+        i1 = min(i0 + _TILE, len(xr))
+        for j0 in range(i0 if same else 0, len(yr), _TILE):
+            j1 = min(j0 + _TILE, len(yr))
+            d2, t = d2_buf[: i1 - i0, : j1 - j0], t_buf[: i1 - i0, : j1 - j0]
+            np.subtract.outer(xr[i0:i1], yr[j0:j1], out=d2)
+            np.square(d2, out=d2)
+            np.subtract.outer(xi[i0:i1], yi[j0:j1], out=t)
+            np.square(t, out=t)
+            d2 += t
+            with np.errstate(divide="ignore"):
+                np.log(d2, out=d2)
+            logs = d2[_UPPER[: i1 - i0, : j1 - j0]] if same and i0 == j0 else d2
+            s = float(logs.sum())
+            if s == -math.inf:
+                zero = logs == -math.inf
+                zeros += int(zero.sum())
+                s = float(logs[~zero].sum())
+            sums.append(s)
+    return math.fsum(sums), zeros
 
 
 def arch_self_energy(m: ArchMeasure) -> float:
@@ -151,7 +126,14 @@ def arch_self_energy(m: ArchMeasure) -> float:
         raise SingularPair("a Dirac mass has infinite self-energy")
     if isinstance(m, Circle):
         return -math.log(m.radius)
-    return -_cloud_self_mean(m.points)
+    n = len(m.points)
+    if n < 2:
+        raise SingularPair("cloud self-energy needs at least two atoms")
+    total, zeros = _log_dist_sum(m.points, m.points)
+    excluded = 2 * zeros  # ordered pairs
+    if excluded > _MAX_COINCIDENT_FRACTION * n * n:
+        raise CoincidentAtoms(f"{excluded} coincident off-diagonal pairs in a cloud")
+    return -total / (n * (n - 1) - excluded)
 
 
 def pair_energy_arch(m1: ArchMeasure, m2: ArchMeasure, tol: float = 1e-8) -> float:
@@ -189,7 +171,12 @@ def pair_energy_arch(m1: ArchMeasure, m2: ArchMeasure, tol: float = 1e-8) -> flo
         vals = np.maximum(np.abs(m2.points - m1.center), m1.radius)
         return -float(np.log(vals).mean())
     assert isinstance(m1, Cloud) and isinstance(m2, Cloud)
-    return -_cloud_cross_mean(m1.points, m2.points)
+    x, y = m1.points, m2.points
+    # two clouds sharing one array still pair every (i, j), the diagonal included
+    total, excluded = _log_dist_sum(x, y.copy() if y is x else y)
+    if excluded > _MAX_COINCIDENT_FRACTION * len(x) * len(y):
+        raise CoincidentAtoms(f"{excluded} coincident atom pairs across the clouds")
+    return -0.5 * total / (len(x) * len(y) - excluded)
 
 
 def sq_energy_arch(m1: ArchMeasure, m2: ArchMeasure, tol: float = 1e-8) -> float:
@@ -217,7 +204,7 @@ def sample_lattes_equilibrium(
     one of the four preimages of L(t) = current, repeated by multiplicity and
     sorted by (real, imag) as ``lattes_preimages`` returns them.  The first
     ``burn_in`` points are discarded.  Deterministic given the seed.  The
-    parameter must avoid 0 and 1 (``DegenerateQuadruple`` otherwise).
+    parameter must avoid 0, 1 and infinity (``DegenerateQuadruple`` otherwise).
     """
     if n < 100:
         raise ValueError("need n >= 100 samples")

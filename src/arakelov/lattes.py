@@ -56,8 +56,8 @@ class LegendreParam:
     lam: Fraction
 
     def __post_init__(self) -> None:
-        if self.lam in (0, 1):
-            raise DegenerateQuadruple("Legendre parameter must avoid 0 and 1")
+        if self.lam is INFINITY or self.lam in (0, 1):
+            raise DegenerateQuadruple("Legendre parameter must avoid 0, 1 and infinity")
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ def torsion_images(
 
     Returns deduplicated complex points with multiplicities (total 4^(level+1));
     for a general quadruple the Legendre picture is pulled back through the
-    normalizing Moebius map.  A Legendre parameter of 0 or 1 raises
+    normalizing Moebius map.  A Legendre parameter of 0, 1 or infinity raises
     ``DegenerateQuadruple``.
     """
     if level < 0 or level > level_cap:

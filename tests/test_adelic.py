@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -245,3 +247,52 @@ class TestScans:
         counts = [bft_scan(Fraction(2), Fraction(3), lvl)["count"] for lvl in range(4)]
         assert all(c2 >= c1 for c1, c2 in zip(counts, counts[1:]))
         assert counts[3] <= 16
+
+    # json.dumps(bft_scan(a, b, level), sort_keys=True), recorded from the pure
+    # Python matching loop and gap audit that the row-vectorised ones replaced
+    BFT_RECORDED = {
+        (2, 3, 0): (
+            '{"count": 3, "level": 0, "matched": [[0.0, 0.0], [1.0, 0.0], "inf"], '
+            '"min_gap_a": 1.0, "min_gap_b": 1.0, "size_a": 4, "size_b": 4, "tol": 1e-07}'
+        ),
+        (2, 3, 1): (
+            '{"count": 3, "level": 1, "matched": [[0.0, 0.0], [1.0, 0.0], "inf"], '
+            '"min_gap_a": 0.4142135623730949, "min_gap_b": 0.4494897427831782, "size_a": 10, '
+            '"size_b": 10, "tol": 1e-07}'
+        ),
+        (2, 3, 2): (
+            '{"count": 3, "level": 2, "matched": [[0.0, 0.0], [1.0, 0.0], "inf"], '
+            '"min_gap_a": 0.10717722122400863, "min_gap_b": 0.12248465859239932, '
+            '"size_a": 34, "size_b": 34, "tol": 1e-07}'
+        ),
+        (2, 3, 3): (
+            '{"count": 3, "level": 3, "matched": [[0.0, 0.0], [1.0, 0.0], "inf"], '
+            '"min_gap_a": 0.026852320940226826, "min_gap_b": 0.03115119969081448, '
+            '"size_a": 130, "size_b": 130, "tol": 1e-07}'
+        ),
+        (2, 3, 4): (
+            '{"count": 3, "level": 4, "matched": [[0.0, 0.0], [1.0, 0.0], "inf"], '
+            '"min_gap_a": 0.00671398811899393, "min_gap_b": 0.007819084121217346, '
+            '"size_a": 514, "size_b": 514, "tol": 1e-07}'
+        ),
+        (2, 3, 5): (
+            '{"count": 3, "level": 5, "matched": [[0.0, 0.0], [1.0, 0.0], "inf"], '
+            '"min_gap_a": 0.0016785112167938543, "min_gap_b": 0.0019566965910072787, '
+            '"size_a": 2050, "size_b": 2050, "tol": 1e-07}'
+        ),
+        ((0, 1, 2, 5), (0, 1, 3, "inf"), 3): (
+            '{"count": 2, "level": 3, "matched": [[0.0, 0.0], [1.0, 0.0]], '
+            '"min_gap_a": 0.02426169128648159, "min_gap_b": 0.03115119969081459, '
+            '"size_a": 130, "size_b": 130, "tol": 1e-07}'
+        ),
+    }
+    # the (2, 2) control matches all 130 points; its 5048-byte string by digest
+    BFT_CONTROL_SHA256 = "5c5ab63b1c55db9e6f2d563c3307d2d2d6acbdec0f362bde3ec13ab554132985"
+
+    @pytest.mark.parametrize("case", sorted(BFT_RECORDED, key=repr))
+    def test_bft_json_unchanged(self, case):
+        assert json.dumps(bft_scan(*case), sort_keys=True) == self.BFT_RECORDED[case]
+
+    def test_bft_control_json_unchanged(self):
+        text = json.dumps(bft_scan(2, 2, 3), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.BFT_CONTROL_SHA256

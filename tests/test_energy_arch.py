@@ -16,6 +16,7 @@ from arakelov.energy_arch import (
     pair_energy_arch,
     sample_lattes_equilibrium,
     sq_energy_arch,
+    _log_dist_sum,
 )
 from arakelov.errors import CoincidentAtoms, SingularPair
 from arakelov.lattes import legendre_lattes_eval
@@ -32,6 +33,18 @@ def quadrature_circle_pair(c1, r1, c2, r2):
 
     val, _ = quad(outer, 0.0, 2 * math.pi, limit=400)
     return -(val / (2 * math.pi))
+
+
+def dense_log_mean(x, y, self_pairs):
+    """Mean of log|x_i - y_j| over the full distance matrix (test oracle).
+
+    Self-pairs drop the diagonal; exact zero distances are dropped as well.
+    """
+    d = np.abs(x[:, None] - y[None, :])
+    keep = d != 0.0
+    if self_pairs:
+        np.fill_diagonal(keep, False)
+    return float(np.log(d[keep]).mean())
 
 
 class TestCirclePotential:
@@ -128,6 +141,57 @@ class TestCloudEnergy:
         pts[50:] = 1.0
         with pytest.raises(CoincidentAtoms):
             cloud_energy(Cloud(pts), Cloud(pts.copy()))
+
+
+class TestLogDistKernel:
+    SIZES = [2, 3, 255, 256, 257, 1000]  # around one tile edge, partial diagonal tiles
+
+    @staticmethod
+    def _cloud(rng, n, shift=0.0):
+        return shift + 3.0 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_self_mean_vs_dense(self, n):
+        x = self._cloud(np.random.default_rng(n), n)
+        ref = dense_log_mean(x, x, self_pairs=True)
+        assert -arch_self_energy(Cloud(x)) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_cross_mean_vs_dense(self, n):
+        rng = np.random.default_rng(100 + n)
+        x, y = self._cloud(rng, n), self._cloud(rng, n + 1, shift=1.0 - 2.0j)
+        ref = dense_log_mean(x, y, self_pairs=False)
+        assert -pair_energy_arch(Cloud(x), Cloud(y)) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_duplicates_below_threshold_excluded(self):
+        rng = np.random.default_rng(7)
+        x = self._cloud(rng, 1000)
+        x[[10, 300, 700]] = x[[5, 299, 999]]  # 6 coincident ordered pairs <= 1e-3 * n^2
+        y = self._cloud(rng, 600, shift=0.5j)
+        y[:4] = x[[0, 1, 2, 600]]  # 4 coincident cross pairs
+        assert _log_dist_sum(x, x)[1] == 3
+        assert _log_dist_sum(x, y)[1] == 4
+        assert -arch_self_energy(Cloud(x)) == pytest.approx(
+            dense_log_mean(x, x, self_pairs=True), rel=1e-13, abs=0.0
+        )
+        assert -pair_energy_arch(Cloud(x), Cloud(y)) == pytest.approx(
+            dense_log_mean(x, y, self_pairs=False), rel=1e-13, abs=0.0
+        )
+
+    def test_close_atoms_far_from_origin(self):
+        # |a|^2 + |b|^2 - 2<a, b> loses every digit of a 1e-9 gap at |z| ~ 1e3
+        rng = np.random.default_rng(0)
+        pts = 1000 + 1000j + rng.normal(size=200) + 1j * rng.normal(size=200)
+        pts[1] = pts[0] + 1e-9
+        assert _log_dist_sum(pts, pts)[1] == 0
+        ref = dense_log_mean(pts, pts, self_pairs=True)
+        assert abs(-arch_self_energy(Cloud(pts)) - ref) <= 1e-12
+
+    def test_one_array_in_two_clouds_is_a_cross_pairing(self):
+        x = self._cloud(np.random.default_rng(9), 2000)
+        assert pair_energy_arch(Cloud(x), Cloud(x)) == pytest.approx(
+            arch_self_energy(Cloud(x)), rel=1e-13
+        )
 
 
 class TestSampling:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from arakelov import lattes, places, tree
+from arakelov.energy_arch import sample_lattes_equilibrium
 from arakelov.errors import DegenerateQuadruple, LevelTooLarge, ResidueCharTwo
 from arakelov.lattes import (
     Quadruple,
@@ -225,6 +226,12 @@ class TestTorsionImages:
         pts = torsion_images(["inf", "0", "1", "2"], 0)
         got = {("inf" if p is INFINITY else p) for p, _ in pts}
         assert got == {0j, 1 + 0j, 2 + 0j, "inf"}
+
+    def test_lambda_infinity_is_degenerate(self):
+        with pytest.raises(DegenerateQuadruple):
+            torsion_images("inf", 1)
+        with pytest.raises(DegenerateQuadruple):
+            sample_lattes_equilibrium(INFINITY, 200)
 
 
 class TestSemiconjugacy:

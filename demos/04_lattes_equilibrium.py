@@ -15,7 +15,6 @@ from arakelov import (
     equilibrium_measure_ua,
     finite,
     lattes_segment,
-    lattes_segment_length,
     legendre_lattes_eval,
     normalize_to_legendre,
     torsion_images,
@@ -31,7 +30,6 @@ print(f"  cross-ratio = {beta}, permutation orbit = {cross_ratio_orbit(beta)}")
 seg = lattes_segment(quad, v3)
 print(f"  equilibrium segment: {seg}")
 print(f"  length = {seg.length:.6f} = {lattes_segment_length_units(quad, v3)} * log 3")
-print(f"  cross-ratio route   : {lattes_segment_length(quad, v3):.6f}")
 print(f"  measure kind: {equilibrium_measure_ua(quad, v3).kind}")
 
 print()

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from arakelov import Circle, DiracAt, circle_potential, cloud_energy, pair_energy_arch, sample_lattes_equilibrium, sq_energy_arch
+from arakelov import Circle, DiracAt, circle_potential, pair_energy_arch, sample_lattes_equilibrium, sq_energy_arch
 from arakelov.energy_arch import UNIT_CIRCLE
 
 print("circle closed forms:")
@@ -28,13 +28,13 @@ print(f"backward-orbit clouds with n = {n}:")
 a1 = sample_lattes_equilibrium(Fraction(2), n, seed=1)
 a2 = sample_lattes_equilibrium(Fraction(2), n, seed=2)
 b = sample_lattes_equilibrium(Fraction(3), n, seed=3)
-print(f"  two independent clouds at lam = 2:  energy {cloud_energy(a1, a2):+.5f}  (zero up to noise)")
-print(f"  lam = 2 against lam = 3:            energy {cloud_energy(a1, b):+.5f}  (strictly positive)")
+print(f"  two independent clouds at lam = 2:  energy {sq_energy_arch(a1, a2):+.5f}  (zero up to noise)")
+print(f"  lam = 2 against lam = 3:            energy {sq_energy_arch(a1, b):+.5f}  (strictly positive)")
 print(f"  fraction of mass with |t| > 10^6:   {float((np.abs(a1.points) > 1e6).mean()):.4f}")
 
 print()
 print("invariance of the cloud estimator:")
 shift = 0.5 - 0.25j
-print(f"  translated: {cloud_energy(*(type(a1)(c.points + shift) for c in (a1, b))):+.5f}")
+print(f"  translated: {sq_energy_arch(*(type(a1)(c.points + shift) for c in (a1, b))):+.5f}")
 rot = np.exp(0.7j)
-print(f"  rotated   : {cloud_energy(*(type(a1)(c.points * rot) for c in (a1, b))):+.5f}")
+print(f"  rotated   : {sq_energy_arch(*(type(a1)(c.points * rot) for c in (a1, b))):+.5f}")

@@ -38,7 +38,6 @@ from .energy_ua import (
     energy_closed_form,
     energy_oracle,
     energy_union_check,
-    local_discrepancy,
     lower_bound_report,
     segment_measure,
     sigma_potential,
@@ -51,8 +50,8 @@ from .lattes import (
     cross_ratio,
     equilibrium_measure_ua,
     lattes_segment,
-    lattes_segment_length,
     legendre_lattes_eval,
+    local_discrepancy,
     normalize_to_legendre,
     torsion_images,
 )
@@ -61,7 +60,6 @@ from .energy_arch import (
     Cloud,
     DiracAt,
     circle_potential,
-    cloud_energy,
     pair_energy_arch,
     sample_lattes_equilibrium,
     sq_energy_arch,

@@ -23,15 +23,14 @@ from .energy_arch import (
     DiracAt,
     UNIT_CIRCLE,
     arch_self_energy,
-    cloud_energy,
     pair_energy_arch,
     sample_lattes_equilibrium,
+    sq_energy_arch,
 )
 from .energy_ua import (
     Atoms,
     SegmentMeasure,
     energy_closed_form,
-    local_discrepancy,
     pair_raw,
     segment_measure,
 )
@@ -40,6 +39,7 @@ from .lattes import (
     Quadruple,
     as_quadruple,
     equilibrium_measure_ua,
+    local_discrepancy,
     normalize_to_legendre,
     torsion_images,
 )
@@ -231,7 +231,7 @@ def pair_energy_global(
         total += e
     cloud_a = cloud_for_quadruple(quad_a, arch_samples, seed=seed, burn_in=burn_in)
     cloud_b = cloud_for_quadruple(quad_b, arch_samples, seed=seed + 1, burn_in=burn_in)
-    arch = cloud_energy(cloud_a, cloud_b)
+    arch = sq_energy_arch(cloud_a, cloud_b)
     arch_tol = ARCH_NOISE_COEFF / math.sqrt(arch_samples)
     entries.append(PlaceEntry(ARCH, arch, False, f"Monte Carlo, n={arch_samples}"))
     total += arch
@@ -363,6 +363,20 @@ class SmoothedSetFamily:
         return [(Circle(complex(u), r), w) for u in self.fs.points]
 
 
+class PointSetFamily(SmoothedSetFamily):
+    """[F]: equal Dirac masses at the points of F, at every place."""
+
+    label = "point_set"
+
+    def finite_measure(self, v: Place) -> Atoms:
+        w = 1.0 / len(self.fs.points)
+        return [(type1(u), w) for u in self.fs.points]
+
+    def arch_mixture(self) -> list[tuple[ArchMeasure, float]]:
+        w = 1.0 / len(self.fs.points)
+        return [(DiracAt(complex(u)), w) for u in self.fs.points]
+
+
 MeasureFamily = StandardFamily | LattesFamily | SmoothedSetFamily
 
 
@@ -375,9 +389,11 @@ def _mixture_pair(mix1, mix2, tol: float = 1e-8) -> float:
 
 
 def _mixture_self(mix, tol: float = 1e-8) -> float:
+    """Self-pairing of a mixture; a Dirac atom is not paired with itself."""
     total = 0.0
     for i, (m1, w1) in enumerate(mix):
-        total += w1 * w1 * arch_self_energy(m1)
+        if not isinstance(m1, DiracAt):
+            total += w1 * w1 * arch_self_energy(m1)
         for m2, w2 in mix[i + 1 :]:
             total += 2.0 * w1 * w2 * pair_energy_arch(m1, m2, tol)
     return total
@@ -420,61 +436,14 @@ def family_sq_energy(f1: MeasureFamily, f2: MeasureFamily) -> dict:
     }
 
 
-def _set_self_offdiag_finite(points, v: Place) -> float:
-    n = len(points)
-    total = 0.0
-    for i, u in enumerate(points):
-        for u2 in points[i + 1 :]:
-            total += 2.0 * log_abs(u - u2, v)
-    return -total / (n * n)
-
-
-def _set_self_offdiag_arch(points) -> float:
-    n = len(points)
-    total = 0.0
-    for i, u in enumerate(points):
-        for u2 in points[i + 1 :]:
-            total += 2.0 * math.log(abs(complex(u) - complex(u2)))
-    return -total / (n * n)
-
-
 def h_rho_F(family: MeasureFamily, points) -> dict:
-    """h_rho(F) = (1/2) sum_v (rho_v - [F]_v, rho_v - [F]_v), [F] self-pairs off-diagonal.
+    """h_rho(F) = <rho, [F]>, with [F] paired off-diagonal with itself.
 
     For the standard family and F = {x} this equals the affine height of x
     exactly (all terms closed-form).
     """
-    pts = tuple(parse_rational(x) for x in points)
-    if not pts:
-        raise EmptyF("h_rho(F) needs a nonempty F")
-    n = len(pts)
-    diffs = [x - y for i, x in enumerate(pts) for y in pts[i + 1 :]]
-    primes = set(support_primes(list(pts) + diffs)) | set(family.support_primes())
-    if family.skip_two:
-        primes.discard(2)
-    total = 0.0
-    w = 1.0 / n
-    for p in sorted(primes):
-        v = finite(p)
-        rho = family.finite_measure(v)
-        atoms_f: Atoms = [(type1(u), w) for u in pts]
-        term = (
-            pair_raw(rho, rho, v)
-            - 2.0 * pair_raw(rho, atoms_f, v)
-            + _set_self_offdiag_finite(pts, v)
-        )
-        total += 0.5 * term
-    mix = family.arch_mixture()
-    cross = sum(
-        wm * w * pair_energy_arch(m, DiracAt(complex(u))) for m, wm in mix for u in pts
-    )
-    arch_term = _mixture_self(mix) - 2.0 * cross + _set_self_offdiag_arch(pts)
-    total += 0.5 * arch_term
-    return {
-        "value": total,
-        "tol": max(family.arch_tol, 1e-9),
-        "skipped_two": family.skip_two,
-    }
+    rep = family_sq_energy(family, PointSetFamily(finite_set(points)))
+    return {key: rep[key] for key in ("value", "tol", "skipped_two")}
 
 
 def pair_with_smoothed_set(quad, fs: FiniteSet, arch_samples: int = 4000, seed: int = 0) -> dict:
@@ -489,28 +458,26 @@ def pair_with_smoothed_set(quad, fs: FiniteSet, arch_samples: int = 4000, seed: 
     lhs = family_sq_energy(fam, smoothed)
     height = h_rho_F(fam, fs.points)
 
-    primes = set(fam.support_primes()) | set(smoothed.support_primes())
-    primes.discard(2)
-    n = len(fs.points)
+    places, _ = _family_places(fam, smoothed)
     discrepancy = 0.0
-    for p in sorted(primes):
-        v = finite(p)
+    for v in places:
         r = fs.radius_at(v)
         for u in fs.points:
             discrepancy += local_discrepancy(quad, u, r, v)
     cloud = fam.arch_mixture()[0][0]
     r_inf = fs.radius_at(ARCH)
     for u in fs.points:
-        d = np.abs(cloud.points - complex(u))
-        d = d[d > 0]
-        discrepancy += abs(float(np.log(np.maximum(d, r_inf)).mean() - np.log(d).mean()))
+        discrepancy += abs(
+            pair_energy_arch(DiracAt(complex(u)), cloud)
+            - pair_energy_arch(Circle(complex(u), r_inf), cloud)
+        )
 
     log_term = 0.0
     for v in fs.radius_places():
         if v.is_finite and v.p == 2:
             continue
         log_term += math.log(1.0 / fs.radius_at(v))
-    log_term /= 2.0 * n
+    log_term /= 2.0 * len(fs.points)
 
     rhs = height["value"] + discrepancy + log_term
     tol = lhs["tol"] + height["tol"]

@@ -115,12 +115,12 @@ def _cmd_energy_ua(args) -> dict:
 def _cmd_energy_arch(args) -> dict:
     seed = _seed(args)
     n = int(args.samples)
-    lam_a = places.parse_rational(args.lambda_a)
-    lam_b = places.parse_rational(args.lambda_b)
+    lam_a = places.parse_p1_point(args.lambda_a)
+    lam_b = places.parse_p1_point(args.lambda_b)
     cloud_a = energy_arch.sample_lattes_equilibrium(lam_a, n, seed=seed)
     cloud_b = energy_arch.sample_lattes_equilibrium(lam_b, n, seed=seed + 1)
     return {
-        "energy": energy_arch.cloud_energy(cloud_a, cloud_b),
+        "energy": energy_arch.sq_energy_arch(cloud_a, cloud_b),
         "tolerance": adelic.ARCH_NOISE_COEFF / math.sqrt(n),
         "samples": n,
     }
@@ -138,7 +138,7 @@ def _cmd_lattes(args) -> dict:
         }
     if args.op == "torsion":
         pts = lattes.torsion_images(
-            places.parse_rational(args.lam), int(args.level), tol=float(args.tol)
+            places.parse_p1_point(args.lam), int(args.level), tol=float(args.tol)
         )
         return {
             "level": int(args.level),
@@ -178,8 +178,8 @@ def _cmd_adelic(args) -> dict:
             arch_samples=int(args.arch_samples),
         )
     if args.op == "bft":
-        a = places.parse_rational(args.lambda_a)
-        b = places.parse_rational(args.lambda_b)
+        a = places.parse_p1_point(args.lambda_a)
+        b = places.parse_p1_point(args.lambda_b)
         return adelic.bft_scan(a, b, int(args.level), tol=float(args.tol))
     if args.op == "suite":
         return adelic.suite_scan(count=int(args.count), seed=seed, height=int(args.height))

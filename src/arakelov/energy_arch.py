@@ -186,11 +186,6 @@ def sq_energy_arch(m1: ArchMeasure, m2: ArchMeasure, tol: float = 1e-8) -> float
     )
 
 
-def cloud_energy(a: Cloud, b: Cloud) -> float:
-    """Cloud-vs-cloud estimate of the squared pairing."""
-    return sq_energy_arch(a, b)
-
-
 def sample_lattes_equilibrium(
     lam,
     n: int,

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadBoundParameters, BadRadii, BranchPointCenter, NotAbuttable, ResidueCharTwo
+from .errors import BadBoundParameters, BadRadii, NotAbuttable
 from .places import NEG_INF, Place, parse_rational
 from .tree import (
     Disjoint,
@@ -161,9 +161,9 @@ def _as_atoms(mu: SegmentMeasure | Atoms) -> Atoms | None:
 def pair_raw(mu: SegmentMeasure | Atoms, nu: SegmentMeasure | Atoms, v: Place) -> float:
     """(mu, nu) for segment measures and weighted atom lists.
 
-    Atom lists pair all atoms including coincident ones; the kernel is finite
-    on type-2/3 atoms, and callers that need the off-diagonal convention for
-    type-1 atom self-pairings handle it themselves.
+    Atom lists follow the off-diagonal convention: a pair of coincident
+    type-1 atoms (kernel -inf) is left out, every other pair is summed; the
+    kernel is finite on type-2/3 atoms, including coincident ones.
     """
     atoms_mu = _as_atoms(mu)
     atoms_nu = _as_atoms(nu)
@@ -171,7 +171,9 @@ def pair_raw(mu: SegmentMeasure | Atoms, nu: SegmentMeasure | Atoms, v: Place) -
         total = 0.0
         for x, wx in atoms_mu:
             for y, wy in atoms_nu:
-                total += wx * wy * hsia_log_kernel(x, y, v)
+                k = hsia_log_kernel(x, y, v)
+                if k != NEG_INF:
+                    total += wx * wy * k
         return -total
     if atoms_mu is not None:
         return pair_raw(nu, mu, v)
@@ -328,40 +330,6 @@ def energy_oracle(ia: SegmentMeasure, ib: SegmentMeasure, v: Place, n: int = 200
     return -0.5 * total
 
 
-def energy_potential_oracle(ia: SegmentMeasure, ib: SegmentMeasure, v: Place) -> float:
-    """Potential-route evaluation of <mu_a, mu_b> for concentric segments.
-
-    Both segments must lie on a common center ray; the general reference
-    oracle is `energy_oracle`.
-    """
-    endpoints = [ia.support.a, ia.support.b, ib.support.a, ib.support.b]
-    base = min(endpoints, key=lambda p: p.log_radius)
-    for e in endpoints:
-        if hsia_log_kernel(type1(base.center), e, v) > e.log_radius + 1e-9:
-            raise ValueError("segments are not concentric, use energy_oracle")
-    spans = []
-    for seg in (ia.support, ib.support):
-        lo = min(seg.a.log_radius, seg.b.log_radius)
-        hi = max(seg.a.log_radius, seg.b.log_radius)
-        spans.append((lo, hi))
-
-    def cross(s1, s2):
-        (lo1, hi1), (lo2, hi2) = s1, s2
-        if hi1 == lo1 and hi2 == lo2:
-            return max(lo1, lo2)
-        if hi1 == lo1:
-            return _sigma_branch(lo2, hi2, lo1) / (hi2 - lo2)
-        if hi2 == lo2:
-            return _sigma_branch(lo1, hi1, lo2) / (hi1 - lo1)
-        return _sigma_integral(lo1, hi1, NEG_INF, lo2, hi2) / ((hi1 - lo1) * (hi2 - lo2))
-
-    saa = cross(spans[0], spans[0])
-    sbb = cross(spans[1], spans[1])
-    sab = cross(spans[0], spans[1])
-    # <a,b> = (1/2)[(a,a) - 2(a,b) + (b,b)] with (x,y) = -mean log kernel
-    return 0.5 * (2.0 * sab - saa - sbb)
-
-
 # ---------------------------------------------------------------------------
 # lower bounds
 
@@ -423,33 +391,3 @@ def lower_bound_report(
             raise BadBoundParameters("need max(la, lb) <= rho * lam with rho > 0")
         record("meeting_lam_rho", lam / (48.0 * rho * rho))
     return report
-
-
-# ---------------------------------------------------------------------------
-# local discrepancies I(P, u, r)
-
-
-def local_discrepancy(points, u: Fraction | int | str, r: float, v: Place) -> float:
-    """I(P, u, r) = |(mu_P, delta_u - chi_{u,r})| at a finite place, p != 2.
-
-    Evaluated exactly through the segment potential.  r = 0 gives 0 by the
-    convention eta_{u,0} = u; u must avoid the branch points of P.
-    """
-    from .lattes import as_quadruple, equilibrium_measure_ua
-
-    quad = as_quadruple(points)
-    if not v.is_finite:
-        raise ResidueCharTwo("local discrepancies are ultrametric; use a finite place")
-    if v.p == 2:
-        raise ResidueCharTwo("residue characteristic 2 is excluded")
-    u = parse_rational(u)
-    if any(pt is not None and pt == u for pt in quad.finite_points()):
-        raise BranchPointCenter(f"u = {u} is a branch point of the quadruple")
-    if r < 0:
-        raise BadRadii("radius must be nonnegative")
-    if r == 0:
-        return 0.0
-    mu = equilibrium_measure_ua(quad, v)
-    z_disk = TreePoint(u, v.epsilon * math.log(r))
-    z_point = type1(u)
-    return abs(segment_potential(mu, z_disk, v) - segment_potential(mu, z_point, v))

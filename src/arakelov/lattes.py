@@ -3,21 +3,23 @@
 A quadruple of distinct points of P^1(Q) determines a double cover of the
 line branched there, hence an elliptic curve with a degree-2 projection, and
 the degree-4 map induced by doubling.  This module computes the exact
-ultrametric equilibrium data (the segment cut out by the four points and its
-Lebesgue measure), cross-ratios and Legendre normalization, the Legendre map
-itself, and 2-power torsion images over C by iterated preimages.
+ultrametric equilibrium data (the segment cut out by the four points, its
+Lebesgue measure and the local discrepancies against it), cross-ratios and
+Legendre normalization, the Legendre map itself, and 2-power torsion images
+over C by iterated preimages.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .energy_ua import SegmentMeasure, segment_measure
-from .errors import DegenerateQuadruple, LevelTooLarge, ResidueCharTwo
-from .places import INFINITY, P1Point, Place, format_p1_point, log_abs, parse_p1_point
+from .energy_ua import SegmentMeasure, segment_measure, segment_potential
+from .errors import BadRadii, BranchPointCenter, DegenerateQuadruple, LevelTooLarge, ResidueCharTwo
+from .places import INFINITY, P1Point, Place, format_p1_point, parse_p1_point, parse_rational
 from .tree import Segment, TreePoint, median, points_equal, segment_between, type1
 
 TORSION_LEVEL_CAP = 5
@@ -157,10 +159,6 @@ def normalize_to_legendre(gamma) -> tuple[LegendreParam, MobiusMap]:
 # the equilibrium segment at a finite place
 
 
-def _tree_leaf(p: P1Point) -> TreePoint:
-    return type1(p)
-
-
 _PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
@@ -186,7 +184,7 @@ def lattes_segment(gamma, v: Place) -> Segment:
     if not v.is_finite or v.p == 2:
         raise ResidueCharTwo("the equilibrium segment needs an odd finite place")
     quad = as_quadruple(gamma)
-    leaves = [_tree_leaf(p) for p in quad.points]
+    leaves = [type1(p) for p in quad.points]
     found: Segment | None = None
     for (i, j), (k, l) in _PAIRINGS:
         seg = _path_intersection(leaves[i], leaves[j], leaves[k], leaves[l], v)
@@ -211,13 +209,6 @@ def lattes_segment_length_units(gamma, v: Place) -> int:
     return max(-padic_valuation(x, v.p) for x in cross_ratio_orbit(beta))
 
 
-def lattes_segment_length(gamma, v: Place) -> float:
-    """The maximal log absolute value of the cross-ratio over all orderings."""
-    quad = as_quadruple(gamma)
-    beta = cross_ratio(*quad.points)
-    return max(log_abs(x, v) for x in cross_ratio_orbit(beta))
-
-
 def equilibrium_measure_ua(gamma, v: Place) -> SegmentMeasure:
     """The equilibrium measure at an odd finite place: mu_{I_gamma}."""
     if not v.is_finite:
@@ -225,6 +216,30 @@ def equilibrium_measure_ua(gamma, v: Place) -> SegmentMeasure:
     if v.p == 2:
         raise ResidueCharTwo("residue characteristic 2 is excluded")
     return segment_measure(lattes_segment(gamma, v))
+
+
+def local_discrepancy(points, u: Fraction | int | str, r: float, v: Place) -> float:
+    """I(P, u, r) = |(mu_P, delta_u - chi_{u,r})| at a finite place, p != 2.
+
+    Evaluated exactly through the segment potential.  r = 0 gives 0 by the
+    convention eta_{u,0} = u; u must avoid the branch points of P.
+    """
+    quad = as_quadruple(points)
+    if not v.is_finite:
+        raise ResidueCharTwo("local discrepancies are ultrametric; use a finite place")
+    if v.p == 2:
+        raise ResidueCharTwo("residue characteristic 2 is excluded")
+    u = parse_rational(u)
+    if any(pt is not None and pt == u for pt in quad.finite_points()):
+        raise BranchPointCenter(f"u = {u} is a branch point of the quadruple")
+    if r < 0:
+        raise BadRadii("radius must be nonnegative")
+    if r == 0:
+        return 0.0
+    mu = equilibrium_measure_ua(quad, v)
+    z_disk = TreePoint(u, v.epsilon * math.log(r))
+    z_point = type1(u)
+    return abs(segment_potential(mu, z_disk, v) - segment_potential(mu, z_point, v))
 
 
 # ---------------------------------------------------------------------------

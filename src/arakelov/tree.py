@@ -3,7 +3,8 @@
 Points eta_{alpha,r} are stored in the direct chart as (rational center,
 log radius); log radius -inf marks a type-1 point and the point at infinity
 is a separate sentinel.  Points handed in through the inverted chart
-(coordinates u = 1/t) are canonicalized on construction:
+(coordinates u = 1/t) are canonicalized by the chart-change law of
+``invert_point``:
 
     eta_{alpha,r} with r <  |alpha|  ->  eta_{1/alpha, r/|alpha|^2}
     eta_{alpha,r} with r >= |alpha|  ->  eta_{0, 1/r}
@@ -57,17 +58,6 @@ def type1(center: P1Point | int | str) -> TreePoint:
     return TreePoint(parse_rational(center), NEG_INF)
 
 
-def from_inverted_chart(center: Fraction | int | str, log_radius: float, v: Place) -> TreePoint:
-    """Canonicalize a point given in the u = 1/t chart to the direct chart."""
-    c = parse_rational(center)
-    la = log_abs(c, v)
-    if log_radius == NEG_INF:
-        return POINT_AT_INFINITY if c == 0 else type1(1 / c)
-    if log_radius >= la:
-        return TreePoint(Fraction(0), -log_radius)
-    return TreePoint(1 / c, log_radius - 2.0 * la)
-
-
 def _require_affine(x: TreePoint) -> None:
     if x.at_infinity:
         raise ChartMismatch("the point at infinity has no direct-chart representation")
@@ -80,11 +70,7 @@ def log_center_dist(a: Fraction, b: Fraction, v: Place) -> float:
 
 def join(x: TreePoint, y: TreePoint, v: Place) -> TreePoint:
     """The smallest point above both, eta_{alpha, max(r, s, |alpha-beta|)}."""
-    if not v.is_finite:
-        raise PlaceMismatch("tree operations need a finite place")
-    _require_affine(x)
-    _require_affine(y)
-    k = max(x.log_radius, y.log_radius, log_center_dist(x.center, y.center, v))
+    k = hsia_log_kernel(x, y, v)
     base = x if x.log_radius >= y.log_radius else y
     return TreePoint(base.center, k)
 
@@ -335,9 +321,7 @@ def tree_point_from_json(obj: dict, v: Place | None = None) -> TreePoint:
     if chart == "inverted":
         if v is None:
             raise ChartMismatch("inverted-chart points need a place to canonicalize")
-        if log_radius == NEG_INF:
-            return POINT_AT_INFINITY if center == 0 else type1(1 / center)
-        return from_inverted_chart(center, log_radius, v)
+        return invert_point(TreePoint(center, log_radius), v)
     raise ChartMismatch(f"unknown chart {chart!r}")
 
 

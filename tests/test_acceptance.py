@@ -23,7 +23,7 @@ from arakelov.adelic import (
     local_pair_energy,
     triangle_inequality_check,
 )
-from arakelov.energy_arch import Circle, UNIT_CIRCLE, cloud_energy, sample_lattes_equilibrium
+from arakelov.energy_arch import Circle, UNIT_CIRCLE, sample_lattes_equilibrium, sq_energy_arch
 from arakelov.energy_ua import (
     energy_closed_form,
     energy_oracle,
@@ -265,12 +265,12 @@ def test_c10_monte_carlo_consistency():
     n = 20000
     a1 = sample_lattes_equilibrium(Fraction(2), n, seed=1)
     a2 = sample_lattes_equilibrium(Fraction(2), n, seed=2)
-    self_energy = cloud_energy(a1, a2)
+    self_energy = sq_energy_arch(a1, a2)
     vals = []
     for s in (4, 5, 6):
         ca = sample_lattes_equilibrium(Fraction(2), n, seed=10 * s)
         cb = sample_lattes_equilibrium(Fraction(3), n, seed=10 * s + 1)
-        vals.append(cloud_energy(ca, cb))
+        vals.append(sq_energy_arch(ca, cb))
     elapsed = time.monotonic() - start
     ok = (
         abs(self_energy) <= 0.05

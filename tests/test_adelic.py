@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from arakelov import adelic, places
+from arakelov import adelic, places, tree
 from arakelov.adelic import (
     LattesFamily,
     PairConfig,
@@ -26,6 +26,7 @@ from arakelov.adelic import (
     relevant_places,
     triangle_inequality_check,
 )
+from arakelov.energy_ua import pair_raw
 from arakelov.errors import BranchPointCenter, DegenerateConfig, EmptyF
 
 ARCH_N = 2500
@@ -151,6 +152,48 @@ class TestHRhoF:
         with pytest.raises(EmptyF):
             h_rho_F(StandardFamily(), [])
 
+    def test_repeated_point_rejected(self):
+        with pytest.raises(EmptyF):
+            h_rho_F(StandardFamily(), [2, 2])
+
+    # regression anchors; the tolerance covers the order of the pair sums
+    @pytest.mark.parametrize(
+        "family, points, expected",
+        [
+            ("standard", ["-23/5", "-21/10", "-13/21", "-13/25"], 3.1108537290610485),
+            ("standard", ["-27/10", "-11/12", "1/16"], 2.8511107460107037),
+            ("lattes", [3, 7], 0.6793968788873868),
+            ("lattes", ["1/2", 4, -6], 0.873807188784372),
+            ("lattes", [1, 2, 3, 4], 0.18131301818722795),
+            ("smoothed", [3, 7], 0.8482316357866553),
+            ("smoothed", ["1/2", 4, -6], 1.0075142682333906),
+            ("smoothed", [1, 2, 3, 4], 0.214328536198164),
+        ],
+    )
+    def test_multi_point_values(self, family, points, expected):
+        fam = {
+            "standard": StandardFamily,
+            "lattes": lambda: LattesFamily(["inf", "0", "1", "2"], arch_samples=2000, seed=42),
+            "smoothed": lambda: SmoothedSetFamily(finite_set([2, 3, "1/2"])),
+        }[family]()
+        assert h_rho_F(fam, points)["value"] == pytest.approx(expected, abs=1e-15)
+
+    def test_point_set_self_pairing_is_off_diagonal(self):
+        pts = [Fraction(1, 2), Fraction(4), Fraction(-6), Fraction(3, 5)]
+        w = 1.0 / len(pts)
+        atoms = [(tree.type1(u), w) for u in pts]
+        for p in (2, 3, 5):
+            v = places.finite(p)
+            got = pair_raw(atoms, atoms, v)
+            expected = -math.fsum(
+                w * w * places.log_abs(x - y, v) for x in pts for y in pts if x != y
+            )
+            assert math.isfinite(got)
+            assert got == pytest.approx(expected, abs=1e-15)
+        # coincident type-2 atoms stay paired: the kernel is their log radius
+        disk = [(tree.eta(0, 1.5), 1.0)]
+        assert pair_raw(disk, disk, places.finite(3)) == -1.5
+
 
 class TestInequalitySuite:
     def test_simple_config(self):
@@ -208,6 +251,11 @@ class TestSmoothedSetBound:
                                      arch_samples=ARCH_N, seed=31)
         assert rep["holds"]
         assert rep["log_term"] == 0.0
+        assert json.dumps(rep, sort_keys=True) == (
+            '{"discrepancy": 0.002429808821418744, "height": 1.140694883477116, '
+            '"holds": true, "lhs": 1.1419097878878255, "log_term": 0.0, '
+            '"rhs": 1.1431246922985348, "tol": 0.12}'
+        )
 
     def test_small_radii_log_term(self):
         fs = finite_set([5], {"3": 0.5, "inf": 0.25})
@@ -215,6 +263,20 @@ class TestSmoothedSetBound:
         assert rep["holds"]
         assert rep["log_term"] == pytest.approx(
             (math.log(2.0) + math.log(4.0)) / 2.0, abs=1e-12
+        )
+        assert json.dumps(rep, sort_keys=True) == (
+            '{"discrepancy": 0.00011711230956712448, "height": 1.1384231428584197, '
+            '"holds": true, "lhs": 2.178261026007905, "log_term": 1.0397207708399179, '
+            '"rhs": 2.1782610260079047, "tol": 0.12}'
+        )
+
+    def test_pinned_json_three_point_set(self):
+        fs = finite_set(["1/2", 4, -6], {"inf": 3.0, "5": 0.2})
+        rep = pair_with_smoothed_set([1, 3, 9, "inf"], fs)
+        assert json.dumps(rep, sort_keys=True) == (
+            '{"discrepancy": 1.0871305552455404, "height": 0.8717655188116535, '
+            '"holds": true, "lhs": 0.7930743885804888, "log_term": 0.08513760396099841, '
+            '"rhs": 2.0440336780181925, "tol": 0.09486832980505139}'
         )
 
     def test_branch_point_propagates(self):

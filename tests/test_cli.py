@@ -133,6 +133,9 @@ class TestErrorsAndDeterminism:
             ["energy", "arch", "--lambda-a", "1", "--lambda-b", "2", "--samples", "200"],
             ["lattes", "torsion", "--lambda", "0", "--level", "1"],
             ["adelic", "bft", "--lambda-a", "1", "--lambda-b", "2", "--level", "1"],
+            ["energy", "arch", "--lambda-a", "inf", "--lambda-b", "2", "--samples", "200"],
+            ["lattes", "torsion", "--lambda", "inf", "--level", "1"],
+            ["adelic", "bft", "--lambda-a", "inf", "--lambda-b", "2", "--level", "1"],
         ],
     )
     def test_degenerate_legendre_parameter(self, argv, capsys):

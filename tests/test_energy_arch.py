@@ -12,7 +12,6 @@ from arakelov.energy_arch import (
     UNIT_CIRCLE,
     arch_self_energy,
     circle_potential,
-    cloud_energy,
     pair_energy_arch,
     sample_lattes_equilibrium,
     sq_energy_arch,
@@ -105,24 +104,24 @@ class TestCloudEnergy:
         a = Cloud(rng.normal(size=400) + 1j * rng.normal(size=400))
         b = Cloud(rng.normal(size=400) + 1j * rng.normal(size=400))
         c = 0.5 - 0.25j
-        shifted = cloud_energy(Cloud(a.points + c), Cloud(b.points + c))
-        assert shifted == pytest.approx(cloud_energy(a, b), abs=1e-9)
+        shifted = sq_energy_arch(Cloud(a.points + c), Cloud(b.points + c))
+        assert shifted == pytest.approx(sq_energy_arch(a, b), abs=1e-9)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(53)
         a = Cloud(rng.normal(size=400) + 1j * rng.normal(size=400))
         b = Cloud(rng.normal(size=400) + 1j * rng.normal(size=400))
         rot = np.exp(1j * 0.7)
-        rotated = cloud_energy(Cloud(a.points * rot), Cloud(b.points * rot))
-        assert rotated == pytest.approx(cloud_energy(a, b), abs=1e-9)
+        rotated = sq_energy_arch(Cloud(a.points * rot), Cloud(b.points * rot))
+        assert rotated == pytest.approx(sq_energy_arch(a, b), abs=1e-9)
 
     def test_scaling_within_bias_bound(self):
         rng = np.random.default_rng(54)
         n = 2000
         a = Cloud(rng.normal(size=n) + 1j * rng.normal(size=n))
         b = Cloud(2.0 + rng.normal(size=n) + 1j * rng.normal(size=n))
-        base = cloud_energy(a, b)
-        scaled = cloud_energy(Cloud(1.75 * a.points), Cloud(1.75 * b.points))
+        base = sq_energy_arch(a, b)
+        scaled = sq_energy_arch(Cloud(1.75 * a.points), Cloud(1.75 * b.points))
         assert abs(scaled - base) <= 3.0 / math.sqrt(n)
 
     def test_two_tight_clusters(self):
@@ -132,7 +131,7 @@ class TestCloudEnergy:
         d = 0.01
         a = Cloud(np.array([0j, eps + 0j]))
         b = Cloud(np.array([d + 0j, d + eps * 1j]))
-        e = cloud_energy(a, b)
+        e = sq_energy_arch(a, b)
         assert e > 0
         assert e == pytest.approx(math.log(d / eps), rel=0.05)
 
@@ -140,7 +139,7 @@ class TestCloudEnergy:
         pts = np.zeros(100, dtype=complex)
         pts[50:] = 1.0
         with pytest.raises(CoincidentAtoms):
-            cloud_energy(Cloud(pts), Cloud(pts.copy()))
+            sq_energy_arch(Cloud(pts), Cloud(pts.copy()))
 
 
 class TestLogDistKernel:
@@ -247,9 +246,9 @@ class TestSampling:
     def test_self_consistency_small(self):
         a = sample_lattes_equilibrium(Fraction(2), 4000, seed=5)
         b = sample_lattes_equilibrium(Fraction(2), 4000, seed=6)
-        assert abs(cloud_energy(a, b)) <= 0.05
+        assert abs(sq_energy_arch(a, b)) <= 0.05
 
     def test_distinct_lambdas_positive(self):
         a = sample_lattes_equilibrium(Fraction(2), 4000, seed=7)
         b = sample_lattes_equilibrium(Fraction(3), 4000, seed=8)
-        assert cloud_energy(a, b) > 0.0
+        assert sq_energy_arch(a, b) > 0.0

@@ -8,9 +8,7 @@ from arakelov import energy_ua, places, tree
 from arakelov.energy_ua import (
     energy_closed_form,
     energy_oracle,
-    energy_potential_oracle,
     energy_union_check,
-    local_discrepancy,
     lower_bound_report,
     mutual_energy_raw,
     segment_measure,
@@ -23,6 +21,7 @@ from arakelov.errors import (
     NotAbuttable,
     ResidueCharTwo,
 )
+from arakelov.lattes import local_discrepancy
 
 V3 = places.finite(3)
 V5 = places.finite(5)
@@ -140,13 +139,10 @@ class TestClosedForm:
                 mutual_energy_raw(ia, ib, v), abs=1e-9
             )
 
-    def test_concentric_potential_oracle(self):
+    def test_concentric_closed_form(self):
         ia = seg_measure(tree.eta(0, 0.0), tree.eta(0, 1.0))
         ib = seg_measure(tree.eta(0, 2.0), tree.eta(0, 3.0))
-        assert energy_potential_oracle(ia, ib, V5) == pytest.approx(5.0 / 6.0, abs=1e-12)
-        off_ray = seg_measure(tree.eta(1, -2.0), tree.eta(2, -2.0))
-        with pytest.raises(ValueError):
-            energy_potential_oracle(ia, off_ray, V5)
+        assert energy_closed_form(ia, ib, V5) == pytest.approx(5.0 / 6.0, abs=1e-12)
 
     def test_aligned_formula_agrees_with_dispatcher(self):
         # segments with no interior split points: E = la/6 + lb/6 + d/2

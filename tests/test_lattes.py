@@ -17,7 +17,6 @@ from arakelov.lattes import (
     equilibrium_measure_ua,
     lattes_preimages,
     lattes_segment,
-    lattes_segment_length,
     lattes_segment_length_units,
     legendre_lattes_eval,
     normalize_to_legendre,
@@ -103,9 +102,6 @@ class TestLattesSegment:
             assert units >= 0
             assert round(seg.length / math.log(p)) == units
             assert abs(seg.length - units * math.log(p)) <= 1e-9
-            assert lattes_segment_length(quad, v) == pytest.approx(
-                units * math.log(p), abs=1e-12
-            )
 
     def test_flow_scales_length(self):
         quad = as_quadruple(["inf", "0", "1", "1/9"])

@@ -256,10 +256,19 @@ class TestJson:
             back = tree.tree_point_from_json(obj, V5)
             assert tree.points_equal(pt, back, V5)
 
-    def test_inverted_chart_canonicalized(self):
-        obj = {"chart": "inverted", "center": "0", "log_radius": 2.0}
-        pt = tree.tree_point_from_json(obj, V5)
-        assert pt.center == 0 and pt.log_radius == -2.0
+    @pytest.mark.parametrize(
+        "obj, expected",
+        [
+            ({"center": "0", "log_radius": 2.0}, tree.eta(0, -2.0)),
+            ({"center": "0", "type1": True}, tree.POINT_AT_INFINITY),
+            ({"center": "5", "type1": True}, tree.type1(Fraction(1, 5))),
+            ({"center": "5", "log_radius": -5.0}, tree.eta(Fraction(1, 5), -1.7811241751317994)),
+            ({"center": "1/25", "log_radius": 1.0}, tree.eta(25, -5.437751649736401)),
+        ],
+        ids=["center0", "type1_at0", "type1_at5", "center5", "center1_25"],
+    )
+    def test_inverted_chart_canonicalized(self, obj, expected):
+        assert tree.tree_point_from_json({"chart": "inverted", **obj}, V5) == expected
 
     def test_inverted_needs_place(self):
         with pytest.raises(ChartMismatch):

@@ -4,7 +4,9 @@
 Circle measures pair in closed form (log max rules); Lattes equilibrium
 measures over C have no such forms, so they are sampled by backward
 iteration: each step jumps to a uniformly random preimage among the four
-roots, and the empirical cloud approximates the equilibrium measure.
+roots, and the empirical cloud approximates the equilibrium measure.  Two
+clouds pair through an O(n^2) log double sum; two Lattes measures also pair
+in O(n) through the escape rates of their homogeneous lifts.
 """
 
 import math
@@ -12,7 +14,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from arakelov import Circle, DiracAt, circle_potential, pair_energy_arch, sample_lattes_equilibrium, sq_energy_arch
+from arakelov import (
+    Circle,
+    DiracAt,
+    circle_potential,
+    lattes_sq_energy_arch,
+    pair_energy_arch,
+    sample_lattes_equilibrium,
+    sq_energy_arch,
+)
 from arakelov.energy_arch import UNIT_CIRCLE
 
 print("circle closed forms:")
@@ -38,3 +48,10 @@ shift = 0.5 - 0.25j
 print(f"  translated: {sq_energy_arch(*(type(a1)(c.points + shift) for c in (a1, b))):+.5f}")
 rot = np.exp(0.7j)
 print(f"  rotated   : {sq_energy_arch(*(type(a1)(c.points * rot) for c in (a1, b))):+.5f}")
+
+print()
+print(f"escape-rate pairing over the same kind of chains, n = {n}:")
+e, se = lattes_sq_energy_arch(2, 3, n, seed=1)
+print(f"  lam = 2 against lam = 3:            energy {e:+.5f} +- {se:.5f} (batch means)")
+e, _ = lattes_sq_energy_arch([1, 2, 3, "inf"], [2, 1, "inf", 3], n, seed=1)
+print(f"  one branch set in two orders:       energy {e:+.5f}")

@@ -60,6 +60,8 @@ from .energy_arch import (
     Cloud,
     DiracAt,
     circle_potential,
+    escape_rate,
+    lattes_sq_energy_arch,
     pair_energy_arch,
     sample_lattes_equilibrium,
     sq_energy_arch,

@@ -23,9 +23,9 @@ from .energy_arch import (
     DiracAt,
     UNIT_CIRCLE,
     arch_self_energy,
+    lattes_sq_energy_arch,
     pair_energy_arch,
     sample_lattes_equilibrium,
-    sq_energy_arch,
 )
 from .energy_ua import (
     Atoms,
@@ -210,9 +210,10 @@ def pair_energy_global(
     """<L_a, L_b> as a sum of local terms over the relevant places.
 
     Finite odd places are exact closed forms; the place 2 is reported as
-    excluded; the archimedean entry is a cloud estimate with tolerance
-    3/sqrt(n).  The total is therefore a lower bound up to the archimedean
-    tolerance (local terms are nonnegative).
+    excluded; the archimedean entry is the escape-rate estimate of
+    ``lattes_sq_energy_arch`` with tolerance 3/sqrt(n).  The total is
+    therefore a lower bound up to the archimedean tolerance (local terms are
+    nonnegative).
     """
     quad_a = as_quadruple(quad_a)
     quad_b = as_quadruple(quad_b)
@@ -229,9 +230,7 @@ def pair_energy_global(
         e = local_pair_energy(quad_a, quad_b, v)
         entries.append(PlaceEntry(v, e, True))
         total += e
-    cloud_a = cloud_for_quadruple(quad_a, arch_samples, seed=seed, burn_in=burn_in)
-    cloud_b = cloud_for_quadruple(quad_b, arch_samples, seed=seed + 1, burn_in=burn_in)
-    arch = sq_energy_arch(cloud_a, cloud_b)
+    arch, _ = lattes_sq_energy_arch(quad_a, quad_b, arch_samples, seed=seed, burn_in=burn_in)
     arch_tol = ARCH_NOISE_COEFF / math.sqrt(arch_samples)
     entries.append(PlaceEntry(ARCH, arch, False, f"Monte Carlo, n={arch_samples}"))
     total += arch
@@ -254,7 +253,13 @@ def global_energy(
 # measure families (adelic measures) and their pairings
 
 
-class StandardFamily:
+class _MixtureFamily:
+    def arch_self_pairing(self) -> float:
+        """The off-diagonal self-pairing of the archimedean mixture."""
+        return _mixture_self(self.arch_mixture())
+
+
+class StandardFamily(_MixtureFamily):
     """chi_{0,1} at every place: Gauss mass at finite places, unit circle at infinity."""
 
     label = "standard"
@@ -271,7 +276,7 @@ class StandardFamily:
         return [(UNIT_CIRCLE, 1.0)]
 
 
-class LattesFamily:
+class LattesFamily(_MixtureFamily):
     """Equilibrium measures of the Lattes map of a quadruple; 2-adic term skipped."""
 
     label = "lattes"
@@ -283,6 +288,7 @@ class LattesFamily:
         self.seed = seed
         self.burn_in = burn_in
         self._cloud: Cloud | None = None
+        self._self_pairing: float | None = None
         self.arch_tol = ARCH_NOISE_COEFF / math.sqrt(arch_samples)
 
     def support_primes(self) -> list[int]:
@@ -297,6 +303,12 @@ class LattesFamily:
                 self.quad, self.arch_samples, seed=self.seed, burn_in=self.burn_in
             )
         return [(self._cloud, 1.0)]
+
+    def arch_self_pairing(self) -> float:
+        """The O(n^2) cloud self-energy, computed once per family."""
+        if self._self_pairing is None:
+            self._self_pairing = super().arch_self_pairing()
+        return self._self_pairing
 
 
 @dataclass(frozen=True)
@@ -332,7 +344,7 @@ def finite_set(points, radii: dict | None = None) -> FiniteSet:
     return FiniteSet(tuple(parse_rational(x) for x in points), dict(radii or {}))
 
 
-class SmoothedSetFamily:
+class SmoothedSetFamily(_MixtureFamily):
     """m_{F,r}: Dirac masses at eta_{u, r_v} (circles of radius r_inf at infinity)."""
 
     label = "smoothed_set"
@@ -420,9 +432,10 @@ def family_sq_energy(f1: MeasureFamily, f2: MeasureFamily) -> dict:
         term = pair_raw(m1, m1, v) - 2.0 * pair_raw(m1, m2, v) + pair_raw(m2, m2, v)
         per_place[str(v)] = 0.5 * term
         total += 0.5 * term
-    mix1, mix2 = f1.arch_mixture(), f2.arch_mixture()
     arch_term = 0.5 * (
-        _mixture_self(mix1) - 2.0 * _mixture_pair(mix1, mix2) + _mixture_self(mix2)
+        f1.arch_self_pairing()
+        - 2.0 * _mixture_pair(f1.arch_mixture(), f2.arch_mixture())
+        + f2.arch_self_pairing()
     )
     per_place["v_inf"] = arch_term
     total += arch_term

@@ -21,14 +21,33 @@ from . import __version__, adelic, energy_arch, energy_ua, lattes, places, suite
 from .errors import ArakelovError
 
 
+class UsageError(Exception):
+    """A missing or malformed command-line argument (exit code 2)."""
+
+
 def _parse_place(args) -> places.Place:
     token = getattr(args, "place", None)
     eps = float(getattr(args, "epsilon", 1.0) or 1.0)
-    if token in (None, "inf", "arch"):
-        return places.Place("archimedean", None, eps)
-    if token == "trivial":
-        return places.TRIVIAL
-    return places.finite(int(token), eps)
+    try:
+        if token in (None, "inf", "arch"):
+            return places.Place("archimedean", None, eps)
+        if token == "trivial":
+            return places.TRIVIAL
+        return places.finite(int(token), eps)
+    except ValueError as exc:
+        raise UsageError(f"--place/--epsilon: {exc}") from None
+
+
+def _parsed(args, dest: str, parse, flag: str | None = None):
+    """``parse(args.<dest>)``; a missing or unparsable value is a usage error."""
+    flag = flag or "--" + dest.replace("_", "-")
+    text = getattr(args, dest, None)
+    if text is None:
+        raise UsageError(f"{flag} is required")
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{flag}: invalid value {text!r}") from None
 
 
 def _seed(args) -> int:
@@ -63,12 +82,14 @@ def _cmd_places(args) -> dict:
     v = _parse_place(args)
     op = args.op
     if op == "logabs":
-        return {"log_abs": places.log_abs(places.parse_rational(args.x), v)}
+        return {"log_abs": places.log_abs(_parsed(args, "x", places.parse_rational), v)}
     if op == "valuation":
-        val = places.padic_valuation(places.parse_rational(args.x), int(args.p))
+        p = _parsed(args, "p", places.finite).p  # a prime, or a usage error
+        val = places.padic_valuation(_parsed(args, "x", places.parse_rational), p)
         return {"valuation": "inf" if val == math.inf else int(val)}
     if op == "residual":
-        return {"residual": places.product_formula_residual(places.parse_rational(args.x))}
+        x = _parsed(args, "x", places.parse_rational)
+        return {"residual": places.product_formula_residual(x)}
     if op == "height":
         coords = [places.parse_rational(c) for c in json.loads(args.coords)]
         return {"projective_height": places.projective_height(coords)}
@@ -115,12 +136,12 @@ def _cmd_energy_ua(args) -> dict:
 def _cmd_energy_arch(args) -> dict:
     seed = _seed(args)
     n = int(args.samples)
-    lam_a = places.parse_p1_point(args.lambda_a)
-    lam_b = places.parse_p1_point(args.lambda_b)
-    cloud_a = energy_arch.sample_lattes_equilibrium(lam_a, n, seed=seed)
-    cloud_b = energy_arch.sample_lattes_equilibrium(lam_b, n, seed=seed + 1)
+    lam_a = _parsed(args, "lambda_a", places.parse_p1_point)
+    lam_b = _parsed(args, "lambda_b", places.parse_p1_point)
+    energy, stderr = energy_arch.lattes_sq_energy_arch(lam_a, lam_b, n, seed=seed)
     return {
-        "energy": energy_arch.sq_energy_arch(cloud_a, cloud_b),
+        "energy": energy,
+        "stderr": stderr,
         "tolerance": adelic.ARCH_NOISE_COEFF / math.sqrt(n),
         "samples": n,
     }
@@ -138,7 +159,9 @@ def _cmd_lattes(args) -> dict:
         }
     if args.op == "torsion":
         pts = lattes.torsion_images(
-            places.parse_p1_point(args.lam), int(args.level), tol=float(args.tol)
+            _parsed(args, "lam", places.parse_p1_point, "--lambda"),
+            int(args.level),
+            tol=float(args.tol),
         )
         return {
             "level": int(args.level),
@@ -150,9 +173,8 @@ def _cmd_lattes(args) -> dict:
             "total_multiplicity": sum(m for _, m in pts),
         }
     if args.op == "eval":
-        val = lattes.legendre_lattes_eval(
-            places.parse_rational(args.lam), places.parse_p1_point(args.t)
-        )
+        lam = lattes.LegendreParam(_parsed(args, "lam", places.parse_p1_point, "--lambda"))
+        val = lattes.legendre_lattes_eval(lam, _parsed(args, "t", places.parse_p1_point))
         return {"value": places.format_p1_point(val)}
     raise argparse.ArgumentTypeError(f"unknown lattes op {args.op!r}")
 
@@ -178,8 +200,8 @@ def _cmd_adelic(args) -> dict:
             arch_samples=int(args.arch_samples),
         )
     if args.op == "bft":
-        a = places.parse_p1_point(args.lambda_a)
-        b = places.parse_p1_point(args.lambda_b)
+        a = _parsed(args, "lambda_a", places.parse_p1_point)
+        b = _parsed(args, "lambda_b", places.parse_p1_point)
         return adelic.bft_scan(a, b, int(args.level), tol=float(args.tol))
     if args.op == "suite":
         return adelic.suite_scan(count=int(args.count), seed=seed, height=int(args.height))
@@ -290,9 +312,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = args.func(args)
     except ArakelovError as exc:
-        payload = json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True)
-        print(payload)
+        print(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True))
         return 1
+    except UsageError as exc:
+        print(json.dumps({"error": "UsageError", "message": str(exc)}, sort_keys=True))
+        return 2
     text = json.dumps(result, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

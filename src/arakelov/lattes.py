@@ -155,6 +155,19 @@ def normalize_to_legendre(gamma) -> tuple[LegendreParam, MobiusMap]:
     return LegendreParam(lam), m
 
 
+def legendre_form(gamma_or_lambda) -> tuple[LegendreParam, MobiusMap | None]:
+    """A Legendre parameter, with the normalizing Moebius map when given a quadruple.
+
+    A quadruple is a ``Quadruple``, tuple or list; anything else is read as the
+    parameter itself (0, 1 and infinity raise ``DegenerateQuadruple``).
+    """
+    if isinstance(gamma_or_lambda, (Quadruple, tuple, list)):
+        return normalize_to_legendre(gamma_or_lambda)
+    if isinstance(gamma_or_lambda, LegendreParam):
+        return gamma_or_lambda, None
+    return LegendreParam(parse_p1_point(gamma_or_lambda)), None
+
+
 # ---------------------------------------------------------------------------
 # the equilibrium segment at a finite place
 
@@ -294,20 +307,42 @@ def lattes_preimages(w, lam: Fraction | complex) -> list[complex | object]:
 
 
 def _dedup_points(pts: Iterable[tuple[complex | object, int]], tol: float):
-    finite: list[tuple[complex, int]] = []
+    """Merge each point into the earliest kept point within ``tol``, adding multiplicities.
+
+    Kept points are hashed by grid cell.  The cell side is the power of two in
+    (2 tol, 4 tol], so floor division by it is exact and every kept point
+    within ``tol`` of p lies in p's cell or one of its eight neighbours.
+    """
+    side = math.ldexp(1.0, math.frexp(tol)[1] + 1)
+    points: list[complex] = []
+    mults: list[int] = []
+    newest_in_cell: dict[complex, int] = {}
+    older_in_cell: list[int] = []  # the previous kept index in the same cell, or -1
     inf_mult = 0
     for p, m in pts:
         if p is INFINITY:
             inf_mult += m
             continue
-        for i, (q, mq) in enumerate(finite):
-            if abs(p - q) <= tol:
-                finite[i] = (q, mq + m)
-                break
-        else:
-            finite.append((p, m))
-    finite.sort(key=lambda pm: (pm[0].real, pm[0].imag))
-    out: list[tuple[complex | object, int]] = list(finite)
+        cx, cy = p.real // side, p.imag // side
+        match = len(points)
+        for dx in (-1.0, 0.0, 1.0):
+            for dy in (-1.0, 0.0, 1.0):
+                i = newest_in_cell.get(complex(cx + dx, cy + dy), -1)
+                while i >= 0:
+                    if i < match and abs(p - points[i]) <= tol:
+                        match = i
+                    i = older_in_cell[i]
+        if match < len(points):
+            mults[match] += m
+            continue
+        cell = complex(cx, cy)
+        older_in_cell.append(newest_in_cell.get(cell, -1))
+        newest_in_cell[cell] = match
+        points.append(p)
+        mults.append(m)
+    out: list[tuple[complex | object, int]] = sorted(
+        zip(points, mults), key=lambda pm: (pm[0].real, pm[0].imag)
+    )
     if inf_mult:
         out.append((INFINITY, inf_mult))
     return out
@@ -328,18 +363,12 @@ def torsion_images(
     """
     if level < 0 or level > level_cap:
         raise LevelTooLarge(f"level must lie in [0, {level_cap}]")
-    mobius = None
-    if isinstance(gamma_or_lambda, (Quadruple, tuple, list)):
-        param, mobius = normalize_to_legendre(gamma_or_lambda)
-    elif isinstance(gamma_or_lambda, LegendreParam):
-        param = gamma_or_lambda
-    else:
-        param = LegendreParam(parse_p1_point(gamma_or_lambda))
+    param, mobius = legendre_form(gamma_or_lambda)
     lamc = complex(param.lam)
     current = [(p, 1) for p in lattes_preimages(INFINITY, lamc)]
     for _ in range(level):
         current = _dedup_points(
-            [(p, m) for w, m in current for p in lattes_preimages(w, lamc)], tol
+            ((p, m) for w, m in current for p in lattes_preimages(w, lamc)), tol
         )
     if mobius is not None:
         inv = mobius.inverse()

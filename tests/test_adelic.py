@@ -26,6 +26,7 @@ from arakelov.adelic import (
     relevant_places,
     triangle_inequality_check,
 )
+from arakelov.energy_arch import arch_self_energy, lattes_sq_energy_arch
 from arakelov.energy_ua import pair_raw
 from arakelov.errors import BranchPointCenter, DegenerateConfig, EmptyF
 
@@ -99,6 +100,14 @@ class TestGlobalEnergy:
         assert fin1 == pytest.approx(fin2, abs=1e-10)
         assert r1.arch_estimate == pytest.approx(r2.arch_estimate, abs=1e-9)
         assert h_ab(cfg) == pytest.approx(h_ab(scaled), abs=1e-12)
+
+    def test_arch_entry_is_escape_rate_estimate(self):
+        cfg = pair_config([1, 2, 3], ["1/5", "2/5", "3/5"])
+        rep = global_energy(cfg, arch_samples=1500, seed=9, burn_in=48)
+        energy, _ = lattes_sq_energy_arch(
+            cfg.quadruple_a(), cfg.quadruple_b(), 1500, seed=9, burn_in=48
+        )
+        assert rep.arch_estimate == energy
 
     def test_epsilon_flow_scales_local_energy(self):
         cfg = pair_config([1, 2, 3], ["1/5", "2/5", "3/5"])
@@ -278,6 +287,17 @@ class TestSmoothedSetBound:
             '"holds": true, "lhs": 0.7930743885804888, "log_term": 0.08513760396099841, '
             '"rhs": 2.0440336780181925, "tol": 0.09486832980505139}'
         )
+
+    def test_cloud_self_energy_computed_once(self, monkeypatch):
+        seen = []
+
+        def counting(m):
+            seen.append(type(m).__name__)
+            return arch_self_energy(m)
+
+        monkeypatch.setattr(adelic, "arch_self_energy", counting)
+        pair_with_smoothed_set(["inf", "0", "1", "2"], finite_set([5, 7]), arch_samples=500)
+        assert seen.count("Cloud") == 1
 
     def test_branch_point_propagates(self):
         with pytest.raises(BranchPointCenter):

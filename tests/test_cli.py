@@ -136,6 +136,9 @@ class TestErrorsAndDeterminism:
             ["energy", "arch", "--lambda-a", "inf", "--lambda-b", "2", "--samples", "200"],
             ["lattes", "torsion", "--lambda", "inf", "--level", "1"],
             ["adelic", "bft", "--lambda-a", "inf", "--lambda-b", "2", "--level", "1"],
+            ["lattes", "eval", "--lambda", "inf", "--t", "2"],
+            ["lattes", "eval", "--lambda", "0", "--t", "2"],
+            ["lattes", "eval", "--lambda", "1", "--t", "2"],
         ],
     )
     def test_degenerate_legendre_parameter(self, argv, capsys):
@@ -147,6 +150,37 @@ class TestErrorsAndDeterminism:
         with pytest.raises(SystemExit) as exc:
             cli.main(["energy", "nope"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["places", "logabs", "--x", "abc"],
+            ["places", "logabs"],
+            ["places", "logabs", "--x", "1/0"],
+            ["places", "logabs", "--x", "2", "--place", "4"],
+            ["places", "valuation", "--x", "2", "--p", "4"],
+            ["places", "valuation", "--x", "2"],
+        ],
+    )
+    def test_bad_argument_exit_two_with_json(self, argv, capsys):
+        code, out, _ = run(argv, capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == "UsageError"
+
+    def test_lattes_eval(self, capsys):
+        code, out, _ = run(["lattes", "eval", "--lambda", "2", "--t", "3"], capsys)
+        assert code == 0
+        assert json.loads(out) == {"value": "49/24"}
+
+    def test_energy_arch_reports_stderr(self, capsys):
+        code, out, _ = run(
+            ["energy", "arch", "--lambda-a", "2", "--lambda-b", "3", "--samples", "2000"], capsys
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["samples"] == 2000
+        assert payload["tolerance"] == pytest.approx(3.0 / math.sqrt(2000), abs=1e-15)
+        assert 0.0 < payload["stderr"] < payload["tolerance"]
+        assert abs(payload["energy"] - 0.0223) <= payload["tolerance"]
 
     def test_byte_identical_reruns(self, capsys):
         args = ["adelic", "bft", "--lambda-a", "2", "--lambda-b", "3", "--level", "2"]

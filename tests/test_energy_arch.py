@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from arakelov.adelic import cloud_for_quadruple
 from arakelov.energy_arch import (
     Circle,
     Cloud,
@@ -12,13 +13,16 @@ from arakelov.energy_arch import (
     UNIT_CIRCLE,
     arch_self_energy,
     circle_potential,
+    escape_rate,
+    lattes_sq_energy_arch,
     pair_energy_arch,
     sample_lattes_equilibrium,
     sq_energy_arch,
+    _CHUNK,
     _log_dist_sum,
 )
-from arakelov.errors import CoincidentAtoms, SingularPair
-from arakelov.lattes import legendre_lattes_eval
+from arakelov.errors import CoincidentAtoms, DegenerateQuadruple, SingularPair
+from arakelov.lattes import as_quadruple, legendre_lattes_eval, normalize_to_legendre
 from arakelov.places import INFINITY
 
 
@@ -252,3 +256,118 @@ class TestSampling:
         a = sample_lattes_equilibrium(Fraction(2), 4000, seed=7)
         b = sample_lattes_equilibrium(Fraction(3), 4000, seed=8)
         assert sq_energy_arch(a, b) > 0.0
+
+
+def legendre_lift(lam, x, y):
+    return (x * x - lam * y * y) ** 2, 4 * x * y * (x - y) * (x - lam * y)
+
+
+def iterated_escape_rate(lift, x, y, steps=30):
+    """log||v|| + sum_k 4^-(k+1) log||lift(u_k)|| over unit vectors u_k (test oracle)."""
+    norm = np.sqrt(np.abs(x) ** 2 + np.abs(y) ** 2)
+    g = np.log(norm)
+    for k in range(steps):
+        x, y = lift(x / norm, y / norm)
+        norm = np.sqrt(np.abs(x) ** 2 + np.abs(y) ** 2)
+        g = g + 4.0 ** -(k + 1) * np.log(norm)
+    return g
+
+
+def random_vectors(rng, size=200):
+    return tuple(rng.normal(size=size) + 1j * rng.normal(size=size) for _ in range(2))
+
+
+class TestEscapeRate:
+    LAMBDAS = (2, 3, -1, Fraction(1, 9), 0.5 + 0.5j)
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_functional_equation(self, lam):
+        x, y = random_vectors(np.random.default_rng(1))
+        g = escape_rate(lam, x, y)
+        lamc = complex(lam)
+        assert np.abs(escape_rate(lam, *legendre_lift(lamc, x, y)) - 4.0 * g).max() <= 1e-12
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_homogeneity(self, lam):
+        x, y = random_vectors(np.random.default_rng(2))
+        g = escape_rate(lam, x, y)
+        for c in (1e-3, -2.5 + 0.5j, 1e4j):
+            assert np.abs(escape_rate(lam, c * x, c * y) - g - math.log(abs(c))).max() <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [[1, 3, 9, "inf"], ["1/2", -4, 0, 7]])
+    def test_conjugate_lift(self, gamma):
+        # the lift adj(M) F(M v) of the conjugate map has escape rate
+        # G_L(M v) + (1/3) log|det M|
+        param, mob = normalize_to_legendre(gamma)
+        a, b, c, d = (complex(t) for t in (mob.a, mob.b, mob.c, mob.d))
+        lam = complex(param.lam)
+
+        def conjugate_lift(x, y):
+            fx, fy = legendre_lift(lam, a * x + b * y, c * x + d * y)
+            return d * fx - b * fy, a * fy - c * fx
+
+        x, y = random_vectors(np.random.default_rng(3))
+        ref = iterated_escape_rate(conjugate_lift, x, y)
+        got = escape_rate(lam, a * x + b * y, c * x + d * y) + math.log(abs(a * d - b * c)) / 3
+        assert np.abs(got - ref).max() <= 1e-12
+
+
+class TestLattesEnergy:
+    # (side a, side b): parameters and general quadruples; the cloud route
+    # draws the same chains and pulls quadruple samples back by division
+    PANEL = [
+        (2, 3),
+        ("1/9", -2),
+        ([1, 3, 9, "inf"], ["inf", 0, 1, 2]),
+        ([-1, 2, 5, "1/3"], [0, 1, 4, -3]),
+    ]
+    N = 4000
+    SEEDS = (0, 10, 20, 30, 40, 50)
+
+    @staticmethod
+    def _cloud(side, n, seed):
+        if isinstance(side, list):
+            return cloud_for_quadruple(as_quadruple(side), n, seed=seed)
+        return sample_lattes_equilibrium(Fraction(side), n, seed=seed)
+
+    @pytest.fixture(scope="class", params=range(len(PANEL)))
+    def runs(self, request):
+        a, b = self.PANEL[request.param]
+        new = [lattes_sq_energy_arch(a, b, self.N, seed=s) for s in self.SEEDS]
+        old = [
+            sq_energy_arch(self._cloud(a, self.N, s), self._cloud(b, self.N, s + 1))
+            for s in self.SEEDS
+        ]
+        return np.array([e for e, _ in new]), np.array([se for _, se in new]), np.array(old)
+
+    def test_agrees_with_cloud_oracle(self, runs):
+        new, _, old = runs
+        combined = math.hypot(new.std(ddof=1), old.std(ddof=1)) / math.sqrt(len(self.SEEDS))
+        assert abs(new.mean() - old.mean()) <= 4.0 * combined
+
+    def test_stderr_matches_seed_spread(self, runs):
+        new, stderr, _ = runs
+        ratio = stderr.mean() / new.std(ddof=1)
+        assert 1 / 3 <= ratio <= 3
+
+    def test_permuted_branch_set_vanishes(self):
+        energy, stderr = lattes_sq_energy_arch([1, 2, 3, "inf"], [2, 1, "inf", 3], 2000, seed=5)
+        assert abs(energy) <= 1e-12 and stderr <= 1e-12
+
+    def test_same_chains_as_clouds(self):
+        # the chains are the cloud route's (seeds seed and seed + 1), and the
+        # blocks of _CHUNK samples, the last one partial, cover each chain once
+        n = 2 * _CHUNK + 100
+        a = sample_lattes_equilibrium(Fraction(2), n, seed=7).points
+        b = sample_lattes_equilibrium(Fraction(3), n, seed=8).points
+
+        def diff(w):
+            return escape_rate(2, w, np.ones_like(w)) - escape_rate(3, w, np.ones_like(w))
+
+        energy, _ = lattes_sq_energy_arch(2, 3, n, seed=7)
+        assert energy == pytest.approx(0.5 * (diff(b).mean() - diff(a).mean()), abs=1e-15)
+
+    @pytest.mark.parametrize("lam", [0, 1, "inf"])
+    def test_degenerate_parameter(self, lam):
+        with pytest.raises(DegenerateQuadruple):
+            lattes_sq_energy_arch(lam, 2, 200)

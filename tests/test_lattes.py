@@ -230,6 +230,63 @@ class TestTorsionImages:
             sample_lattes_equilibrium(INFINITY, 200)
 
 
+def dedup_quadratic(pts, tol):
+    """The former O(n^2) greedy scan: each point joins the first kept point within tol."""
+    finite, inf_mult = [], 0
+    for p, m in pts:
+        if p is INFINITY:
+            inf_mult += m
+            continue
+        for i, (q, mq) in enumerate(finite):
+            if abs(p - q) <= tol:
+                finite[i] = (q, mq + m)
+                break
+        else:
+            finite.append((p, m))
+    finite.sort(key=lambda pm: (pm[0].real, pm[0].imag))
+    return finite + ([(INFINITY, inf_mult)] if inf_mult else [])
+
+
+class TestDedup:
+    # steps of a chain, in units of tol: just under and just over the
+    # threshold, and a few clearly inside or outside it
+    STEPS = (1 - 1e-12, 1 + 1e-12, 1 - 1e-6, 1 + 1e-6, 1.0, 0.5, 2.0)
+
+    @staticmethod
+    def _chains(rng, tol, count=150):
+        pts = []
+        for _ in range(count):
+            z = complex(*rng.normal(size=2)) * 10.0 ** int(rng.integers(-3, 5))
+            axis = rng.random() < 0.5  # steps along the real axis cross cell edges
+            for _ in range(int(rng.integers(1, 7))):
+                pts.append((z, int(rng.integers(1, 5))))
+                step = tol * float(rng.choice(TestDedup.STEPS))
+                z = z + (step if axis else step * cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
+            if rng.random() < 0.1:
+                pts.append((INFINITY, 1))
+        order = rng.permutation(len(pts))
+        return [pts[i] for i in order[: len(pts) // 2]] + pts  # revisit half the points
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-7, 0.25, 2.0 ** -20, 3.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_quadratic_scan(self, tol, seed):
+        pts = self._chains(np.random.default_rng(seed), tol)
+        assert lattes._dedup_points(pts, tol) == dedup_quadratic(pts, tol)
+
+    def test_chain_joins_first_point_only(self):
+        tol = 1e-9
+        pts = [(0j, 1), (0.9e-9 + 0j, 1), (1.8e-9 + 0j, 1), (0.95e-9 + 0j, 2)]
+        assert lattes._dedup_points(pts, tol) == [(0j, 4), (1.8e-9 + 0j, 1)]
+
+    def test_torsion_level_five_matches_quadratic_scan(self):
+        lamc = 3 + 0j
+        current = [(p, 1) for p in lattes_preimages(INFINITY, lamc)]
+        for _ in range(5):
+            raw = [(p, m) for w, m in current for p in lattes_preimages(w, lamc)]
+            current = lattes._dedup_points(raw, 1e-9)
+            assert current == dedup_quadratic(raw, 1e-9)
+
+
 class TestSemiconjugacy:
     def test_images_of_preimages(self):
         rng = np.random.default_rng(46)

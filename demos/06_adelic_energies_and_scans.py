@@ -3,7 +3,8 @@
 
 The pairing of two Lattes systems decomposes into local terms: exact closed
 forms at odd finite places, a Monte Carlo estimate at infinity, and a
-flagged exclusion at 2.  Heights h_rho(F) generalize the classical height,
+flagged exclusion at 2.  A Lattes measure against Diracs and circles needs no
+sampling: its potential and self-energy are closed forms in the escape rate.  Heights h_rho(F) generalize the classical height,
 the smoothing bound controls the approximation by disk measures, and the
 gap/torsion scans explore the uniform lower bound and the common-torsion
 count numerically.
@@ -43,8 +44,10 @@ std = StandardFamily()
 for x in (Fraction(2), Fraction(-35, 4)):
     print(f"  h_rho({x}) = {h_rho_F(std, [x])['value']:.12f}")
 lat = LattesFamily(["inf", "0", "1", "2"], arch_samples=4000, seed=42)
-print(f"  h_rho(branch point 0) for the (inf,0,1,2) system = {h_rho_F(lat, [0])['value']:+.4f}"
-      " (preperiodic: zero up to noise)")
+print(f"  I(mu_2) = {lat.mu.self_energy:+.12f} (-log 2), U(0) = {float(lat.mu.potential(0)):+.12f}"
+      " ((1/2) log 2)")
+print(f"  h_rho(branch point 0) for the (inf,0,1,2) system = {h_rho_F(lat, [0])['value']:+.1e}"
+      " (preperiodic: zero, closed form)")
 
 print()
 print("sqrt triangle inequality across measure families:")

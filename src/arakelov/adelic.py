@@ -1,11 +1,13 @@
 """Global objects over Q: adelic energies, heights, inequality suites, scans.
 
-Local contributions are exact closed forms at odd finite places and Monte
-Carlo estimates at the archimedean place.  The 2-adic place is skipped (and
-flagged) in every quantity involving a Lattes equilibrium measure, since the
-ultrametric description of that measure requires residue characteristic
-different from 2; families without a Lattes component keep their 2-adic
-terms, which is what makes the classical-height recovery exact.
+Local contributions are exact closed forms at odd finite places.  At the
+archimedean place a Lattes measure pairs with Diracs in closed form and with
+circles by quadrature; only the Lattes-Lattes integral is Monte Carlo.  The
+2-adic place is skipped (and flagged) in every quantity involving a Lattes
+equilibrium measure, since the ultrametric description of that measure
+requires residue characteristic different from 2; families without a Lattes
+component keep their 2-adic terms, which is what makes the classical-height
+recovery exact.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ import numpy as np
 from .energy_arch import (
     ArchMeasure,
     Circle,
-    Cloud,
     DiracAt,
+    LattesMeasure,
     UNIT_CIRCLE,
     arch_self_energy,
     lattes_sq_energy_arch,
     pair_energy_arch,
-    sample_lattes_equilibrium,
 )
 from .energy_ua import (
     Atoms,
@@ -34,13 +35,12 @@ from .energy_ua import (
     pair_raw,
     segment_measure,
 )
-from .errors import DegenerateConfig, EmptyF, NonConvergentRoots
+from .errors import DegenerateConfig, EmptyF
 from .lattes import (
     Quadruple,
     as_quadruple,
     equilibrium_measure_ua,
     local_discrepancy,
-    normalize_to_legendre,
     torsion_images,
 )
 from .places import (
@@ -126,30 +126,6 @@ def relevant_places(cfg: PairConfig) -> list[Place]:
     primes |= set(quad_support_primes(cfg.quadruple_b()))
     primes.add(2)
     return [ARCH] + [finite(p) for p in sorted(primes)]
-
-
-# ---------------------------------------------------------------------------
-# archimedean sampling for a general quadruple
-
-
-def cloud_for_quadruple(
-    quad: Quadruple, n: int = 4000, seed: int = 0, burn_in: int = 64
-) -> Cloud:
-    """Equilibrium cloud for the quadruple by pulling back a Legendre sample."""
-    lam, mob = normalize_to_legendre(quad)
-    cloud = sample_lattes_equilibrium(lam.lam, n, seed=seed, burn_in=burn_in)
-    if mob.is_identity:
-        return cloud
-    inv = mob.inverse()
-    a, b, c, d = (complex(x) for x in (inv.a, inv.b, inv.c, inv.d))
-    den = c * cloud.points + d
-    good = den != 0
-    pts = (a * cloud.points[good] + b) / den[good]
-    finite_mask = np.isfinite(pts.real) & np.isfinite(pts.imag)
-    pts = pts[finite_mask]
-    if len(pts) < 0.99 * n:
-        raise NonConvergentRoots("too many samples escaped through the pullback")
-    return Cloud(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +229,7 @@ def global_energy(
 # measure families (adelic measures) and their pairings
 
 
-class _MixtureFamily:
-    def arch_self_pairing(self) -> float:
-        """The off-diagonal self-pairing of the archimedean mixture."""
-        return _mixture_self(self.arch_mixture())
-
-
-class StandardFamily(_MixtureFamily):
+class StandardFamily:
     """chi_{0,1} at every place: Gauss mass at finite places, unit circle at infinity."""
 
     label = "standard"
@@ -276,7 +246,7 @@ class StandardFamily(_MixtureFamily):
         return [(UNIT_CIRCLE, 1.0)]
 
 
-class LattesFamily(_MixtureFamily):
+class LattesFamily:
     """Equilibrium measures of the Lattes map of a quadruple; 2-adic term skipped."""
 
     label = "lattes"
@@ -284,11 +254,7 @@ class LattesFamily(_MixtureFamily):
 
     def __init__(self, quad, arch_samples: int = 4000, seed: int = 0, burn_in: int = 64):
         self.quad = as_quadruple(quad)
-        self.arch_samples = arch_samples
-        self.seed = seed
-        self.burn_in = burn_in
-        self._cloud: Cloud | None = None
-        self._self_pairing: float | None = None
+        self.mu = LattesMeasure(self.quad, arch_samples, seed, burn_in)
         self.arch_tol = ARCH_NOISE_COEFF / math.sqrt(arch_samples)
 
     def support_primes(self) -> list[int]:
@@ -298,17 +264,7 @@ class LattesFamily(_MixtureFamily):
         return equilibrium_measure_ua(self.quad, v)
 
     def arch_mixture(self) -> list[tuple[ArchMeasure, float]]:
-        if self._cloud is None:
-            self._cloud = cloud_for_quadruple(
-                self.quad, self.arch_samples, seed=self.seed, burn_in=self.burn_in
-            )
-        return [(self._cloud, 1.0)]
-
-    def arch_self_pairing(self) -> float:
-        """The O(n^2) cloud self-energy, computed once per family."""
-        if self._self_pairing is None:
-            self._self_pairing = super().arch_self_pairing()
-        return self._self_pairing
+        return [(self.mu, 1.0)]
 
 
 @dataclass(frozen=True)
@@ -344,7 +300,7 @@ def finite_set(points, radii: dict | None = None) -> FiniteSet:
     return FiniteSet(tuple(parse_rational(x) for x in points), dict(radii or {}))
 
 
-class SmoothedSetFamily(_MixtureFamily):
+class SmoothedSetFamily:
     """m_{F,r}: Dirac masses at eta_{u, r_v} (circles of radius r_inf at infinity)."""
 
     label = "smoothed_set"
@@ -432,11 +388,9 @@ def family_sq_energy(f1: MeasureFamily, f2: MeasureFamily) -> dict:
         term = pair_raw(m1, m1, v) - 2.0 * pair_raw(m1, m2, v) + pair_raw(m2, m2, v)
         per_place[str(v)] = 0.5 * term
         total += 0.5 * term
-    arch_term = 0.5 * (
-        f1.arch_self_pairing()
-        - 2.0 * _mixture_pair(f1.arch_mixture(), f2.arch_mixture())
-        + f2.arch_self_pairing()
-    )
+    mix1, mix2 = f1.arch_mixture(), f2.arch_mixture()
+    # the self terms are added first, so swapping the families keeps every bit
+    arch_term = 0.5 * (_mixture_self(mix1) + _mixture_self(mix2)) - _mixture_pair(mix1, mix2)
     per_place["v_inf"] = arch_term
     total += arch_term
     tol = max(f1.arch_tol, f2.arch_tol, 1e-9)
@@ -477,12 +431,11 @@ def pair_with_smoothed_set(quad, fs: FiniteSet, arch_samples: int = 4000, seed: 
         r = fs.radius_at(v)
         for u in fs.points:
             discrepancy += local_discrepancy(quad, u, r, v)
-    cloud = fam.arch_mixture()[0][0]
     r_inf = fs.radius_at(ARCH)
     for u in fs.points:
         discrepancy += abs(
-            pair_energy_arch(DiracAt(complex(u)), cloud)
-            - pair_energy_arch(Circle(complex(u), r_inf), cloud)
+            pair_energy_arch(DiracAt(complex(u)), fam.mu)
+            - pair_energy_arch(Circle(complex(u), r_inf), fam.mu)
         )
 
     log_term = 0.0

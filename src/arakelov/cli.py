@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from pathlib import Path
 
 from . import __version__, adelic, energy_arch, energy_ua, lattes, places, suite, tree
 from .errors import ArakelovError
@@ -46,8 +47,19 @@ def _parsed(args, dest: str, parse, flag: str | None = None):
         raise UsageError(f"{flag} is required")
     try:
         return parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, KeyError, TypeError, OSError):
         raise UsageError(f"{flag}: invalid value {text!r}") from None
+
+
+def _json(parse, *extra):
+    """A ``_parsed`` parser: ``parse(json.loads(text), *extra)``."""
+    return lambda text: parse(json.loads(text), *extra)
+
+
+def _sample_count(n: int) -> int:
+    if not 100 <= n <= 10**7:
+        raise ValueError("a sample count must lie in [100, 10^7]")
+    return n
 
 
 def _seed(args) -> int:
@@ -55,10 +67,6 @@ def _seed(args) -> int:
     if env is not None:
         return int(env)
     return int(getattr(args, "seed", 0) or 0)
-
-
-def _segment_measure_from_arg(text: str, v: places.Place) -> energy_ua.SegmentMeasure:
-    return energy_ua.segment_measure(tree.segment_from_json(json.loads(text), v))
 
 
 def _config_json(cfg) -> dict:
@@ -90,25 +98,24 @@ def _cmd_places(args) -> dict:
     if op == "residual":
         x = _parsed(args, "x", places.parse_rational)
         return {"residual": places.product_formula_residual(x)}
-    if op == "height":
-        coords = [places.parse_rational(c) for c in json.loads(args.coords)]
-        return {"projective_height": places.projective_height(coords)}
-    if op == "affine-height":
-        coords = [places.parse_rational(c) for c in json.loads(args.coords)]
+    if op in ("height", "affine-height"):
+        coords = _parsed(args, "coords", _json(lambda cs: list(map(places.parse_rational, cs))))
+        if op == "height":
+            return {"projective_height": places.projective_height(coords)}
         return {"affine_height": places.affine_height(coords)}
     if op == "submax":
-        return {"submax": places.submax(json.loads(args.values))}
+        return {"submax": _parsed(args, "values", _json(places.submax))}
     raise argparse.ArgumentTypeError(f"unknown places op {op!r}")
 
 
 def _cmd_tree(args) -> dict:
     v = _parse_place(args)
     if args.op == "classify":
-        ia = tree.segment_from_json(json.loads(args.ia), v)
-        ib = tree.segment_from_json(json.loads(args.ib), v)
+        ia = _parsed(args, "ia", _json(tree.segment_from_json, v))
+        ib = _parsed(args, "ib", _json(tree.segment_from_json, v))
         return {"config": _config_json(tree.classify_pair(ia, ib, v))}
-    x = tree.tree_point_from_json(json.loads(args.x), v)
-    y = tree.tree_point_from_json(json.loads(args.y), v)
+    x = _parsed(args, "x", _json(tree.tree_point_from_json, v))
+    y = _parsed(args, "y", _json(tree.tree_point_from_json, v))
     if args.op == "join":
         return {"join": tree.tree_point_to_json(tree.join(x, y, v))}
     if args.op == "kernel":
@@ -120,8 +127,8 @@ def _cmd_tree(args) -> dict:
 
 def _cmd_energy_ua(args) -> dict:
     v = _parse_place(args)
-    ia = _segment_measure_from_arg(args.ia, v)
-    ib = _segment_measure_from_arg(args.ib, v)
+    ia = energy_ua.segment_measure(_parsed(args, "ia", _json(tree.segment_from_json, v)))
+    ib = energy_ua.segment_measure(_parsed(args, "ib", _json(tree.segment_from_json, v)))
     closed = energy_ua.energy_closed_form(ia, ib, v)
     out = {
         "closed": closed,
@@ -135,7 +142,7 @@ def _cmd_energy_ua(args) -> dict:
 
 def _cmd_energy_arch(args) -> dict:
     seed = _seed(args)
-    n = int(args.samples)
+    n = _parsed(args, "samples", _sample_count)
     lam_a = _parsed(args, "lambda_a", places.parse_p1_point)
     lam_b = _parsed(args, "lambda_b", places.parse_p1_point)
     energy, stderr = energy_arch.lattes_sq_energy_arch(lam_a, lam_b, n, seed=seed)
@@ -150,7 +157,7 @@ def _cmd_energy_arch(args) -> dict:
 def _cmd_lattes(args) -> dict:
     if args.op == "segment":
         v = _parse_place(args)
-        quad = lattes.as_quadruple(json.loads(args.gamma))
+        quad = _parsed(args, "gamma", _json(lattes.as_quadruple))
         seg = lattes.lattes_segment(quad, v)
         return {
             "segment": tree.segment_to_json(seg),
@@ -182,22 +189,19 @@ def _cmd_lattes(args) -> dict:
 def _cmd_adelic(args) -> dict:
     seed = _seed(args)
     if args.op == "energy":
+        config = _json(adelic.pair_config_from_json)
         if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
+            cfg = _parsed(args, "config", lambda path: config(Path(path).read_text("utf-8")))
         else:
-            obj = json.loads(args.config_json)
-        cfg = adelic.pair_config_from_json(obj)
-        report = adelic.global_energy(
-            cfg, arch_samples=int(args.arch_samples), seed=seed
-        )
-        return report.to_json()
+            cfg = _parsed(args, "config_json", config)
+        n = _parsed(args, "arch_samples", _sample_count)
+        return adelic.global_energy(cfg, arch_samples=n, seed=seed).to_json()
     if args.op == "gap-scan":
         return adelic.gap_scan(
             count=int(args.count),
             seed=seed,
             height=int(args.height),
-            arch_samples=int(args.arch_samples),
+            arch_samples=_parsed(args, "arch_samples", _sample_count),
         )
     if args.op == "bft":
         a = _parsed(args, "lambda_a", places.parse_p1_point)
@@ -263,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = esub.add_parser("arch", help="Monte Carlo Lattes energy over C")
     pa.add_argument("--lambda-a", required=True)
     pa.add_argument("--lambda-b", required=True)
-    pa.add_argument("--samples", type=int, default=20000)
+    pa.add_argument("--samples", type=int, default=20000, help="100 to 10^7")
     common(pa, seed=True)
     pa.set_defaults(func=_cmd_energy_arch)
 
@@ -281,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=["energy", "gap-scan", "bft", "suite"])
     p.add_argument("--config", help="path to a pair-config JSON file")
     p.add_argument("--config-json", help="inline pair-config JSON")
-    p.add_argument("--arch-samples", type=int, default=4000)
+    p.add_argument("--arch-samples", type=int, default=4000, help="100 to 10^7")
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--height", type=int, default=20)
     p.add_argument("--lambda-a")

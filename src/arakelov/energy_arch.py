@@ -7,18 +7,19 @@ combinations have closed forms (Jensen); genuinely overlapping circles fall
 back to a single angular quadrature; clouds go through one tiled O(n^2) sum
 of log distances.
 
-Two Lattes equilibrium measures are paired in O(n) instead, by the dynamical
-pairing of Petsche-Szpiro-Tucker:
-<mu_a, mu_b> = (1/2)[int (G_a - G_b) dmu_b - int (G_a - G_b) dmu_a], where G
-is the escape rate of a homogeneous lift.  G_a - G_b is bounded and
-continuous on P^1, so each integral is a plain sample mean over the
-backward-orbit chain, with a batch-means standard error.
+A Lattes equilibrium measure has closed-form potential and self-energy in the
+escape rate G of a homogeneous lift: it pairs with Diracs exactly and with
+circles by quadrature.  Two Lattes measures pair by Monte Carlo in O(n), by
+Petsche-Szpiro-Tucker: <mu_a, mu_b> = (1/2)[int (G_a - G_b) d(mu_b - mu_a)].
+G_a - G_b is bounded and continuous on P^1, so each integral is a plain
+sample mean over a backward-orbit chain, with a batch-means standard error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -32,6 +33,7 @@ _MAX_COINCIDENT_FRACTION = 1e-3
 _ESCAPE_STEPS = 24  # the series tail is below 4^-24 max |log||F(u)||| over unit u
 _BATCHES = 20  # contiguous batches per chain for the standard error
 _CHUNK = 4096  # samples per escape-rate block, which bounds the temporaries
+_CIRCLE_NODES = 4096  # equally spaced nodes of the circle-vs-Lattes quadrature
 
 
 @dataclass(frozen=True)
@@ -57,12 +59,50 @@ class Cloud:
 
     points: np.ndarray = field(repr=False)
 
-    @property
-    def size(self) -> int:
-        return len(self.points)
+
+class LattesMeasure:
+    """Equilibrium measure of the Lattes map of a Legendre parameter or quadruple.
+
+    ``side`` is resolved once by ``legendre_form`` into lambda and the
+    normalizing matrix M (the identity for a parameter); G(v) = G_lambda(M v)
+    is the escape rate of the lift.  ``n``, ``seed`` and ``burn_in`` set the
+    backward-orbit chain that only a pairing with another Lattes measure draws.
+    """
+
+    def __init__(self, side, n: int = 4000, seed: int = 0, burn_in: int = 64):
+        param, mob = legendre_form(side)
+        self.param, self.lam = param, complex(param.lam)
+        self.n, self.seed, self.burn_in = n, seed, burn_in
+        entries = (1, 0, 0, 1) if mob is None else (mob.a, mob.b, mob.c, mob.d)
+        self.mat = tuple(map(complex, entries))
+
+    def escape(self, x, y) -> np.ndarray:
+        """G(v) = G_lambda(M v) on arrays of vectors v = (x, y)."""
+        m0, m1, m2, m3 = self.mat
+        return escape_rate(self.lam, m0 * x + m1 * y, m2 * x + m3 * y)
+
+    @cached_property
+    def _g_inf(self) -> float:
+        return float(self.escape(1.0, 0.0))
+
+    def potential(self, u) -> np.ndarray:
+        """U(u) = int log|u - x| dmu(x) = G(u, 1) - G(1, 0), by Liouville."""
+        return self.escape(u, 1.0) - self._g_inf
+
+    @cached_property
+    def self_energy(self) -> float:
+        """I = -(1/3) log|4 lam (lam - 1)| - log|det M| + 2 G(1, 0), from Res F_lam."""
+        a, b, c, d = self.mat
+        det = math.log(abs(a * d - b * c))
+        return -math.log(abs(4.0 * self.lam * (self.lam - 1.0))) / 3.0 - det + 2.0 * self._g_inf
+
+    @cached_property
+    def chain(self) -> np.ndarray:
+        """Backward-orbit sample of mu_lambda, which M pulls back to this measure."""
+        return sample_lattes_equilibrium(self.param, self.n, self.seed, self.burn_in).points
 
 
-ArchMeasure = DiracAt | Circle | Cloud
+ArchMeasure = DiracAt | Circle | Cloud | LattesMeasure
 
 UNIT_CIRCLE = Circle(0j, 1.0)
 
@@ -137,6 +177,8 @@ def arch_self_energy(m: ArchMeasure) -> float:
         raise SingularPair("a Dirac mass has infinite self-energy")
     if isinstance(m, Circle):
         return -math.log(m.radius)
+    if isinstance(m, LattesMeasure):
+        return m.self_energy
     n = len(m.points)
     if n < 2:
         raise SingularPair("cloud self-energy needs at least two atoms")
@@ -153,10 +195,21 @@ def pair_energy_arch(m1: ArchMeasure, m2: ArchMeasure, tol: float = 1e-8) -> flo
     Closed forms: Dirac/Dirac, Dirac/circle (log max(|x-c|, r)), concentric or
     non-crossing circles; crossing circles by angular quadrature to ``tol``;
     clouds by plain means (self-pairs via the off-diagonal convention when the
-    same cloud object is passed twice).
+    same cloud object is passed twice).  A Lattes measure pairs through its
+    potential, with a circle by the mean over ``_CIRCLE_NODES`` equally spaced
+    nodes; two pair as (I_a + I_b)/2 - <mu_a, mu_b> (``lattes_pairing``).
     """
     if m1 is m2:
         return arch_self_energy(m1)
+    if isinstance(m1, LattesMeasure) and not isinstance(m2, LattesMeasure):
+        return pair_energy_arch(m2, m1, tol)
+    if isinstance(m2, LattesMeasure):
+        if isinstance(m1, LattesMeasure):
+            return 0.5 * (m1.self_energy + m2.self_energy) - lattes_pairing(m1, m2)[0]
+        if isinstance(m1, Circle):
+            roots = np.exp(2j * math.pi / _CIRCLE_NODES * np.arange(_CIRCLE_NODES))
+            return -float(m2.potential(m1.center + m1.radius * roots).mean())
+        return -float(m2.potential(m1.c if isinstance(m1, DiracAt) else m1.points).mean())
     if isinstance(m1, Cloud) and not isinstance(m2, Cloud):
         return pair_energy_arch(m2, m1, tol)
     if isinstance(m1, Circle) and isinstance(m2, DiracAt):
@@ -169,13 +222,7 @@ def pair_energy_arch(m1: ArchMeasure, m2: ArchMeasure, tol: float = 1e-8) -> flo
             return -math.log(abs(m1.c - m2.c))
         if isinstance(m2, Circle):
             return -circle_potential(m2.center, m2.radius, m1.c)
-        d = np.abs(m2.points - m1.c)
-        zero = d == 0.0
-        if zero.any():
-            if zero.sum() > _MAX_COINCIDENT_FRACTION * len(d):
-                raise CoincidentAtoms("cloud atoms on the Dirac point")
-            d = d[~zero]
-        return -float(np.log(d).mean())
+        return pair_energy_arch(Cloud(np.array([m1.c])), m2, tol)
     if isinstance(m1, Circle):
         if isinstance(m2, Circle):
             return -_circle_circle_mean(m1.center, m1.radius, m2.center, m2.radius, tol)
@@ -258,39 +305,32 @@ def _batch_means_se(values: np.ndarray) -> float:
     return float(means.std(ddof=1) / math.sqrt(_BATCHES))
 
 
+def lattes_pairing(mu_a: LattesMeasure, mu_b: LattesMeasure) -> tuple[float, float]:
+    """<mu_a, mu_b> by the Petsche-Szpiro-Tucker pairing, and its standard error.
+
+    (1/2)[mean over chain b - mean over chain a] of G_a - G_b, each measure
+    drawing its own chain, in blocks of ``_CHUNK`` samples; the error comes
+    from batch means over ``_BATCHES`` contiguous batches per chain.  Swapping
+    the measures negates G_a - G_b exactly, so the result is bitwise symmetric.
+    """
+    diffs = []
+    for mu in (mu_a, mu_b):
+        a, b, c, d = mu.mat  # w pulls back to adj(M)(w, 1): no point is dropped
+        blocks = np.split(mu.chain, range(_CHUNK, mu.n, _CHUNK))
+        vectors = ((d * w - b, a - c * w) for w in blocks)
+        diffs.append(np.concatenate([mu_a.escape(x, y) - mu_b.escape(x, y) for x, y in vectors]))
+    estimate = 0.5 * (float(diffs[1].mean()) - float(diffs[0].mean()))
+    stderr = 0.5 * math.hypot(_batch_means_se(diffs[0]), _batch_means_se(diffs[1]))
+    return estimate, stderr
+
+
 def lattes_sq_energy_arch(
     gamma_or_lambda_a, gamma_or_lambda_b, n: int, seed: int = 0, burn_in: int = 64
 ) -> tuple[float, float]:
     """<mu_a, mu_b> at infinity for two Lattes maps, and its standard error.
 
-    Each side is a Legendre parameter or a quadruple (as for ``torsion_images``).
-    The chains are ``sample_lattes_equilibrium`` with seeds ``seed`` and
-    ``seed + 1``.  For a quadruple with normalizing Moebius matrix M, a sample
-    w is pulled back to the homogeneous vector adj(M)(w, 1) and
-    G_quad(v) = G_L(M v), so no point is divided or dropped.  The estimate is
-    (1/2)[mean over chain b - mean over chain a] of G_a - G_b, evaluated in
-    blocks of ``_CHUNK`` samples; the error is combined from batch means over
-    ``_BATCHES`` contiguous batches per chain.
+    Each side is a Legendre parameter or a quadruple (as for ``torsion_images``);
+    the chains of ``lattes_pairing`` have seeds ``seed`` and ``seed + 1``.
     """
-    sides = [legendre_form(g) for g in (gamma_or_lambda_a, gamma_or_lambda_b)]
-    lams = [complex(param.lam) for param, _ in sides]
-    mats = [
-        (1, 0, 0, 1) if mob is None else tuple(complex(c) for c in (mob.a, mob.b, mob.c, mob.d))
-        for _, mob in sides
-    ]
-    diffs = []
-    for k, (param, _) in enumerate(sides):
-        w = sample_lattes_equilibrium(param, n, seed=seed + k, burn_in=burn_in).points
-        a, b, c, d = mats[k]
-        diff = np.empty(n)
-        for i in range(0, n, _CHUNK):
-            x, y = d * w[i : i + _CHUNK] - b, a - c * w[i : i + _CHUNK]  # adj(M) (w, 1)
-            g_a, g_b = (
-                escape_rate(lam, m0 * x + m1 * y, m2 * x + m3 * y)
-                for lam, (m0, m1, m2, m3) in zip(lams, mats)
-            )
-            diff[i : i + _CHUNK] = g_a - g_b
-        diffs.append(diff)
-    estimate = 0.5 * (float(diffs[1].mean()) - float(diffs[0].mean()))
-    stderr = 0.5 * math.hypot(_batch_means_se(diffs[0]), _batch_means_se(diffs[1]))
-    return estimate, stderr
+    mu_a = LattesMeasure(gamma_or_lambda_a, n, seed, burn_in)
+    return lattes_pairing(mu_a, LattesMeasure(gamma_or_lambda_b, n, seed + 1, burn_in))

@@ -234,6 +234,8 @@ def parse_rational(s: str | int | Fraction) -> Fraction:
         return s
     if isinstance(s, int):
         return Fraction(s)
+    if not isinstance(s, str):  # a float would silently change the finite places
+        raise TypeError(f"a rational must be a str, int or Fraction, not {type(s).__name__}")
     return Fraction(s.strip())
 
 

@@ -6,13 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from arakelov import adelic, places, tree
+from arakelov import adelic, energy_arch, places, tree
 from arakelov.adelic import (
     LattesFamily,
     PairConfig,
     SmoothedSetFamily,
     StandardFamily,
     bft_scan,
+    family_sq_energy,
     finite_set,
     gap_scan,
     global_energy,
@@ -26,7 +27,7 @@ from arakelov.adelic import (
     relevant_places,
     triangle_inequality_check,
 )
-from arakelov.energy_arch import arch_self_energy, lattes_sq_energy_arch
+from arakelov.energy_arch import lattes_sq_energy_arch, sample_lattes_equilibrium
 from arakelov.energy_ua import pair_raw
 from arakelov.errors import BranchPointCenter, DegenerateConfig, EmptyF
 
@@ -157,9 +158,20 @@ class TestHRhoF:
         assert abs(rep["value"]) <= 0.05
         assert rep["skipped_two"]
 
+    def test_branch_point_is_zero(self):
+        # <mu_2, delta_0> = (1/2)(I(mu_2) + 2 U(0)) = (1/2)(-log 2 + log 2)
+        rep = h_rho_F(LattesFamily(["inf", 0, 1, 2]), [0])
+        assert abs(rep["value"]) <= 1e-12
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyF):
             h_rho_F(StandardFamily(), [])
+
+    def test_float_input_rejected(self):
+        with pytest.raises(TypeError, match="float"):
+            LattesFamily([0.5, 1, 2, "inf"])
+        with pytest.raises(TypeError, match="float"):
+            lattes_sq_energy_arch(1 / 9, -2, 200)
 
     def test_repeated_point_rejected(self):
         with pytest.raises(EmptyF):
@@ -171,9 +183,9 @@ class TestHRhoF:
         [
             ("standard", ["-23/5", "-21/10", "-13/21", "-13/25"], 3.1108537290610485),
             ("standard", ["-27/10", "-11/12", "1/16"], 2.8511107460107037),
-            ("lattes", [3, 7], 0.6793968788873868),
-            ("lattes", ["1/2", 4, -6], 0.873807188784372),
-            ("lattes", [1, 2, 3, 4], 0.18131301818722795),
+            ("lattes", [3, 7], 0.6830005782096072),
+            ("lattes", ["1/2", 4, -6], 0.8766790865852482),
+            ("lattes", [1, 2, 3, 4], 0.18438274470983057),
             ("smoothed", [3, 7], 0.8482316357866553),
             ("smoothed", ["1/2", 4, -6], 1.0075142682333906),
             ("smoothed", [1, 2, 3, 4], 0.214328536198164),
@@ -246,6 +258,21 @@ class TestTriangleInequality:
         assert rep["e12"] == pytest.approx(0.0, abs=1e-9)
         assert rep["holds"]
 
+    def test_lattes_pairing_is_symmetric(self):
+        f1 = LattesFamily([1, 3, 9, "inf"], arch_samples=800, seed=3)
+        f2 = LattesFamily(["1/2", -4, 0, 7], arch_samples=800, seed=4)
+        assert family_sq_energy(f1, f2) == family_sq_energy(f2, f1)
+
+    def test_permuted_branch_set_vanishes(self):
+        # both orders normalize to lambda = 2 through maps that differ by the
+        # deck map t -> 2/t, so G_a - G_b is constant up to rounding
+        for seed in range(4):
+            f1 = LattesFamily([1, 2, 3, "inf"], arch_samples=800, seed=seed)
+            f2 = LattesFamily([2, 1, "inf", 3], arch_samples=800, seed=seed + 1)
+            rep = family_sq_energy(f1, f2)
+            assert rep["per_place"]["v_3"] == 0.0
+            assert abs(rep["value"]) <= 1e-15
+
     def test_third_equals_first(self):
         std = StandardFamily()
         sm = SmoothedSetFamily(finite_set([5]))
@@ -261,9 +288,9 @@ class TestSmoothedSetBound:
         assert rep["holds"]
         assert rep["log_term"] == 0.0
         assert json.dumps(rep, sort_keys=True) == (
-            '{"discrepancy": 0.002429808821418744, "height": 1.140694883477116, '
-            '"holds": true, "lhs": 1.1419097878878255, "log_term": 0.0, '
-            '"rhs": 1.1431246922985348, "tol": 0.12}'
+            '{"discrepancy": 0.002533750510466337, "height": 1.1576468418895964, '
+            '"holds": true, "lhs": 1.1589137171448298, "log_term": 0.0, '
+            '"rhs": 1.1601805924000628, "tol": 0.12}'
         )
 
     def test_small_radii_log_term(self):
@@ -274,30 +301,36 @@ class TestSmoothedSetBound:
             (math.log(2.0) + math.log(4.0)) / 2.0, abs=1e-12
         )
         assert json.dumps(rep, sort_keys=True) == (
-            '{"discrepancy": 0.00011711230956712448, "height": 1.1384231428584197, '
-            '"holds": true, "lhs": 2.178261026007905, "log_term": 1.0397207708399179, '
-            '"rhs": 2.1782610260079047, "tol": 0.12}'
+            '{"discrepancy": 0.00011928260771165711, "height": 1.1447712216396533, '
+            '"holds": true, "lhs": 2.184611275087283, "log_term": 1.0397207708399179, '
+            '"rhs": 2.184611275087283, "tol": 0.12}'
         )
 
     def test_pinned_json_three_point_set(self):
         fs = finite_set(["1/2", 4, -6], {"inf": 3.0, "5": 0.2})
         rep = pair_with_smoothed_set([1, 3, 9, "inf"], fs)
         assert json.dumps(rep, sort_keys=True) == (
-            '{"discrepancy": 1.0871305552455404, "height": 0.8717655188116535, '
-            '"holds": true, "lhs": 0.7930743885804888, "log_term": 0.08513760396099841, '
-            '"rhs": 2.0440336780181925, "tol": 0.09486832980505139}'
+            '{"discrepancy": 1.0870554766580298, "height": 0.8726070657127832, '
+            '"holds": true, "lhs": 0.793890909285782, "log_term": 0.08513760396099841, '
+            '"rhs": 2.0448001463318115, "tol": 0.09486832980505139}'
         )
 
-    def test_cloud_self_energy_computed_once(self, monkeypatch):
-        seen = []
+    def test_lattes_pairings_draw_no_samples(self, monkeypatch):
+        # against Diracs and circles a Lattes measure is closed form and quadrature
+        calls = []
 
-        def counting(m):
-            seen.append(type(m).__name__)
-            return arch_self_energy(m)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sample_lattes_equilibrium(*args, **kwargs)
 
-        monkeypatch.setattr(adelic, "arch_self_energy", counting)
-        pair_with_smoothed_set(["inf", "0", "1", "2"], finite_set([5, 7]), arch_samples=500)
-        assert seen.count("Cloud") == 1
+        monkeypatch.setattr(energy_arch, "sample_lattes_equilibrium", counting)
+        for quad in (["inf", "0", "1", "2"], [1, 3, 9, "inf"]):
+            fam = LattesFamily(quad, arch_samples=500)
+            h_rho_F(fam, [3, 7])
+            pair_with_smoothed_set(quad, finite_set([5, 7], {"inf": 0.5}), arch_samples=500)
+        assert calls == []
+        family_sq_energy(fam, LattesFamily([2, 3, 5, 7], arch_samples=500))
+        assert len(calls) == 2  # a Lattes-Lattes pairing draws one chain per measure
 
     def test_branch_point_propagates(self):
         with pytest.raises(BranchPointCenter):

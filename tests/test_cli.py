@@ -160,12 +160,43 @@ class TestErrorsAndDeterminism:
             ["places", "logabs", "--x", "2", "--place", "4"],
             ["places", "valuation", "--x", "2", "--p", "4"],
             ["places", "valuation", "--x", "2"],
+            ["tree", "join", "--x", "{}", "--y", "{}", "--place", "5"],
+            ["tree", "join", "--x", "nope", "--y", "{}", "--place", "5"],
+            ["tree", "classify", "--ia", "[]", "--ib", "{}", "--place", "5"],
+            ["energy", "ua", "--ia", "{}", "--ib", GAUSS_SEG, "--place", "5"],
+            ["lattes", "segment", "--gamma", '[0.5,1,2,"inf"]', "--place", "3"],
+            ["lattes", "segment", "--gamma", "7", "--place", "3"],
+            ["places", "height", "--coords", "[0.5, 1]"],
+            ["places", "submax", "--values", "nope"],
+            ["places", "submax", "--values", '["a", 1]'],
+            ["adelic", "energy", "--config-json", '{"a":[1,2]}'],
+            ["adelic", "energy"],
+            ["adelic", "energy", "--config", "no-such-config.json"],
+            ["energy", "arch", "--lambda-a", "2", "--lambda-b", "3", "--samples", "50"],
+            ["energy", "arch", "--lambda-a", "2", "--lambda-b", "3", "--samples", "-5"],
+            ["energy", "arch", "--lambda-a", "2", "--lambda-b", "3", "--samples", "10000001"],
+            ["adelic", "energy", "--config-json", '{"a":[1,2,3],"b":[4,5,6]}',
+             "--arch-samples", "99"],
+            ["adelic", "gap-scan", "--count", "1", "--arch-samples", str(10**9)],
         ],
     )
     def test_bad_argument_exit_two_with_json(self, argv, capsys):
         code, out, _ = run(argv, capsys)
         assert code == 2
         assert json.loads(out)["error"] == "UsageError"
+
+    def test_sample_count_bounds_accepted(self, capsys):
+        args = ["energy", "arch", "--lambda-a", "2", "--lambda-b", "3", "--samples", "100"]
+        code, out, _ = run(args, capsys)
+        assert code == 0 and json.loads(out)["samples"] == 100
+
+    def test_config_file(self, capsys, tmp_path):
+        cfg = {"a": ["1", "2", "3"], "b": ["1/5", "2/5", "3/5"]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        _, from_file, _ = run(["adelic", "energy", "--config", str(path)], capsys)
+        _, inline, _ = run(["adelic", "energy", "--config-json", json.dumps(cfg)], capsys)
+        assert from_file == inline and json.loads(from_file)["total"] > 0
 
     def test_lattes_eval(self, capsys):
         code, out, _ = run(["lattes", "eval", "--lambda", "2", "--t", "3"], capsys)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from arakelov.adelic import cloud_for_quadruple
+from arakelov import energy_arch
 from arakelov.energy_arch import (
     Circle,
     Cloud,
     DiracAt,
+    LattesMeasure,
     UNIT_CIRCLE,
     arch_self_energy,
     circle_potential,
@@ -36,6 +37,21 @@ def quadrature_circle_pair(c1, r1, c2, r2):
 
     val, _ = quad(outer, 0.0, 2 * math.pi, limit=400)
     return -(val / (2 * math.pi))
+
+
+def pulled_back_cloud(quad, n, seed):
+    """Equilibrium cloud of a quadruple: a Legendre sample pulled back through the
+    inverse normalizing map, points sent to infinity dropped (test oracle)."""
+    lam, mob = normalize_to_legendre(quad)
+    w = sample_lattes_equilibrium(lam.lam, n, seed=seed).points
+    inv = mob.inverse()
+    a, b, c, d = (complex(x) for x in (inv.a, inv.b, inv.c, inv.d))
+    den = c * w + d
+    good = den != 0
+    pts = (a * w[good] + b) / den[good]
+    pts = pts[np.isfinite(pts.real) & np.isfinite(pts.imag)]
+    assert len(pts) >= 0.99 * n, "too many samples escaped through the pullback"
+    return Cloud(pts)
 
 
 def dense_log_mean(x, y, self_pairs):
@@ -327,7 +343,7 @@ class TestLattesEnergy:
     @staticmethod
     def _cloud(side, n, seed):
         if isinstance(side, list):
-            return cloud_for_quadruple(as_quadruple(side), n, seed=seed)
+            return pulled_back_cloud(as_quadruple(side), n, seed)
         return sample_lattes_equilibrium(Fraction(side), n, seed=seed)
 
     @pytest.fixture(scope="class", params=range(len(PANEL)))
@@ -371,3 +387,84 @@ class TestLattesEnergy:
     def test_degenerate_parameter(self, lam):
         with pytest.raises(DegenerateQuadruple):
             lattes_sq_energy_arch(lam, 2, 200)
+
+
+class TestLattesMeasure:
+    @pytest.mark.parametrize("lam", [2, 3, "1/9", -2, "5/7"])
+    def test_potential_at_zero(self, lam):
+        # U(0) = G(0, 1) = G(F(0, 1)) / 4 = G(lam^2, 0) / 4 = (1/2) log|lam|
+        expected = 0.5 * math.log(abs(Fraction(lam)))
+        assert float(LattesMeasure(lam).potential(0j)) == pytest.approx(expected, abs=1e-12)
+
+    def test_self_energy_lambda_two(self):
+        assert LattesMeasure(2).self_energy == pytest.approx(-math.log(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [3, "1/9", -2, "5/7"])
+    def test_self_energy_from_resultant(self, lam):
+        lam = Fraction(lam)
+        expected = -math.log(abs(4 * lam * (lam - 1))) / 3
+        assert arch_self_energy(LattesMeasure(lam)) == pytest.approx(expected, abs=1e-12)
+
+    # parameters and general quadruples; each probe is paired with the measure
+    # and with the clouds of TestLattesEnergy, which sample it
+    PANEL = [2, "1/9", [1, 3, 9, "inf"], ["1/2", -4, 0, 7]]
+    N = 4000
+    SEEDS = (0, 10, 20, 30, 40, 50)
+
+    @staticmethod
+    def _probes(side):
+        # a generic Dirac, a Dirac on a branch point, circles crossing the support
+        branch = complex(Fraction(side[0])) if isinstance(side, list) else 0j
+        return [DiracAt(0.3 + 0.4j), DiracAt(branch), Circle(0.5 + 0.1j, 0.8), Circle(branch, 0.5)]
+
+    @pytest.fixture(scope="class", params=range(len(PANEL)))
+    def panel(self, request):
+        side = self.PANEL[request.param]
+        probes = self._probes(side)
+        oracle = []
+        for seed in self.SEEDS:
+            cloud = TestLattesEnergy._cloud(side, self.N, seed)
+            oracle.append([pair_energy_arch(p, cloud) for p in probes] + [arch_self_energy(cloud)])
+        mu = LattesMeasure(side)
+        exact = [pair_energy_arch(p, mu) for p in probes] + [arch_self_energy(mu)]
+        return np.array(exact), np.array(oracle)
+
+    def test_agrees_with_cloud_oracle(self, panel):
+        exact, oracle = panel
+        stderr = oracle.std(axis=0, ddof=1) / math.sqrt(len(self.SEEDS))
+        assert (np.abs(exact - oracle.mean(axis=0)) <= 4.0 * stderr).all()
+
+    @pytest.mark.parametrize(
+        "side, circle",
+        [
+            (2, Circle(0j, 1.0)),
+            (2, Circle(0.5 + 0j, 0.5)),
+            (-2, Circle(-1 + 0j, 1.0)),
+            ([1, 3, 9, "inf"], Circle(2 + 0j, 1.0)),
+            (["1/2", -4, 0, 7], Circle(3.5 + 0j, 3.5)),
+        ],
+    )
+    def test_circle_quadrature_converged(self, side, circle):
+        # every circle passes through branch points, where the density is singular
+        mu = LattesMeasure(side)
+        nodes = circle.center + circle.radius * np.exp(2j * math.pi / 16384 * np.arange(16384))
+        assert abs(pair_energy_arch(circle, mu) + float(mu.potential(nodes).mean())) <= 1e-6
+
+    def test_cloud_pairs_through_the_potential(self):
+        mu = LattesMeasure([1, 3, 9, "inf"])
+        pts = np.array([0.3 + 0.4j, -2.0 + 0j, 5.0 - 1j])
+        expected = np.mean([pair_energy_arch(DiracAt(p), mu) for p in pts])
+        assert pair_energy_arch(Cloud(pts), mu) == pytest.approx(expected, abs=1e-12)
+        assert pair_energy_arch(mu, Cloud(pts)) == pair_energy_arch(Cloud(pts), mu)
+
+    def test_pairing_draws_each_chain_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sample_lattes_equilibrium(*args, **kwargs)
+
+        monkeypatch.setattr(energy_arch, "sample_lattes_equilibrium", counting)
+        a, b = LattesMeasure(2, 500, seed=1), LattesMeasure([1, 3, 9, "inf"], 500, seed=2)
+        assert pair_energy_arch(a, b) == pair_energy_arch(b, a)
+        assert len(calls) == 2

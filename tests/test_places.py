@@ -179,6 +179,14 @@ class TestSerialization:
         for s in ("3/4", "-35/4", "7", "0"):
             assert places.format_rational(places.parse_rational(s)) == s
 
+    @pytest.mark.parametrize("value", [0.5, 2.0, 1j, None, [1]])
+    def test_non_rational_type_rejected(self, value):
+        # a float is never converted: 1/9 as a float would change the finite places
+        with pytest.raises(TypeError, match=type(value).__name__):
+            places.parse_rational(value)
+        with pytest.raises(TypeError, match=type(value).__name__):
+            places.parse_p1_point(value)
+
     def test_infinity_token(self):
         assert places.parse_p1_point("inf") is places.INFINITY
         assert places.format_p1_point(places.INFINITY) == "inf"

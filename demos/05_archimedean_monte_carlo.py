@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Archimedean energies: circle closed forms and Monte Carlo Lattes clouds.
+"""Archimedean energies: circle closed forms, Monte Carlo Lattes clouds, the torus grid.
 
-Circle measures pair in closed form (log max rules); Lattes equilibrium
-measures over C have no such forms, so they are sampled by backward
-iteration: each step jumps to a uniformly random preimage among the four
-roots, and the empirical cloud approximates the equilibrium measure.  Two
-clouds pair through an O(n^2) log double sum; two Lattes measures also pair
-in O(n) through the escape rates of their homogeneous lifts.
+Circle measures pair in closed form (log max rules).  A Lattes equilibrium
+measure can be sampled by backward iteration: each step jumps to a uniformly
+random preimage among the four roots, and the empirical cloud approximates
+the measure; two clouds pair through an O(n^2) log double sum.  The library
+pairs two Lattes measures without sampling: the escape rates of their
+homogeneous lifts are integrated over the 4^k iterated preimages of one
+point, a uniform grid on the torus, with a quadrature error from levels k - 1
+and k.
 """
 
 import math
@@ -50,8 +52,8 @@ rot = np.exp(0.7j)
 print(f"  rotated   : {sq_energy_arch(*(type(a1)(c.points * rot) for c in (a1, b))):+.5f}")
 
 print()
-print(f"escape-rate pairing over the same kind of chains, n = {n}:")
-e, se = lattes_sq_energy_arch(2, 3, n, seed=1)
-print(f"  lam = 2 against lam = 3:            energy {e:+.5f} +- {se:.5f} (batch means)")
-e, _ = lattes_sq_energy_arch([1, 2, 3, "inf"], [2, 1, "inf", 3], n, seed=1)
-print(f"  one branch set in two orders:       energy {e:+.5f}")
+print(f"escape-rate pairing on the torus grid, n = {n}:")
+e, quad_err = lattes_sq_energy_arch(2, 3, n)
+print(f"  lam = 2 against lam = 3:            energy {e:+.7f}  (quad_err {quad_err:.1e})")
+e, quad_err = lattes_sq_energy_arch([1, 2, 3, "inf"], [2, 1, "inf", 3], n)
+print(f"  one branch set in two orders:       energy {e:+.5f}  (quad_err {quad_err:.1e})")

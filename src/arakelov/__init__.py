@@ -1,7 +1,7 @@
 """Potential-theory calculus on the Berkovich projective line over Q.
 
 Exact ultrametric tree geometry and segment energies, Lattes equilibrium
-data, archimedean Monte Carlo estimates, and adelic pairings and heights,
+data, archimedean closed forms and quadratures, and adelic pairings and heights,
 with independent oracles for every closed form.
 """
 

@@ -1,8 +1,8 @@
 """Global objects over Q: adelic energies, heights, inequality suites, scans.
 
 Local contributions are exact closed forms at odd finite places.  At the
-archimedean place a Lattes measure pairs with Diracs in closed form and with
-circles by quadrature; only the Lattes-Lattes integral is Monte Carlo.  The
+archimedean place a Lattes measure pairs with Diracs in closed form, with
+circles by quadrature and with another by a torus-grid quadrature.  The
 2-adic place is skipped (and flagged) in every quantity involving a Lattes
 equilibrium measure, since the ultrametric description of that measure
 requires residue characteristic different from 2; families without a Lattes
@@ -25,7 +25,7 @@ from .energy_arch import (
     LattesMeasure,
     UNIT_CIRCLE,
     arch_self_energy,
-    lattes_sq_energy_arch,
+    lattes_pairing,
     pair_energy_arch,
 )
 from .energy_ua import (
@@ -41,6 +41,7 @@ from .lattes import (
     as_quadruple,
     equilibrium_measure_ua,
     local_discrepancy,
+    positive_tolerance,
     torsion_images,
 )
 from .places import (
@@ -51,6 +52,7 @@ from .places import (
     format_rational,
     log_abs,
     parse_rational,
+    place_to_json,
     projective_height,
     submax,
     support_primes,
@@ -58,7 +60,7 @@ from .places import (
 from .tree import GAUSS, TreePoint, segment_between, type1
 
 LOG2 = math.log(2.0)
-ARCH_NOISE_COEFF = 3.0  # reported Monte Carlo tolerance is this over sqrt(n)
+ARCH_NOISE_COEFF = 3.0  # the reported archimedean tolerance is this over sqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +124,11 @@ def relevant_places(cfg: PairConfig) -> list[Place]:
 
     Guaranteed superset of the finite places with nonzero local energy.
     """
-    primes = set(quad_support_primes(cfg.quadruple_a()))
-    primes |= set(quad_support_primes(cfg.quadruple_b()))
-    primes.add(2)
+    return _relevant_places(cfg.quadruple_a(), cfg.quadruple_b())
+
+
+def _relevant_places(quad_a: Quadruple, quad_b: Quadruple) -> list[Place]:
+    primes = set(quad_support_primes(quad_a)) | set(quad_support_primes(quad_b)) | {2}
     return [ARCH] + [finite(p) for p in sorted(primes)]
 
 
@@ -140,8 +144,6 @@ class PlaceEntry:
     note: str | None = None
 
     def to_json(self) -> dict:
-        from .places import place_to_json
-
         out = {"place": place_to_json(self.place), "energy": self.energy, "exact": self.exact}
         if self.note:
             out["note"] = self.note
@@ -158,8 +160,6 @@ class AdelicEnergyReport:
     relevant: list[Place] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        from .places import place_to_json
-
         return {
             "places": [e.to_json() for e in self.entries],
             "total": self.total,
@@ -176,51 +176,39 @@ def local_pair_energy(quad_a: Quadruple, quad_b: Quadruple, v: Place) -> float:
     return energy_closed_form(mu_a, mu_b, v)
 
 
-def pair_energy_global(
-    quad_a,
-    quad_b,
-    arch_samples: int = 4000,
-    seed: int = 0,
-    burn_in: int = 64,
-) -> AdelicEnergyReport:
+def pair_energy_global(quad_a, quad_b, arch_samples: int = 4000) -> AdelicEnergyReport:
     """<L_a, L_b> as a sum of local terms over the relevant places.
 
     Finite odd places are exact closed forms; the place 2 is reported as
-    excluded; the archimedean entry is the escape-rate estimate of
-    ``lattes_sq_energy_arch`` with tolerance 3/sqrt(n).  The total is
+    excluded; the archimedean entry is the torus-grid quadrature of
+    ``lattes_pairing`` with tolerance 3/sqrt(n).  The total is
     therefore a lower bound up to the archimedean tolerance (local terms are
     nonnegative).
     """
-    quad_a = as_quadruple(quad_a)
-    quad_b = as_quadruple(quad_b)
-    primes = sorted(set(quad_support_primes(quad_a)) | set(quad_support_primes(quad_b)) | {2})
+    quad_a, quad_b = as_quadruple(quad_a), as_quadruple(quad_b)
+    relevant = _relevant_places(quad_a, quad_b)
     entries: list[PlaceEntry] = []
     total = 0.0
-    for p in primes:
-        v = finite(p)
-        if p == 2:
-            entries.append(
-                PlaceEntry(v, None, False, "excluded: residue characteristic 2")
-            )
+    for v in relevant[1:]:
+        if v.p == 2:
+            entries.append(PlaceEntry(v, None, False, "excluded: residue characteristic 2"))
             continue
         e = local_pair_energy(quad_a, quad_b, v)
         entries.append(PlaceEntry(v, e, True))
         total += e
-    arch, _ = lattes_sq_energy_arch(quad_a, quad_b, arch_samples, seed=seed, burn_in=burn_in)
+    mu_a = LattesMeasure(quad_a, arch_samples)
+    arch, _ = lattes_pairing(mu_a, LattesMeasure(quad_b, arch_samples))
     arch_tol = ARCH_NOISE_COEFF / math.sqrt(arch_samples)
-    entries.append(PlaceEntry(ARCH, arch, False, f"Monte Carlo, n={arch_samples}"))
+    entries.append(PlaceEntry(ARCH, arch, False, f"torus grid, level {mu_a.level}"))
     total += arch
-    return AdelicEnergyReport(
-        entries, arch, arch_tol, total, relevant=[ARCH] + [finite(p) for p in primes]
-    )
+    return AdelicEnergyReport(entries, arch, arch_tol, total, relevant=relevant)
 
 
 def global_energy(
     cfg: PairConfig, arch_samples: int = 4000, seed: int = 0, burn_in: int = 64
 ) -> AdelicEnergyReport:
-    report = pair_energy_global(
-        cfg.quadruple_a(), cfg.quadruple_b(), arch_samples, seed, burn_in
-    )
+    """``pair_energy_global`` of cfg's quadruples, with h_ab; seed and burn_in change nothing."""
+    report = pair_energy_global(cfg.quadruple_a(), cfg.quadruple_b(), arch_samples)
     report.h_ab = h_ab(cfg)
     return report
 
@@ -247,14 +235,15 @@ class StandardFamily:
 
 
 class LattesFamily:
-    """Equilibrium measures of the Lattes map of a quadruple; 2-adic term skipped."""
+    """Equilibrium measures of the Lattes map of a quadruple; 2-adic term skipped.
+    ``seed`` changes no output: nothing is sampled."""
 
     label = "lattes"
     skip_two = True
 
-    def __init__(self, quad, arch_samples: int = 4000, seed: int = 0, burn_in: int = 64):
+    def __init__(self, quad, arch_samples: int = 4000, seed: int = 0):
         self.quad = as_quadruple(quad)
-        self.mu = LattesMeasure(self.quad, arch_samples, seed, burn_in)
+        self.mu = LattesMeasure(self.quad, arch_samples)
         self.arch_tol = ARCH_NOISE_COEFF / math.sqrt(arch_samples)
 
     def support_primes(self) -> list[int]:
@@ -413,14 +402,14 @@ def h_rho_F(family: MeasureFamily, points) -> dict:
     return {key: rep[key] for key in ("value", "tol", "skipped_two")}
 
 
-def pair_with_smoothed_set(quad, fs: FiniteSet, arch_samples: int = 4000, seed: int = 0) -> dict:
+def pair_with_smoothed_set(quad, fs: FiniteSet, arch_samples: int = 4000) -> dict:
     """Both sides of the smoothing bound for <mu_P, m_{F,r}>.
 
     lhs = <mu_P, m_{F,r}>; rhs = h_{mu_P}(F) + sum_w sum_{u in F} I(P_w, u, r_w)
     + (1/(2 #F)) sum_w log(1/r_w).  The 2-adic place is skipped on both sides.
     """
     quad = as_quadruple(quad)
-    fam = LattesFamily(quad, arch_samples=arch_samples, seed=seed)
+    fam = LattesFamily(quad, arch_samples=arch_samples)
     smoothed = SmoothedSetFamily(fs)
     lhs = family_sq_energy(fam, smoothed)
     height = h_rho_F(fam, fs.points)
@@ -601,16 +590,17 @@ def gap_scan(
 
     Qualitative uniform-gap exploration: the minimum should stay strictly
     positive after subtracting the archimedean tolerance.  No reference value
-    exists; the result is recorded as a regression anchor.
+    exists; the result is recorded as a regression anchor.  ``seed`` draws the
+    configurations; ``burn_in`` changes no output.
     """
     rng = np.random.default_rng(seed)
     arch_tol = ARCH_NOISE_COEFF / math.sqrt(arch_samples)
     min_energy = math.inf
     argmin = None
     totals = []
-    for k in range(count):
+    for _ in range(count):
         cfg = random_pair_config(rng, height)
-        report = global_energy(cfg, arch_samples=arch_samples, seed=seed + 2 * k, burn_in=burn_in)
+        report = global_energy(cfg, arch_samples=arch_samples)
         totals.append(report.total)
         if report.total < min_energy:
             min_energy = report.total
@@ -618,12 +608,7 @@ def gap_scan(
     if count == 0:
         return {"count": 0, "seed": seed, "height": height, "empty": True}
     edges = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, math.inf]
-    hist = [0] * (len(edges) - 1)
-    for t in totals:
-        for i in range(len(edges) - 1):
-            if edges[i] <= t < edges[i + 1]:
-                hist[i] += 1
-                break
+    hist = [sum(lo <= t < hi for t in totals) for lo, hi in zip(edges, edges[1:])]
     return {
         "count": count,
         "seed": seed,
@@ -657,8 +642,10 @@ def bft_scan(quad_or_lambda_a, quad_or_lambda_b, level: int, tol: float = 1e-7) 
     """Count common 2-power torsion images of two configurations at one level.
 
     Points are matched by euclidean distance <= tol after deduplication; a
-    collision audit reports the minimum pairwise gap inside each set.
+    collision audit reports the minimum pairwise gap inside each set.  A
+    ``tol`` outside (0, 2^1022) raises ``ValueError``.
     """
+    positive_tolerance(tol)
     set_a = torsion_images(quad_or_lambda_a, level)
     set_b = torsion_images(quad_or_lambda_b, level)
     pts_a = [p for p, _ in set_a]

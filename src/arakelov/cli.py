@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import __version__, adelic, energy_arch, energy_ua, lattes, places, suite, tree
-from .errors import ArakelovError
+from .errors import ArakelovError, NonFiniteResult
 
 
 class UsageError(Exception):
@@ -59,6 +59,18 @@ def _json(parse, *extra):
 def _sample_count(n: int) -> int:
     if not 100 <= n <= 10**7:
         raise ValueError("a sample count must lie in [100, 10^7]")
+    return n
+
+
+def _count(n: int) -> int:
+    if n < 0:
+        raise ValueError("a count must be nonnegative")
+    return n
+
+
+def _oracle_count(n: int) -> int:
+    if n < 2:
+        raise ValueError("the oracle needs n >= 2")
     return n
 
 
@@ -136,19 +148,21 @@ def _cmd_energy_ua(args) -> dict:
         "bounds": energy_ua.lower_bound_report(ia, ib, v)["bounds"],
     }
     if args.oracle_n:
-        out["oracle"] = energy_ua.energy_oracle(ia, ib, v, n=int(args.oracle_n))
+        n = _parsed(args, "oracle_n", _oracle_count)
+        out["oracle"] = energy_ua.energy_oracle(ia, ib, v, n=n)
     return out
 
 
 def _cmd_energy_arch(args) -> dict:
-    seed = _seed(args)
     n = _parsed(args, "samples", _sample_count)
     lam_a = _parsed(args, "lambda_a", places.parse_p1_point)
     lam_b = _parsed(args, "lambda_b", places.parse_p1_point)
-    energy, stderr = energy_arch.lattes_sq_energy_arch(lam_a, lam_b, n, seed=seed)
+    mu_a = energy_arch.LattesMeasure(lam_a, n)
+    energy, quad_err = energy_arch.lattes_pairing(mu_a, energy_arch.LattesMeasure(lam_b, n))
     return {
         "energy": energy,
-        "stderr": stderr,
+        "quad_err": quad_err,
+        "level": mu_a.level,
         "tolerance": adelic.ARCH_NOISE_COEFF / math.sqrt(n),
         "samples": n,
     }
@@ -168,7 +182,7 @@ def _cmd_lattes(args) -> dict:
         pts = lattes.torsion_images(
             _parsed(args, "lam", places.parse_p1_point, "--lambda"),
             int(args.level),
-            tol=float(args.tol),
+            tol=_parsed(args, "tol", lattes.positive_tolerance),
         )
         return {
             "level": int(args.level),
@@ -195,10 +209,10 @@ def _cmd_adelic(args) -> dict:
         else:
             cfg = _parsed(args, "config_json", config)
         n = _parsed(args, "arch_samples", _sample_count)
-        return adelic.global_energy(cfg, arch_samples=n, seed=seed).to_json()
+        return adelic.global_energy(cfg, arch_samples=n).to_json()
     if args.op == "gap-scan":
         return adelic.gap_scan(
-            count=int(args.count),
+            count=_parsed(args, "count", _count),
             seed=seed,
             height=int(args.height),
             arch_samples=_parsed(args, "arch_samples", _sample_count),
@@ -206,9 +220,11 @@ def _cmd_adelic(args) -> dict:
     if args.op == "bft":
         a = _parsed(args, "lambda_a", places.parse_p1_point)
         b = _parsed(args, "lambda_b", places.parse_p1_point)
-        return adelic.bft_scan(a, b, int(args.level), tol=float(args.tol))
+        tol = _parsed(args, "tol", lattes.positive_tolerance)
+        return adelic.bft_scan(a, b, int(args.level), tol=tol)
     if args.op == "suite":
-        return adelic.suite_scan(count=int(args.count), seed=seed, height=int(args.height))
+        count = _parsed(args, "count", _count)
+        return adelic.suite_scan(count=count, seed=seed, height=int(args.height))
     raise argparse.ArgumentTypeError(f"unknown adelic op {args.op!r}")
 
 
@@ -264,11 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     pu.add_argument("--oracle-n", type=int, default=1000)
     common(pu, place=True)
     pu.set_defaults(func=_cmd_energy_ua)
-    pa = esub.add_parser("arch", help="Monte Carlo Lattes energy over C")
+    pa = esub.add_parser("arch", help="Lattes-Lattes energy over C by torus-grid quadrature")
     pa.add_argument("--lambda-a", required=True)
     pa.add_argument("--lambda-b", required=True)
-    pa.add_argument("--samples", type=int, default=20000, help="100 to 10^7")
-    common(pa, seed=True)
+    pa.add_argument("--samples", type=int, default=20000,
+                    help="100 to 10^7; sets the grid level min(7, max(2, ceil(log_4 n)))")
+    pa.add_argument("--seed", type=int, default=0, help="accepted; changes no output")
+    common(pa)
     pa.set_defaults(func=_cmd_energy_arch)
 
     p = sub.add_parser("lattes", help="equilibrium segments and torsion images")
@@ -303,6 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _result_text(result: dict) -> str:
+    """The result as JSON; an infinite or NaN float has no JSON form and is an error."""
+    try:
+        return json.dumps(result, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResult(f"the result is not finite: {exc}") from None
+
+
 def _digest(args: argparse.Namespace) -> str:
     payload = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
     return hashlib.sha256(json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()
@@ -315,13 +341,13 @@ def main(argv: list[str] | None = None) -> int:
     started = time.time()
     try:
         result = args.func(args)
+        text = _result_text(result)
     except ArakelovError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True))
         return 1
     except UsageError as exc:
         print(json.dumps({"error": "UsageError", "message": str(exc)}, sort_keys=True))
         return 2
-    text = json.dumps(result, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -1,4 +1,4 @@
-"""Archimedean energies: circle closed forms, quadrature, Monte Carlo estimates.
+"""Archimedean energies: circle closed forms, quadratures, and cloud sums.
 
 The raw pairing is (m1, m2) = - double integral of log|z - w|; the squared
 pairing <m1, m2> = (1/2)(m1 - m2, m1 - m2) is assembled from raw pairings
@@ -9,10 +9,11 @@ of log distances.
 
 A Lattes equilibrium measure has closed-form potential and self-energy in the
 escape rate G of a homogeneous lift: it pairs with Diracs exactly and with
-circles by quadrature.  Two Lattes measures pair by Monte Carlo in O(n), by
-Petsche-Szpiro-Tucker: <mu_a, mu_b> = (1/2)[int (G_a - G_b) d(mu_b - mu_a)].
-G_a - G_b is bounded and continuous on P^1, so each integral is a plain
-sample mean over a backward-orbit chain, with a batch-means standard error.
+circles by quadrature.  Two Lattes measures pair by Petsche-Szpiro-Tucker:
+<mu_a, mu_b> = (1/2)[int (G_a - G_b) d(mu_b - mu_a)], each integral a mean
+over the 4^k iterated preimages of one point, a uniform grid on the torus
+C/Lambda (trapezoidal rule), with one Richardson step from level k - 1.  The
+backward-orbit sampler and the cloud sums are the tests' oracle.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import CoincidentAtoms, NonConvergentRoots, QuadratureFailure, SingularPair
-from .lattes import LegendreParam, lattes_preimages, legendre_form
+from .lattes import LegendreParam, lattes_preimages, lattes_preimages_array, legendre_form
 
 _TILE = 256
 _UPPER = np.triu(np.ones((_TILE, _TILE), dtype=bool), k=1)
 _MAX_COINCIDENT_FRACTION = 1e-3
 _ESCAPE_STEPS = 24  # the series tail is below 4^-24 max |log||F(u)||| over unit u
-_BATCHES = 20  # contiguous batches per chain for the standard error
-_CHUNK = 4096  # samples per escape-rate block, which bounds the temporaries
+_START = 0.3 + 0.7j  # base point of the preimage grids and the sampler; no branch value
+_GRID_LEVEL_CAP = 7  # the finest grid has 4^7 = 16384 points
 _CIRCLE_NODES = 4096  # equally spaced nodes of the circle-vs-Lattes quadrature
 
 
@@ -65,14 +66,14 @@ class LattesMeasure:
 
     ``side`` is resolved once by ``legendre_form`` into lambda and the
     normalizing matrix M (the identity for a parameter); G(v) = G_lambda(M v)
-    is the escape rate of the lift.  ``n``, ``seed`` and ``burn_in`` set the
-    backward-orbit chain that only a pairing with another Lattes measure draws.
+    is the escape rate of the lift.  ``n`` sets the level k = min(7, max(2,
+    ceil(log_4 n))) of the preimage grids of ``lattes_pairing``.
     """
 
-    def __init__(self, side, n: int = 4000, seed: int = 0, burn_in: int = 64):
+    def __init__(self, side, n: int = 4000):
         param, mob = legendre_form(side)
-        self.param, self.lam = param, complex(param.lam)
-        self.n, self.seed, self.burn_in = n, seed, burn_in
+        self.lam = complex(param.lam)
+        self.level = min(_GRID_LEVEL_CAP, max(2, ((n - 1).bit_length() + 1) // 2))
         entries = (1, 0, 0, 1) if mob is None else (mob.a, mob.b, mob.c, mob.d)
         self.mat = tuple(map(complex, entries))
 
@@ -97,9 +98,14 @@ class LattesMeasure:
         return -math.log(abs(4.0 * self.lam * (self.lam - 1.0))) / 3.0 - det + 2.0 * self._g_inf
 
     @cached_property
-    def chain(self) -> np.ndarray:
-        """Backward-orbit sample of mu_lambda, which M pulls back to this measure."""
-        return sample_lattes_equilibrium(self.param, self.n, self.seed, self.burn_in).points
+    def grids(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """adj(M)(w, 1) over L^-(k-1)(w_0) and L^-k(w_0): M pulls mu_lambda back
+        to this measure, and adj(M) does so without dividing or dropping points."""
+        a, b, c, d = self.mat
+        levels = [np.array([_START])]
+        for _ in range(self.level):
+            levels.append(lattes_preimages_array(levels[-1], self.lam))
+        return tuple((d * w - b, a - c * w) for w in levels[-2:])
 
 
 ArchMeasure = DiracAt | Circle | Cloud | LattesMeasure
@@ -249,7 +255,6 @@ def sample_lattes_equilibrium(
     n: int,
     seed: int = 0,
     burn_in: int = 64,
-    start: complex = 0.3 + 0.7j,
 ) -> Cloud:
     """Backward-orbit sample of the Legendre Lattes equilibrium measure.
 
@@ -263,7 +268,7 @@ def sample_lattes_equilibrium(
         raise ValueError("need n >= 100 samples")
     lamc = complex((lam if isinstance(lam, LegendreParam) else LegendreParam(lam)).lam)
     rng = np.random.default_rng(seed)
-    t = complex(start)
+    t = _START
     out = np.empty(n, dtype=complex)
     for k in range(burn_in + n):
         t = lattes_preimages(t, lamc)[rng.integers(4)]
@@ -299,38 +304,26 @@ def escape_rate(lam, x, y) -> np.ndarray:
     return g
 
 
-def _batch_means_se(values: np.ndarray) -> float:
-    """Standard error of a chain mean from the means of contiguous batches."""
-    means = np.array([b.mean() for b in np.array_split(values, _BATCHES)])
-    return float(means.std(ddof=1) / math.sqrt(_BATCHES))
-
-
 def lattes_pairing(mu_a: LattesMeasure, mu_b: LattesMeasure) -> tuple[float, float]:
-    """<mu_a, mu_b> by the Petsche-Szpiro-Tucker pairing, and its standard error.
+    """<mu_a, mu_b> by the Petsche-Szpiro-Tucker pairing, and its quadrature error.
 
-    (1/2)[mean over chain b - mean over chain a] of G_a - G_b, each measure
-    drawing its own chain, in blocks of ``_CHUNK`` samples; the error comes
-    from batch means over ``_BATCHES`` contiguous batches per chain.  Swapping
-    the measures negates G_a - G_b exactly, so the result is bitwise symmetric.
+    (1/2)[I_b - I_a], I the integral of G_a - G_b against one measure: with
+    m_j its mean over that measure's level-j grid, I = (4 m_k - m_{k-1})/3,
+    with error |m_k - m_{k-1}|; the error reported is the mean of the two.
+    Swapping the measures negates G_a - G_b exactly: the result is symmetric.
     """
-    diffs = []
+    integrals, errors = [], []
     for mu in (mu_a, mu_b):
-        a, b, c, d = mu.mat  # w pulls back to adj(M)(w, 1): no point is dropped
-        blocks = np.split(mu.chain, range(_CHUNK, mu.n, _CHUNK))
-        vectors = ((d * w - b, a - c * w) for w in blocks)
-        diffs.append(np.concatenate([mu_a.escape(x, y) - mu_b.escape(x, y) for x, y in vectors]))
-    estimate = 0.5 * (float(diffs[1].mean()) - float(diffs[0].mean()))
-    stderr = 0.5 * math.hypot(_batch_means_se(diffs[0]), _batch_means_se(diffs[1]))
-    return estimate, stderr
+        coarse, fine = (float((mu_a.escape(x, y) - mu_b.escape(x, y)).mean()) for x, y in mu.grids)
+        integrals.append((4.0 * fine - coarse) / 3.0)
+        errors.append(abs(fine - coarse))
+    return 0.5 * (integrals[1] - integrals[0]), 0.5 * (errors[0] + errors[1])
 
 
-def lattes_sq_energy_arch(
-    gamma_or_lambda_a, gamma_or_lambda_b, n: int, seed: int = 0, burn_in: int = 64
-) -> tuple[float, float]:
-    """<mu_a, mu_b> at infinity for two Lattes maps, and its standard error.
+def lattes_sq_energy_arch(gamma_or_lambda_a, gamma_or_lambda_b, n: int) -> tuple[float, float]:
+    """<mu_a, mu_b> at infinity for two Lattes maps, and its quadrature error.
 
     Each side is a Legendre parameter or a quadruple (as for ``torsion_images``);
-    the chains of ``lattes_pairing`` have seeds ``seed`` and ``seed + 1``.
+    ``n`` sets the grid level of ``LattesMeasure``.
     """
-    mu_a = LattesMeasure(gamma_or_lambda_a, n, seed, burn_in)
-    return lattes_pairing(mu_a, LattesMeasure(gamma_or_lambda_b, n, seed + 1, burn_in))
+    return lattes_pairing(LattesMeasure(gamma_or_lambda_a, n), LattesMeasure(gamma_or_lambda_b, n))

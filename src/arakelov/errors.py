@@ -85,6 +85,12 @@ class CoincidentAtoms(ArakelovError):
     code = "CoincidentAtoms"
 
 
+class NonFiniteResult(ArakelovError):
+    """A result holds an infinite or NaN float, which JSON cannot carry."""
+
+    code = "NonFiniteResult"
+
+
 ERROR_CODES = {
     cls.code: cls
     for cls in list(globals().values())

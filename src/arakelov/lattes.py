@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from .energy_ua import SegmentMeasure, segment_measure, segment_potential
 from .errors import BadRadii, BranchPointCenter, DegenerateQuadruple, LevelTooLarge, ResidueCharTwo
 from .places import INFINITY, P1Point, Place, format_p1_point, parse_p1_point, parse_rational
@@ -82,8 +84,7 @@ def cross_ratio(g1, g2, g3, g4) -> Fraction:
 
     Exact; lands outside {0, 1} for distinct points.
     """
-    pts = [parse_p1_point(g) for g in (g1, g2, g3, g4)]
-    quad = as_quadruple(pts)  # validates distinctness
+    quad = as_quadruple((g1, g2, g3, g4))  # parses and validates distinctness
     g1, g2, g3, g4 = quad.points
     num = _det(g3, g1) * _det(g4, g2)
     den = _det(g3, g2) * _det(g4, g1)
@@ -266,14 +267,11 @@ def legendre_lattes_eval(lam: LegendreParam | Fraction | int | str, t):
     """
     lam_p = lam.lam if isinstance(lam, LegendreParam) else parse_p1_point(lam)
     if isinstance(t, complex):
-        lamc = complex(lam_p)
-        den = 4 * t * (t - 1) * (t - lamc)
-        if den == 0:
+        lam_p = complex(lam_p)
+    else:
+        t = parse_p1_point(t)
+        if t is INFINITY:
             return INFINITY
-        return (t * t - lamc) ** 2 / den
-    t = parse_p1_point(t)
-    if t is INFINITY:
-        return INFINITY
     den = 4 * t * (t - 1) * (t - lam_p)
     if den == 0:
         return INFINITY
@@ -304,6 +302,20 @@ def lattes_preimages(w, lam: Fraction | complex) -> list[complex | object]:
     pts = [u, lamc / u, (u - lamc) / (u - 1), lamc * (u - 1) / (u - lamc)]
     pts.sort(key=lambda z: (z.real, z.imag))
     return pts
+
+
+def lattes_preimages_array(w: np.ndarray, lam: complex) -> np.ndarray:
+    """``lattes_preimages`` on n finite points: the 4n preimages, unsorted, those
+    of w[i] at i, n + i, 2n + i and 3n + i; the same halving formula and deck group.
+    """
+    w = np.asarray(w, dtype=complex)
+    r1, r2, r3 = np.sqrt(w), np.sqrt(w - 1.0), np.sqrt(w - lam)
+    p12, p13, p23 = r1 * r2, r1 * r3, r2 * r3
+    signs = np.stack(
+        [w + p12 + p13 + p23, w - p12 - p13 + p23, w - p12 + p13 - p23, w + p12 - p13 - p23]
+    )
+    u = np.take_along_axis(signs, np.abs(signs).argmax(axis=0)[None], axis=0)[0]
+    return np.concatenate([u, lam / u, (u - lam) / (u - 1.0), lam * (u - 1.0) / (u - lam)])
 
 
 def _dedup_points(pts: Iterable[tuple[complex | object, int]], tol: float):
@@ -348,6 +360,13 @@ def _dedup_points(pts: Iterable[tuple[complex | object, int]], tol: float):
     return out
 
 
+def positive_tolerance(tol: float) -> float:
+    """``tol`` if 0 < tol < 2^1022 (dedup cells stay finite), else ``ValueError``."""
+    if not 0.0 < tol < 2.0**1022:
+        raise ValueError(f"a tolerance must lie in (0, 2^1022), not {tol!r}")
+    return tol
+
+
 def torsion_images(
     gamma_or_lambda,
     level: int,
@@ -359,8 +378,9 @@ def torsion_images(
     Returns deduplicated complex points with multiplicities (total 4^(level+1));
     for a general quadruple the Legendre picture is pulled back through the
     normalizing Moebius map.  A Legendre parameter of 0, 1 or infinity raises
-    ``DegenerateQuadruple``.
+    ``DegenerateQuadruple``; a ``tol`` outside (0, 2^1022) raises ``ValueError``.
     """
+    positive_tolerance(tol)
     if level < 0 or level > level_cap:
         raise LevelTooLarge(f"level must lie in [0, {level_cap}]")
     param, mobius = legendre_form(gamma_or_lambda)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from arakelov import adelic, energy_arch, places, tree
+from arakelov import adelic, cli, energy_arch, places, tree
 from arakelov.adelic import (
     LattesFamily,
     PairConfig,
@@ -27,7 +27,7 @@ from arakelov.adelic import (
     relevant_places,
     triangle_inequality_check,
 )
-from arakelov.energy_arch import lattes_sq_energy_arch, sample_lattes_equilibrium
+from arakelov.energy_arch import lattes_sq_energy_arch
 from arakelov.energy_ua import pair_raw
 from arakelov.errors import BranchPointCenter, DegenerateConfig, EmptyF
 
@@ -74,7 +74,7 @@ class TestRelevantPlaces:
 class TestGlobalEnergy:
     def test_same_branch_set_vanishes(self):
         rep = pair_energy_global(
-            [1, 2, 3, "inf"], [2, 1, "inf", 3], arch_samples=ARCH_N, seed=5
+            [1, 2, 3, "inf"], [2, 1, "inf", 3], arch_samples=ARCH_N
         )
         assert abs(rep.total) <= rep.arch_tol
 
@@ -105,10 +105,9 @@ class TestGlobalEnergy:
     def test_arch_entry_is_escape_rate_estimate(self):
         cfg = pair_config([1, 2, 3], ["1/5", "2/5", "3/5"])
         rep = global_energy(cfg, arch_samples=1500, seed=9, burn_in=48)
-        energy, _ = lattes_sq_energy_arch(
-            cfg.quadruple_a(), cfg.quadruple_b(), 1500, seed=9, burn_in=48
-        )
+        energy, _ = lattes_sq_energy_arch(cfg.quadruple_a(), cfg.quadruple_b(), 1500)
         assert rep.arch_estimate == energy
+        assert rep.entries[-1].note == "torus grid, level 6"
 
     def test_epsilon_flow_scales_local_energy(self):
         cfg = pair_config([1, 2, 3], ["1/5", "2/5", "3/5"])
@@ -284,7 +283,7 @@ class TestTriangleInequality:
 class TestSmoothedSetBound:
     def test_unit_radii(self):
         rep = pair_with_smoothed_set(["inf", "0", "1", "2"], finite_set([5, 7]),
-                                     arch_samples=ARCH_N, seed=31)
+                                     arch_samples=ARCH_N)
         assert rep["holds"]
         assert rep["log_term"] == 0.0
         assert json.dumps(rep, sort_keys=True) == (
@@ -295,7 +294,7 @@ class TestSmoothedSetBound:
 
     def test_small_radii_log_term(self):
         fs = finite_set([5], {"3": 0.5, "inf": 0.25})
-        rep = pair_with_smoothed_set(["inf", "0", "1", "2"], fs, arch_samples=ARCH_N, seed=32)
+        rep = pair_with_smoothed_set(["inf", "0", "1", "2"], fs, arch_samples=ARCH_N)
         assert rep["holds"]
         assert rep["log_term"] == pytest.approx(
             (math.log(2.0) + math.log(4.0)) / 2.0, abs=1e-12
@@ -315,28 +314,31 @@ class TestSmoothedSetBound:
             '"rhs": 2.0448001463318115, "tol": 0.09486832980505139}'
         )
 
-    def test_lattes_pairings_draw_no_samples(self, monkeypatch):
-        # against Diracs and circles a Lattes measure is closed form and quadrature
-        calls = []
+    def test_lattes_pairings_draw_no_samples(self, monkeypatch, capsys):
+        # a Lattes measure pairs by closed forms and quadratures only
+        def refuse(*args, **kwargs):
+            raise AssertionError("a library route sampled a Lattes measure")
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return sample_lattes_equilibrium(*args, **kwargs)
-
-        monkeypatch.setattr(energy_arch, "sample_lattes_equilibrium", counting)
+        monkeypatch.setattr(energy_arch, "sample_lattes_equilibrium", refuse)
         for quad in (["inf", "0", "1", "2"], [1, 3, 9, "inf"]):
             fam = LattesFamily(quad, arch_samples=500)
             h_rho_F(fam, [3, 7])
             pair_with_smoothed_set(quad, finite_set([5, 7], {"inf": 0.5}), arch_samples=500)
-        assert calls == []
         family_sq_energy(fam, LattesFamily([2, 3, 5, 7], arch_samples=500))
-        assert len(calls) == 2  # a Lattes-Lattes pairing draws one chain per measure
+        cfg = pair_config([1, 2, 3], ["1/5", "2/5", "3/5"])
+        assert (
+            global_energy(cfg, arch_samples=500, seed=1).to_json()
+            == global_energy(cfg, arch_samples=500, seed=2, burn_in=5).to_json()
+        )
+        assert gap_scan(count=2, seed=7, height=12, arch_samples=500)["count"] == 2
+        argv = ["energy", "arch", "--lambda-a", "2", "--lambda-b", "3", "--samples", "500"]
+        assert cli.main(argv) == 0 and json.loads(capsys.readouterr().out)["level"] == 5
 
     def test_branch_point_propagates(self):
         with pytest.raises(BranchPointCenter):
             pair_with_smoothed_set(
                 ["inf", "0", "1", "1/9"], finite_set([1], {"3": 0.5}),
-                arch_samples=ARCH_N, seed=33,
+                arch_samples=ARCH_N,
             )
 
 
@@ -349,6 +351,11 @@ class TestScans:
 
     def test_gap_scan_empty(self):
         assert gap_scan(count=0, seed=7)["empty"]
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf, 1e308])
+    def test_bft_tolerance_out_of_range_rejected(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            bft_scan(Fraction(2), Fraction(3), 1, tol=tol)
 
     def test_bft_level_zero(self):
         rep = bft_scan(Fraction(2), Fraction(3), 0)

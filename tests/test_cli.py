@@ -20,6 +20,10 @@ FAR_SEG = json.dumps(
 )
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -178,6 +182,16 @@ class TestErrorsAndDeterminism:
             ["adelic", "energy", "--config-json", '{"a":[1,2,3],"b":[4,5,6]}',
              "--arch-samples", "99"],
             ["adelic", "gap-scan", "--count", "1", "--arch-samples", str(10**9)],
+            ["adelic", "gap-scan", "--count", "-2"],
+            ["adelic", "suite", "--count", "-1"],
+            ["energy", "ua", "--ia", GAUSS_SEG, "--ib", GAUSS_SEG, "--place", "5",
+             "--oracle-n", "-3"],
+            ["energy", "ua", "--ia", GAUSS_SEG, "--ib", GAUSS_SEG, "--place", "5",
+             "--oracle-n", "1"],
+            ["lattes", "torsion", "--lambda", "2", "--level", "1", "--tol", "-1"],
+            ["lattes", "torsion", "--lambda", "2", "--level", "1", "--tol", "nan"],
+            ["adelic", "bft", "--lambda-a", "2", "--lambda-b", "3", "--level", "1",
+             "--tol", "-1"],
         ],
     )
     def test_bad_argument_exit_two_with_json(self, argv, capsys):
@@ -203,15 +217,27 @@ class TestErrorsAndDeterminism:
         assert code == 0
         assert json.loads(out) == {"value": "49/24"}
 
-    def test_energy_arch_reports_stderr(self, capsys):
+    def test_energy_arch_reports_quad_err(self, capsys):
         code, out, _ = run(
             ["energy", "arch", "--lambda-a", "2", "--lambda-b", "3", "--samples", "2000"], capsys
         )
         payload = json.loads(out)
-        assert code == 0 and payload["samples"] == 2000
+        assert code == 0 and payload["samples"] == 2000 and payload["level"] == 6
         assert payload["tolerance"] == pytest.approx(3.0 / math.sqrt(2000), abs=1e-15)
-        assert 0.0 < payload["stderr"] < payload["tolerance"]
+        assert 0.0 < payload["quad_err"] < payload["tolerance"]
         assert abs(payload["energy"] - 0.0223) <= payload["tolerance"]
+
+    def test_energy_arch_seed_changes_no_output(self, capsys):
+        args = ["energy", "arch", "--lambda-a", "2", "--lambda-b", "3"]
+        outs = [run(args + ["--seed", seed], capsys)[1] for seed in ("0", "7")]
+        assert outs[0] == outs[1] and json.loads(outs[0])["level"] == 7
+
+    def test_non_finite_result_exit_one(self, capsys):
+        x = json.dumps({"chart": "direct", "center": "1", "log_radius": 1e400})
+        y = json.dumps({"chart": "direct", "center": "0", "log_radius": 0.0})
+        code, out, _ = run(["tree", "kernel", "--x", x, "--y", y, "--place", "5"], capsys)
+        assert code == 1
+        assert json.loads(out, parse_constant=refuse_constant)["error"] == "NonFiniteResult"
 
     def test_byte_identical_reruns(self, capsys):
         args = ["adelic", "bft", "--lambda-a", "2", "--lambda-b", "3", "--level", "2"]
@@ -227,8 +253,7 @@ class TestErrorsAndDeterminism:
         assert code1 == code2 == 0 and out1 == out2
 
     def test_env_seed_override(self, capsys, monkeypatch):
-        args = ["energy", "arch", "--lambda-a", "2", "--lambda-b", "3",
-                "--samples", "400", "--seed", "11"]
+        args = ["adelic", "suite", "--count", "3", "--height", "5", "--seed", "11"]
         monkeypatch.setenv("ARAKELOV_SEED", "99")
         _, out_env, _ = run(args, capsys)
         monkeypatch.delenv("ARAKELOV_SEED")
@@ -255,6 +280,6 @@ class TestErrorsAndDeterminism:
             "PlaceMismatch", "BadRadii", "NotAbuttable", "BadBoundParameters",
             "ResidueCharTwo", "BranchPointCenter", "DegenerateQuadruple",
             "DegenerateConfig", "LevelTooLarge", "EmptyF", "SingularPair",
-            "QuadratureFailure", "NonConvergentRoots", "CoincidentAtoms",
+            "QuadratureFailure", "NonConvergentRoots", "CoincidentAtoms", "NonFiniteResult",
         }
         assert expected <= set(ERROR_CODES)

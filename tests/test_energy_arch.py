@@ -15,15 +15,20 @@ from arakelov.energy_arch import (
     arch_self_energy,
     circle_potential,
     escape_rate,
+    lattes_pairing,
     lattes_sq_energy_arch,
     pair_energy_arch,
     sample_lattes_equilibrium,
     sq_energy_arch,
-    _CHUNK,
     _log_dist_sum,
 )
 from arakelov.errors import CoincidentAtoms, DegenerateQuadruple, SingularPair
-from arakelov.lattes import as_quadruple, legendre_lattes_eval, normalize_to_legendre
+from arakelov.lattes import (
+    as_quadruple,
+    lattes_preimages_array,
+    legendre_lattes_eval,
+    normalize_to_legendre,
+)
 from arakelov.places import INFINITY
 
 
@@ -330,7 +335,7 @@ class TestEscapeRate:
 
 class TestLattesEnergy:
     # (side a, side b): parameters and general quadruples; the cloud route
-    # draws the same chains and pulls quadruple samples back by division
+    # samples the measures and pulls quadruple samples back by division
     PANEL = [
         (2, 3),
         ("1/9", -2),
@@ -349,39 +354,42 @@ class TestLattesEnergy:
     @pytest.fixture(scope="class", params=range(len(PANEL)))
     def runs(self, request):
         a, b = self.PANEL[request.param]
-        new = [lattes_sq_energy_arch(a, b, self.N, seed=s) for s in self.SEEDS]
+        new, _ = lattes_sq_energy_arch(a, b, self.N)
         old = [
             sq_energy_arch(self._cloud(a, self.N, s), self._cloud(b, self.N, s + 1))
             for s in self.SEEDS
         ]
-        return np.array([e for e, _ in new]), np.array([se for _, se in new]), np.array(old)
+        return new, np.array(old)
 
     def test_agrees_with_cloud_oracle(self, runs):
-        new, _, old = runs
-        combined = math.hypot(new.std(ddof=1), old.std(ddof=1)) / math.sqrt(len(self.SEEDS))
-        assert abs(new.mean() - old.mean()) <= 4.0 * combined
+        new, old = runs
+        # the grid is deterministic, so the clouds carry all of the spread
+        combined = old.std(ddof=1) / math.sqrt(len(self.SEEDS))
+        assert abs(new - old.mean()) <= 4.0 * combined
 
-    def test_stderr_matches_seed_spread(self, runs):
-        new, stderr, _ = runs
-        ratio = stderr.mean() / new.std(ddof=1)
-        assert 1 / 3 <= ratio <= 3
+    @pytest.fixture(scope="class")
+    def level_nine(self):
+        # a level-9 grid (262144 points) as the reference for levels 4 to 7
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(energy_arch, "_GRID_LEVEL_CAP", 9)
+            return [lattes_sq_energy_arch(a, b, 4**9)[0] for a, b in self.PANEL]
+
+    @pytest.mark.parametrize("level", [4, 5, 6, 7])
+    def test_quad_err_bounds_the_error(self, level_nine, level):
+        for (a, b), ref in zip(self.PANEL, level_nine):
+            mu_a, mu_b = LattesMeasure(a, 4**level), LattesMeasure(b, 4**level)
+            assert mu_a.level == mu_b.level == level
+            energy, quad_err = lattes_pairing(mu_a, mu_b)
+            assert abs(energy - ref) <= quad_err
 
     def test_permuted_branch_set_vanishes(self):
-        energy, stderr = lattes_sq_energy_arch([1, 2, 3, "inf"], [2, 1, "inf", 3], 2000, seed=5)
-        assert abs(energy) <= 1e-12 and stderr <= 1e-12
+        energy, quad_err = lattes_sq_energy_arch([1, 2, 3, "inf"], [2, 1, "inf", 3], 2000)
+        assert abs(energy) <= 1e-12 and quad_err <= 1e-12
 
-    def test_same_chains_as_clouds(self):
-        # the chains are the cloud route's (seeds seed and seed + 1), and the
-        # blocks of _CHUNK samples, the last one partial, cover each chain once
-        n = 2 * _CHUNK + 100
-        a = sample_lattes_equilibrium(Fraction(2), n, seed=7).points
-        b = sample_lattes_equilibrium(Fraction(3), n, seed=8).points
-
-        def diff(w):
-            return escape_rate(2, w, np.ones_like(w)) - escape_rate(3, w, np.ones_like(w))
-
-        energy, _ = lattes_sq_energy_arch(2, 3, n, seed=7)
-        assert energy == pytest.approx(0.5 * (diff(b).mean() - diff(a).mean()), abs=1e-15)
+    @pytest.mark.parametrize("n, level", [(1, 2), (16, 2), (17, 3), (100, 4), (1500, 6),
+                                          (4096, 6), (4097, 7), (20000, 7), (10**7, 7)])
+    def test_grid_level(self, n, level):
+        assert LattesMeasure(2, n).level == level
 
     @pytest.mark.parametrize("lam", [0, 1, "inf"])
     def test_degenerate_parameter(self, lam):
@@ -457,14 +465,25 @@ class TestLattesMeasure:
         assert pair_energy_arch(Cloud(pts), mu) == pytest.approx(expected, abs=1e-12)
         assert pair_energy_arch(mu, Cloud(pts)) == pair_energy_arch(Cloud(pts), mu)
 
-    def test_pairing_draws_each_chain_once(self, monkeypatch):
+    def test_pairing_builds_each_grid_once(self, monkeypatch):
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return sample_lattes_equilibrium(*args, **kwargs)
+        def counting(w, lam):
+            calls.append(lam)
+            return lattes_preimages_array(w, lam)
 
-        monkeypatch.setattr(energy_arch, "sample_lattes_equilibrium", counting)
-        a, b = LattesMeasure(2, 500, seed=1), LattesMeasure([1, 3, 9, "inf"], 500, seed=2)
+        monkeypatch.setattr(energy_arch, "lattes_preimages_array", counting)
+        a, b = LattesMeasure(2, 500), LattesMeasure([1, 3, 9, "inf"], 500)
         assert pair_energy_arch(a, b) == pair_energy_arch(b, a)
-        assert len(calls) == 2
+        pair_energy_arch(a, LattesMeasure(3, 500))
+        # level 5: five preimage steps per grid, one grid per measure
+        assert a.level == b.level == 5 and len(calls) == 3 * 5
+
+    def test_grid_is_the_iterated_preimage_set(self):
+        # level 2 of mu_2: the 16 points t with L(L(t)) = w_0, each distinct
+        (_, _), (x, y) = LattesMeasure(2, 16).grids
+        assert len(x) == 16 and np.all(y == 1.0)
+        for t in x:
+            back = legendre_lattes_eval(Fraction(2), legendre_lattes_eval(Fraction(2), complex(t)))
+            assert abs(back - (0.3 + 0.7j)) <= 1e-12
+        assert np.abs(x[:, None] - x[None, :])[~np.eye(16, dtype=bool)].min() > 1e-3

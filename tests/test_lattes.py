@@ -189,6 +189,11 @@ class TestNormalization:
 
 
 class TestTorsionImages:
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf, 1e308])
+    def test_tolerance_out_of_range_rejected(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            torsion_images(Fraction(2), 1, tol=tol)
+
     def test_level_zero(self):
         pts = torsion_images(Fraction(2), 0)
         got = {("inf" if p is INFINITY else p) for p, _ in pts}

@@ -1,13 +1,20 @@
-"""Property tests of the escape rate and the Lattes pairings over random inputs."""
+"""Property tests of the escape rate, the Lattes pairings, the array preimage
+kernel and the CLI over random inputs."""
 
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arakelov import cli
 from arakelov.energy_arch import LattesMeasure, escape_rate, lattes_pairing, pair_energy_arch
+from arakelov.lattes import lattes_preimages, lattes_preimages_array, legendre_lattes_eval
 from arakelov.places import INFINITY
 
 # derandomized, so that every run checks the same examples
@@ -53,8 +60,84 @@ def test_escape_rate_homogeneity(lam, x, y, c):
 
 
 @PROPERTY
-@given(sides, sides, st.integers(0, 1000))
-def test_lattes_pairings_are_symmetric(a, b, seed):
-    mu_a, mu_b = LattesMeasure(a, 200, seed), LattesMeasure(b, 200, seed + 1)
+@given(sides, sides)
+def test_lattes_pairings_are_symmetric(a, b):
+    mu_a, mu_b = LattesMeasure(a, 200), LattesMeasure(b, 200)
     assert lattes_pairing(mu_a, mu_b) == lattes_pairing(mu_b, mu_a)
     assert pair_energy_arch(mu_a, mu_b) == pair_energy_arch(mu_b, mu_a)
+
+
+@PROPERTY
+@given(lambdas, st.lists(complexes, min_size=1, max_size=5))
+def test_preimage_array_matches_scalar_route(lam, ws):
+    # the preimages of ws[i] sit at i, n + i, 2n + i, 3n + i; the scalar
+    # route is the oracle, matched as a multiset
+    n = len(ws)
+    out = lattes_preimages_array(np.array(ws), complex(lam)).reshape(4, n)
+    for i, w in enumerate(ws):
+        got = list(out[:, i])
+        for t in got:
+            back = legendre_lattes_eval(lam, complex(t))
+            assert back is not INFINITY and abs(back - w) <= 1e-9 * max(1.0, abs(w))
+        for p in lattes_preimages(w, lam):
+            dist = [abs(t - p) for t in got]
+            j = int(np.argmin(dist))
+            assert dist[j] <= 1e-12 * abs(p)
+            got.pop(j)
+
+
+def _refuse(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+SEG = json.dumps({"endpoints": [
+    {"chart": "direct", "center": "0", "log_radius": 0.0},
+    {"chart": "direct", "center": "0", "log_radius": 1.0},
+]})
+FUZZ_ARGV = [
+    ["adelic", "gap-scan", "--count", "-2"],
+    ["adelic", "suite", "--count", "-1"],
+    ["energy", "ua", "--ia", SEG, "--ib", SEG, "--place", "5", "--oracle-n", "-3"],
+    ["energy", "ua", "--ia", SEG, "--ib", SEG, "--place", "5", "--oracle-n", "1"],
+    ["lattes", "torsion", "--lambda", "2", "--level", "1", "--tol", "-1"],
+    ["lattes", "torsion", "--lambda", "2", "--level", "1", "--tol", "nan"],
+    ["lattes", "torsion", "--lambda", "2", "--level", "1", "--tol", "1e308"],
+    ["adelic", "bft", "--lambda-a", "2", "--lambda-b", "3", "--level", "1", "--tol", "-1"],
+    ["tree", "kernel", "--x", '{"center":"1","log_radius":1e400}',
+     "--y", '{"center":"0","log_radius":0}', "--place", "5"],
+    ["energy", "arch", "--lambda-a", "2", "--lambda-b", "3", "--seed", "7"],
+    ["adelic", "gap-scan", "--count", "0"],
+    ["adelic", "gap-scan", "--count", "1", "--height", "5", "--arch-samples", "100"],
+    ["adelic", "suite", "--count", "2"],
+    ["energy", "ua", "--ia", SEG, "--ib", SEG, "--place", "5", "--oracle-n", "2"],
+    ["lattes", "torsion", "--lambda", "2", "--level", "1", "--tol", "5e-324"],
+    ["adelic", "bft", "--lambda-a", "2", "--lambda-b", "3", "--level", "1", "--tol", "3"],
+]
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue(), parse_constant=_refuse)
+
+
+@pytest.mark.parametrize("argv", FUZZ_ARGV)
+def test_cli_fuzz_table(argv):
+    code, payload = run_cli(argv)
+    assert code in (0, 1, 2)
+    assert (code == 0) == ("error" not in payload)
+
+
+@PROPERTY
+@given(
+    st.sampled_from([
+        ["lattes", "torsion", "--lambda", "3", "--level", "1"],
+        ["adelic", "bft", "--lambda-a", "2", "--lambda-b", "5", "--level", "1"],
+    ]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+def test_cli_tolerance_fuzz(argv, tol):
+    code, payload = run_cli(argv + [f"--tol={tol!r}"])  # "--tol -1e+16" reads as a flag
+    assert code == (0 if 0.0 < tol < 2.0**1022 else 2)
+    assert code == 0 or payload["error"] == "UsageError"

@@ -37,6 +37,7 @@ from .energy_ua import (
 )
 from .errors import DegenerateConfig, EmptyF
 from .lattes import (
+    PointIndex,
     Quadruple,
     as_quadruple,
     equilibrium_measure_ua,
@@ -628,45 +629,32 @@ def _point_key(p) -> tuple:
     return (0, p.real, p.imag)
 
 
-def _finite_array(points) -> np.ndarray:
-    return np.array([p for p in points if p is not INFINITY], dtype=complex)
-
-
-def _min_gap(points) -> float:
-    arr = _finite_array(points)
-    gaps = [np.abs(arr[i + 1 :] - arr[i]).min() for i in range(len(arr) - 1)]
-    return float(min(gaps, default=math.inf))
-
-
 def bft_scan(quad_or_lambda_a, quad_or_lambda_b, level: int, tol: float = 1e-7) -> dict:
     """Count common 2-power torsion images of two configurations at one level.
 
     Points are matched by euclidean distance <= tol after deduplication; a
-    collision audit reports the minimum pairwise gap inside each set.  A
-    ``tol`` outside (0, 2^1022) raises ``ValueError``.
+    collision audit reports the minimum pairwise gap inside each set, both
+    through one ``PointIndex`` per set.  A ``tol`` outside (0, 2^1022) raises
+    ``ValueError``.
     """
     positive_tolerance(tol)
     set_a = torsion_images(quad_or_lambda_a, level)
     set_b = torsion_images(quad_or_lambda_b, level)
-    pts_a = [p for p, _ in set_a]
-    pts_b = [p for p, _ in set_b]
-    finite_b = _finite_array(pts_b)
-    matched = []
-    for p in pts_a:
-        if p is INFINITY:
-            if any(q is INFINITY for q in pts_b):
-                matched.append(p)
-        elif (np.abs(finite_b - p) <= tol).any():
-            matched.append(p)
+    finite_a = [p for p, _ in set_a if p is not INFINITY]
+    finite_b = [p for p, _ in set_b if p is not INFINITY]
+    index_a, index_b = PointIndex(finite_a), PointIndex(finite_b)
+    matched = [finite_a[i] for i in index_a.near(index_b, tol)]
+    if len(finite_a) < len(set_a) and len(finite_b) < len(set_b):
+        matched.append(INFINITY)
     matched.sort(key=_point_key)
     return {
         "level": level,
         "tol": tol,
         "count": len(matched),
-        "size_a": len(pts_a),
-        "size_b": len(pts_b),
-        "min_gap_a": _min_gap(pts_a),
-        "min_gap_b": _min_gap(pts_b),
+        "size_a": len(set_a),
+        "size_b": len(set_b),
+        "min_gap_a": index_a.min_gap(),
+        "min_gap_b": index_b.min_gap(),
         "matched": [
             "inf" if p is INFINITY else [p.real, p.imag] for p in matched
         ],

@@ -107,6 +107,11 @@ class LattesMeasure:
             levels.append(lattes_preimages_array(levels[-1], self.lam))
         return tuple((d * w - b, a - c * w) for w in levels[-2:])
 
+    @cached_property
+    def grid_escapes(self) -> tuple[np.ndarray, np.ndarray]:
+        """G on the two grids of ``grids``, shared by every partner of ``lattes_pairing``."""
+        return tuple(self.escape(x, y) for x, y in self.grids)
+
 
 ArchMeasure = DiracAt | Circle | Cloud | LattesMeasure
 
@@ -313,8 +318,11 @@ def lattes_pairing(mu_a: LattesMeasure, mu_b: LattesMeasure) -> tuple[float, flo
     Swapping the measures negates G_a - G_b exactly: the result is symmetric.
     """
     integrals, errors = [], []
-    for mu in (mu_a, mu_b):
-        coarse, fine = (float((mu_a.escape(x, y) - mu_b.escape(x, y)).mean()) for x, y in mu.grids)
+    for own, partner, sign in ((mu_a, mu_b, 1.0), (mu_b, mu_a, -1.0)):
+        coarse, fine = (
+            sign * float((g - partner.escape(x, y)).mean())
+            for (x, y), g in zip(own.grids, own.grid_escapes)
+        )
         integrals.append((4.0 * fine - coarse) / 3.0)
         errors.append(abs(fine - coarse))
     return 0.5 * (integrals[1] - integrals[0]), 0.5 * (errors[0] + errors[1])

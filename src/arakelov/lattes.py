@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
+from scipy.spatial import KDTree
 
 from .energy_ua import SegmentMeasure, segment_measure, segment_potential
 from .errors import BadRadii, BranchPointCenter, DegenerateQuadruple, LevelTooLarge, ResidueCharTwo
@@ -318,42 +319,67 @@ def lattes_preimages_array(w: np.ndarray, lam: complex) -> np.ndarray:
     return np.concatenate([u, lam / u, (u - lam) / (u - 1.0), lam * (u - 1.0) / (u - lam)])
 
 
+class PointIndex:
+    """A KD-tree over finite complex points, searched in the max norm.
+
+    A max-norm search within r finds every pair with ``abs(p - q) <= r`` and
+    squares nothing, so any float r is safe; a euclidean test decides each pair.
+    """
+
+    def __init__(self, points):
+        self.z = np.asarray(points, dtype=complex)
+        self.tree = KDTree(self.z.view(float).reshape(-1, 2))
+
+    def candidate_pairs(self, r: float) -> np.ndarray:
+        """Index pairs (i, j), i < j, at max-norm distance <= r."""
+        return self.tree.query_pairs(r, p=math.inf, output_type="ndarray")
+
+    def near(self, other: "PointIndex", r: float) -> np.ndarray:
+        """The sorted indices of the points p with np.abs(q - p) <= r for some q of ``other``."""
+        found = self.tree.sparse_distance_matrix(other.tree, r, p=math.inf, output_type="ndarray")
+        i, j = found["i"], found["j"]
+        return np.unique(i[np.abs(other.z[j] - self.z[i]) <= r])
+
+    def min_gap(self) -> float:
+        """The minimum of np.abs(p - q) over pairs of distinct indices; inf below two points.
+
+        The max-norm nearest neighbours give an upper bound on it, and every
+        pair within that bound is a candidate.
+        """
+        if len(self.z) < 2:
+            return math.inf
+        nearest = self.tree.query(self.tree.data, k=2, p=math.inf)[1][:, 1]
+        pairs = self.candidate_pairs(np.abs(self.z - self.z[nearest]).min())
+        return float(np.abs(self.z[pairs[:, 0]] - self.z[pairs[:, 1]]).min())
+
+
 def _dedup_points(pts: Iterable[tuple[complex | object, int]], tol: float):
     """Merge each point into the earliest kept point within ``tol``, adding multiplicities.
 
-    Kept points are hashed by grid cell.  The cell side is the power of two in
-    (2 tol, 4 tol], so floor division by it is exact and every kept point
-    within ``tol`` of p lies in p's cell or one of its eight neighbours.
+    The candidates are the pairs within ``tol`` in the max norm (``PointIndex``),
+    taken in order of their later point; ``abs(p - q) <= tol`` decides each.
+    Finite points come out sorted by (real, imag), infinity last.
     """
-    side = math.ldexp(1.0, math.frexp(tol)[1] + 1)
     points: list[complex] = []
     mults: list[int] = []
-    newest_in_cell: dict[complex, int] = {}
-    older_in_cell: list[int] = []  # the previous kept index in the same cell, or -1
     inf_mult = 0
     for p, m in pts:
         if p is INFINITY:
             inf_mult += m
-            continue
-        cx, cy = p.real // side, p.imag // side
-        match = len(points)
-        for dx in (-1.0, 0.0, 1.0):
-            for dy in (-1.0, 0.0, 1.0):
-                i = newest_in_cell.get(complex(cx + dx, cy + dy), -1)
-                while i >= 0:
-                    if i < match and abs(p - points[i]) <= tol:
-                        match = i
-                    i = older_in_cell[i]
-        if match < len(points):
-            mults[match] += m
-            continue
-        cell = complex(cx, cy)
-        older_in_cell.append(newest_in_cell.get(cell, -1))
-        newest_in_cell[cell] = match
-        points.append(p)
-        mults.append(m)
+        else:
+            points.append(p)
+            mults.append(m)
+    owner = list(range(len(points)))  # the kept point each point merged into
+    pairs = PointIndex(points).candidate_pairs(tol)
+    for i, j in pairs[np.lexsort(pairs.T)].tolist():
+        if owner[j] == j and owner[i] == i and abs(points[j] - points[i]) <= tol:
+            owner[j] = i
+    totals = [0] * len(points)
+    for i, m in zip(owner, mults):
+        totals[i] += m
     out: list[tuple[complex | object, int]] = sorted(
-        zip(points, mults), key=lambda pm: (pm[0].real, pm[0].imag)
+        ((p, totals[i]) for i, p in enumerate(points) if owner[i] == i),
+        key=lambda pm: (pm[0].real, pm[0].imag),
     )
     if inf_mult:
         out.append((INFINITY, inf_mult))
@@ -361,7 +387,8 @@ def _dedup_points(pts: Iterable[tuple[complex | object, int]], tol: float):
 
 
 def positive_tolerance(tol: float) -> float:
-    """``tol`` if 0 < tol < 2^1022 (dedup cells stay finite), else ``ValueError``."""
+    """``tol`` if 0 < tol < 2^1022, else ``ValueError``: the input contract of the
+    dedup and match tolerances (the ``PointIndex`` search takes any positive float)."""
     if not 0.0 < tol < 2.0**1022:
         raise ValueError(f"a tolerance must lie in (0, 2^1022), not {tol!r}")
     return tol
@@ -394,14 +421,7 @@ def torsion_images(
         inv = mobius.inverse()
         moved = []
         for p, m in current:
-            if p is INFINITY:
-                img = inv.apply(INFINITY)
-                moved.append((INFINITY if img is INFINITY else complex(img), m))
-            else:
-                den = complex(inv.c) * p + complex(inv.d)
-                if den == 0:
-                    moved.append((INFINITY, m))
-                else:
-                    moved.append(((complex(inv.a) * p + complex(inv.b)) / den, m))
+            img = inv.apply(p)
+            moved.append((img if img is INFINITY else complex(img), m))
         current = _dedup_points(moved, tol)
     return current

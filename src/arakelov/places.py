@@ -93,15 +93,6 @@ class Place:
     def is_archimedean(self) -> bool:
         return self.kind == "archimedean"
 
-    def log_uniformizer(self) -> float:
-        """log(p) for a finite place; raises otherwise."""
-        if not self.is_finite:
-            raise ValueError("log_uniformizer only makes sense at a finite place")
-        return math.log(self.p)
-
-    def with_epsilon(self, epsilon: float) -> "Place":
-        return Place(self.kind, self.p, epsilon)
-
     def __str__(self) -> str:
         if self.kind == "finite":
             core = f"v_{self.p}"

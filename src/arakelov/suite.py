@@ -7,7 +7,6 @@ what the ``suite`` CLI subcommand runs.  Sizes shrink under ``quick``.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -16,15 +15,8 @@ from . import adelic, energy_arch, energy_ua, lattes, places, tree
 Check = tuple[str, bool, str]
 
 
-def _random_rational(rng, height=50) -> Fraction:
-    num = 0
-    while num == 0:
-        num = int(rng.integers(-height, height + 1))
-    return Fraction(num, int(rng.integers(1, height + 1)))
-
-
 def _random_point(rng, v, span=4) -> tree.TreePoint:
-    c = _random_rational(rng, 9)
+    c = adelic._random_fraction(rng, 9)
     k = float(rng.uniform(-span, span)) * math.log(v.p)
     return tree.TreePoint(c, k)
 
@@ -43,20 +35,20 @@ def run_battery(quick: bool = True, seed: int = 7) -> dict:
 
     # places
     worst = max(
-        abs(places.product_formula_residual(_random_rational(rng, 500)))
+        abs(places.product_formula_residual(adelic._random_fraction(rng, 500)))
         for _ in range(100 * size)
     )
     record("product_formula_residual", worst <= 1e-12, f"max |res| = {worst:.2e}")
 
     ok = True
     for _ in range(50 * size):
-        x = _random_rational(rng, 200)
+        x = adelic._random_fraction(rng, 200)
         ok &= abs(places.affine_height(x) - places.affine_height(1 / x)) <= 1e-12
     record("affine_height_reciprocal", ok)
 
     ok = True
     for _ in range(50 * size):
-        x, y = _random_rational(rng), _random_rational(rng)
+        x, y = adelic._random_fraction(rng, 50), adelic._random_fraction(rng, 50)
         for v in (places.finite(3), places.finite(7), places.ARCH):
             lhs = places.log_abs(x * y, v)
             rhs = places.log_abs(x, v) + places.log_abs(y, v)
@@ -65,7 +57,7 @@ def run_battery(quick: bool = True, seed: int = 7) -> dict:
 
     ok = True
     for _ in range(30 * size):
-        us = [_random_rational(rng, 60) for _ in range(int(rng.integers(1, 7)))]
+        us = [adelic._random_fraction(rng, 60) for _ in range(int(rng.integers(1, 7)))]
         rep = adelic.height_log_norm_bound(us)
         ok &= rep["holds"]
     record("height_log_norm_bound", ok)
@@ -124,7 +116,7 @@ def run_battery(quick: bool = True, seed: int = 7) -> dict:
         vp = places.finite(p)
         pts = []
         while len(pts) < 4:
-            cand = _random_rational(rng, 30) if rng.uniform() > 0.15 else places.INFINITY
+            cand = adelic._random_fraction(rng, 30) if rng.uniform() > 0.15 else places.INFINITY
             if cand not in pts:
                 pts.append(cand)
         quad = lattes.Quadruple(tuple(pts))
@@ -135,7 +127,7 @@ def run_battery(quick: bool = True, seed: int = 7) -> dict:
 
     ok = True
     for _ in range(20 * size):
-        lam = _random_rational(rng, 40)
+        lam = adelic._random_fraction(rng, 40)
         if lam in (0, 1):
             continue
         images = {lattes.legendre_lattes_eval(lam, t) for t in (0, 1, lam, places.INFINITY)}
@@ -159,7 +151,7 @@ def run_battery(quick: bool = True, seed: int = 7) -> dict:
     std = adelic.StandardFamily()
     ok = True
     for _ in range(20 * size):
-        x = _random_rational(rng, 80)
+        x = adelic._random_fraction(rng, 80)
         got = adelic.h_rho_F(std, [x])["value"]
         ok &= abs(got - places.affine_height(x)) <= 1e-12
     record("standard_height_recovery", ok)

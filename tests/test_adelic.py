@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -30,6 +31,7 @@ from arakelov.adelic import (
 from arakelov.energy_arch import lattes_sq_energy_arch
 from arakelov.energy_ua import pair_raw
 from arakelov.errors import BranchPointCenter, DegenerateConfig, EmptyF
+from arakelov.lattes import PointIndex, torsion_images
 
 ARCH_N = 2500
 
@@ -418,3 +420,53 @@ class TestScans:
     def test_bft_control_json_unchanged(self):
         text = json.dumps(bft_scan(2, 2, 3), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.BFT_CONTROL_SHA256
+
+
+def min_gap_rows(points):
+    """The former O(n^2) gap audit: one np.abs row per point."""
+    arr = np.array([p for p in points if p is not places.INFINITY], dtype=complex)
+    gaps = [np.abs(arr[i + 1 :] - arr[i]).min() for i in range(len(arr) - 1)]
+    return float(min(gaps, default=math.inf))
+
+
+def match_all_pairs(pts_a, pts_b, tol):
+    """The former all-pairs match: one np.abs row of B per point of A."""
+    finite_b = np.array([q for q in pts_b if q is not places.INFINITY], dtype=complex)
+    matched = []
+    for p in pts_a:
+        if p is places.INFINITY:
+            if any(q is places.INFINITY for q in pts_b):
+                matched.append(p)
+        elif (np.abs(finite_b - p) <= tol).any():
+            matched.append(p)
+    return matched
+
+
+class TestPointIndexOracles:
+    @pytest.mark.parametrize("level", range(6))
+    @pytest.mark.parametrize(
+        "lams", list(itertools.combinations_with_replacement((2, 3, 5), 2)), ids=str
+    )
+    def test_bft_scan_matches_oracles(self, lams, level):
+        rep = bft_scan(*lams, level)
+        pts_a, pts_b = ([p for p, _ in torsion_images(lam, level)] for lam in lams)
+        matched = sorted(match_all_pairs(pts_a, pts_b, rep["tol"]), key=adelic._point_key)
+        assert rep["matched"] == [
+            "inf" if p is places.INFINITY else [p.real, p.imag] for p in matched
+        ]
+        assert rep["min_gap_a"] == min_gap_rows(pts_a)
+        assert rep["min_gap_b"] == min_gap_rows(pts_b)
+
+    @pytest.mark.parametrize("level", [6, 7])
+    def test_uncapped_levels_match_oracles(self, level):
+        pts_a, pts_b = (
+            [p for p, _ in torsion_images(lam, level, level_cap=7) if p is not places.INFINITY]
+            for lam in (2, 3)
+        )
+        index_a = PointIndex(pts_a)
+        assert index_a.min_gap() == min_gap_rows(pts_a)
+        hits = index_a.near(PointIndex(pts_b), 1e-7)
+        assert [pts_a[i] for i in hits] == match_all_pairs(pts_a, pts_b, 1e-7)
+
+    def test_min_gap_below_two_points(self):
+        assert PointIndex([]).min_gap() == PointIndex([1j]).min_gap() == math.inf

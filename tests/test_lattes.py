@@ -272,7 +272,7 @@ class TestDedup:
         order = rng.permutation(len(pts))
         return [pts[i] for i in order[: len(pts) // 2]] + pts  # revisit half the points
 
-    @pytest.mark.parametrize("tol", [1e-9, 1e-7, 0.25, 2.0 ** -20, 3.0])
+    @pytest.mark.parametrize("tol", [1e-9, 1e-7, 0.25, 2.0 ** -20, 3.0, 5e-324, 1e-200, 1e300])
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_quadratic_scan(self, tol, seed):
         pts = self._chains(np.random.default_rng(seed), tol)

@@ -112,6 +112,8 @@ FUZZ_ARGV = [
     ["energy", "ua", "--ia", SEG, "--ib", SEG, "--place", "5", "--oracle-n", "2"],
     ["lattes", "torsion", "--lambda", "2", "--level", "1", "--tol", "5e-324"],
     ["adelic", "bft", "--lambda-a", "2", "--lambda-b", "3", "--level", "1", "--tol", "3"],
+    ["lattes", "torsion", "--lambda", "2", "--level", "3", "--tol", "1e300"],
+    ["adelic", "bft", "--lambda-a", "2", "--lambda-b", "3", "--level", "3", "--tol", "1e300"],
 ]
 
 

@@ -69,8 +69,8 @@ def _count(n: int) -> int:
 
 
 def _oracle_count(n: int) -> int:
-    if n < 2:
-        raise ValueError("the oracle needs n >= 2")
+    if not 2 <= n <= 10**6:
+        raise ValueError("the oracle needs n in [2, 10^6]")
     return n
 
 
@@ -141,16 +141,13 @@ def _cmd_energy_ua(args) -> dict:
     v = _parse_place(args)
     ia = energy_ua.segment_measure(_parsed(args, "ia", _json(tree.segment_from_json, v)))
     ib = energy_ua.segment_measure(_parsed(args, "ib", _json(tree.segment_from_json, v)))
-    closed = energy_ua.energy_closed_form(ia, ib, v)
-    out = {
-        "closed": closed,
+    n = _parsed(args, "oracle_n", _oracle_count)
+    return {
+        "closed": energy_ua.energy_closed_form(ia, ib, v),
         "config": _config_json(tree.classify_pair(ia.support, ib.support, v)),
         "bounds": energy_ua.lower_bound_report(ia, ib, v)["bounds"],
+        "oracle": energy_ua.energy_oracle(ia, ib, v, n=n),
     }
-    if args.oracle_n:
-        n = _parsed(args, "oracle_n", _oracle_count)
-        out["oracle"] = energy_ua.energy_oracle(ia, ib, v, n=n)
-    return out
 
 
 def _cmd_energy_arch(args) -> dict:
@@ -277,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     pu = esub.add_parser("ua", help="ultrametric segment-vs-segment energy")
     pu.add_argument("--ia", required=True)
     pu.add_argument("--ib", required=True)
-    pu.add_argument("--oracle-n", type=int, default=1000)
+    pu.add_argument("--oracle-n", type=int, default=1000, help="2 to 10^6")
     common(pu, place=True)
     pu.set_defaults(func=_cmd_energy_ua)
     pa = esub.add_parser("arch", help="Lattes-Lattes energy over C by torus-grid quadrature")

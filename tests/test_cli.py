@@ -188,6 +188,10 @@ class TestErrorsAndDeterminism:
              "--oracle-n", "-3"],
             ["energy", "ua", "--ia", GAUSS_SEG, "--ib", GAUSS_SEG, "--place", "5",
              "--oracle-n", "1"],
+            ["energy", "ua", "--ia", GAUSS_SEG, "--ib", GAUSS_SEG, "--place", "5",
+             "--oracle-n", "0"],
+            ["energy", "ua", "--ia", GAUSS_SEG, "--ib", GAUSS_SEG, "--place", "5",
+             "--oracle-n", "1000001"],
             ["lattes", "torsion", "--lambda", "2", "--level", "1", "--tol", "-1"],
             ["lattes", "torsion", "--lambda", "2", "--level", "1", "--tol", "nan"],
             ["adelic", "bft", "--lambda-a", "2", "--lambda-b", "3", "--level", "1",

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arakelov import energy_ua, places, tree
 from arakelov.energy_ua import (
@@ -172,7 +174,98 @@ class TestClosedForm:
             assert energy_closed_form(big, small, V5) == pytest.approx(expected, abs=1e-12)
 
 
+def atom_points(mu, n, v):
+    """The oracle's atoms one by one through tree.point_on_path."""
+    seg = mu.support
+    if mu.kind == "dirac":
+        return [seg.a]
+    return [tree.point_on_path(seg.a, seg.b, v, (k + 0.5) * seg.length / n) for k in range(n)]
+
+
+def dense_block_sum(a, wa, b, wb):
+    return float(wa @ np.maximum(a[:, None], b[None, :]) @ wb)
+
+
+def dense_oracle(ia, ib, v, n):
+    """energy_oracle's double sum with per-atom points and dense n x n blocks."""
+    groups = {}
+    for sign, mu in ((1.0, ia), (-1.0, ib)):
+        w = sign / (1 if mu.kind == "dirac" else n)
+        for pt in atom_points(mu, n, v):
+            groups.setdefault(pt.center, []).append((pt.log_radius, w))
+    arrs = {c: (np.array([r for r, _ in g]), np.array([w for _, w in g])) for c, g in groups.items()}
+    centers = list(arrs)
+    total = 0.0
+    for i, ci in enumerate(centers):
+        for cj in centers[i:]:
+            (ri, wi), (rj, wj) = arrs[ci], arrs[cj]
+            log_d = places.NEG_INF if ci == cj else tree.hsia_log_kernel(tree.type1(ci), tree.type1(cj), v)
+            block = dense_block_sum(np.maximum(ri, log_d), wi, np.maximum(rj, log_d), wj)
+            total += block if ci == cj else 2.0 * block
+    return -0.5 * total
+
+
+def eta_seg(c1, r1, c2, r2, v=V5):
+    return seg_measure(tree.eta(c1, r1), tree.eta(c2, r2), v)
+
+
+# pairs built for ties: equal radii across the two measures, or a center
+# distance above every radius, which makes whole blocks constant
+TIED_PAIRS = {
+    "self": (eta_seg(0, -3.0, 5, -2.0), eta_seg(0, -3.0, 5, -2.0)),
+    "concentric_shared_radii": (eta_seg(0, 2.0, 0, 0.0), eta_seg(0, 0.0, 0, 2.0)),
+    "concentric_nested": (eta_seg(0, 0.0, 0, 4.0), eta_seg(0, 1.0, 0, 3.0)),
+    "dirac_vs_segment": (eta_seg(0, 1.0, 0, 1.0), eta_seg(0, 0.0, 0, 2.0)),
+    "equidistant_centers": (eta_seg(1, -2.0, 2, -2.0), eta_seg(0, -3.0, 0, -1.0)),
+}
+
+
 class TestOracle:
+    @pytest.mark.parametrize("n", [2, 3, 10, 257])
+    @pytest.mark.parametrize("name", list(TIED_PAIRS))
+    def test_matches_dense_double_sum(self, name, n):
+        ia, ib = TIED_PAIRS[name]
+        for a, b in ((ia, ib), (ib, ia)):
+            got, want = energy_oracle(a, b, V5, n=n), dense_oracle(a, b, V5, n)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @staticmethod
+    def assert_discretize_bitwise(mu, n, v):
+        # per-atom tree.point_on_path is the oracle of the grouped atoms
+        groups = energy_ua._discretize(mu, n, v)
+        pts = atom_points(mu, n, v)
+        assert [c for c, r, _ in groups for _ in r] == [pt.center for pt in pts]
+        got = np.concatenate([r for _, r, _ in groups])
+        want = np.array([pt.log_radius for pt in pts])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.concatenate([w for _, _, w in groups]).sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_discretize_radii_bitwise(self):
+        rng = np.random.default_rng(101)  # criterion 1's random pairs
+        for i in range(300):
+            v = places.finite(int(rng.choice([3, 5, 7])))
+            for mu in (rand_measure(rng, v), rand_measure(rng, v)):
+                self.assert_discretize_bitwise(mu, 2000 if i < 5 else 101, v)
+        # the tied pairs put atoms exactly on a join (s == up), e.g. n = 3 on
+        # the equidistant centers
+        for n in (2, 3, 10, 257):
+            for pair in TIED_PAIRS.values():
+                for mu in pair:
+                    self.assert_discretize_bitwise(mu, n, V5)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.tuples(st.integers(-4, 4), st.floats(-1.0, 1.0)), min_size=1, max_size=30),
+        st.lists(st.tuples(st.integers(-4, 4), st.floats(-1.0, 1.0)), min_size=1, max_size=30),
+    )
+    def test_block_sum_matches_dense(self, xs, ys):
+        # radii on a coarse grid, so that ties are frequent
+        (a, wa), (b, wb) = (np.array(z, dtype=float).T for z in (xs, ys))
+        a, b = a / 2.0, b / 2.0
+        scale = max(1.0, float(np.abs(wa).sum() * np.abs(wb).sum() * 2.0))
+        got = energy_ua._block_sum(a, wa, b, wb)
+        assert abs(got - dense_block_sum(a, wa, b, wb)) <= 1e-12 * scale
+
     def test_identical_exact_zero(self):
         ia = seg_measure(tree.eta(0, 0.0), tree.eta(0, 1.0))
         assert energy_oracle(ia, ia, V5, n=50) == pytest.approx(0.0, abs=1e-12)
@@ -312,13 +405,14 @@ class TestLocalDiscrepancy:
             if u == 1:
                 continue  # branch point, rejected below
             mu = equilibrium_measure_ua(quad, V3)
-            atoms = _discretize(mu, 4000, V3)
+            groups = _discretize(mu, 4000, V3)
             z1 = tree.type1(u)
             z2 = tree.TreePoint(u, math.log(r))
             acc = sum(
                 w * (tree.hsia_log_kernel(tree.TreePoint(c, lr), z2, V3)
                      - tree.hsia_log_kernel(tree.TreePoint(c, lr), z1, V3))
-                for c, lr, w in atoms
+                for c, radii, weights in groups
+                for lr, w in zip(radii.tolist(), weights.tolist())
             )
             exact = local_discrepancy(quad, u, r, V3)
             assert exact == pytest.approx(abs(acc), abs=1e-6)

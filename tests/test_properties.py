@@ -1,5 +1,5 @@
 """Property tests of the escape rate, the Lattes pairings, the array preimage
-kernel and the CLI over random inputs."""
+kernel, the ultrametric energies and the CLI over random inputs."""
 
 import contextlib
 import io
@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from arakelov import cli
 from arakelov.energy_arch import LattesMeasure, escape_rate, lattes_pairing, pair_energy_arch
+from arakelov.energy_ua import energy_closed_form, energy_oracle, segment_measure
 from arakelov.lattes import lattes_preimages, lattes_preimages_array, legendre_lattes_eval
-from arakelov.places import INFINITY
+from arakelov.places import INFINITY, finite
+from arakelov.tree import TreePoint, classify_pair, scale_point, segment_between, translate_point
 
 # derandomized, so that every run checks the same examples
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -86,6 +88,52 @@ def test_preimage_array_matches_scalar_route(lam, ws):
             got.pop(j)
 
 
+@st.composite
+def ua_pairs(draw):
+    """A finite place and two segment measures; log radii on a grid of
+    (log p)/2, so that joins and endpoints tie often."""
+    v = finite(draw(st.sampled_from([3, 5, 7])))
+
+    def measure():
+        a, b = (TreePoint(draw(rationals), draw(st.integers(-6, 6)) * 0.5 * math.log(v.p))
+                for _ in range(2))
+        return segment_measure(segment_between(a, b, v))
+
+    return v, measure(), measure()
+
+
+def config_lengths(cfg):
+    last = "d_ab" if cfg.variant == "disjoint" else "l_ab"
+    return cfg.variant, [getattr(cfg, k) for k in ("la", "lb", "la1", "la2", "lb1", "lb2", last)]
+
+
+def close(x, y):
+    return abs(x - y) <= 1e-12 * max(1.0, abs(x))
+
+
+@PROPERTY
+@given(ua_pairs(), rationals, rationals.filter(lambda c: c != 0))
+def test_ultrametric_moebius_invariance(pair, t, c):
+    v, ia, ib = pair
+    energy = energy_closed_form(ia, ib, v)
+    variant, lengths = config_lengths(classify_pair(ia.support, ib.support, v))
+    for move in (lambda x: translate_point(x, t, v), lambda x: scale_point(x, c, v)):
+        ja, jb = (segment_measure(segment_between(move(m.support.a), move(m.support.b), v))
+                  for m in (ia, ib))
+        assert close(energy, energy_closed_form(ja, jb, v))
+        moved_variant, moved_lengths = config_lengths(classify_pair(ja.support, jb.support, v))
+        assert moved_variant == variant
+        assert all(close(x, y) for x, y in zip(lengths, moved_lengths))
+
+
+@PROPERTY
+@given(ua_pairs())
+def test_ultrametric_energies_are_symmetric(pair):
+    v, ia, ib = pair
+    assert close(energy_closed_form(ia, ib, v), energy_closed_form(ib, ia, v))
+    assert close(energy_oracle(ia, ib, v, n=64), energy_oracle(ib, ia, v, n=64))
+
+
 def _refuse(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -99,6 +147,8 @@ FUZZ_ARGV = [
     ["adelic", "suite", "--count", "-1"],
     ["energy", "ua", "--ia", SEG, "--ib", SEG, "--place", "5", "--oracle-n", "-3"],
     ["energy", "ua", "--ia", SEG, "--ib", SEG, "--place", "5", "--oracle-n", "1"],
+    ["energy", "ua", "--ia", SEG, "--ib", SEG, "--place", "5", "--oracle-n", "0"],
+    ["energy", "ua", "--ia", SEG, "--ib", SEG, "--place", "5", "--oracle-n", "1000001"],
     ["lattes", "torsion", "--lambda", "2", "--level", "1", "--tol", "-1"],
     ["lattes", "torsion", "--lambda", "2", "--level", "1", "--tol", "nan"],
     ["lattes", "torsion", "--lambda", "2", "--level", "1", "--tol", "1e308"],

@@ -156,6 +156,7 @@ class AdelicEnergyReport:
     entries: list[PlaceEntry]
     arch_estimate: float
     arch_tol: float
+    quad_err: float
     total: float
     h_ab: float | None = None
     relevant: list[Place] = field(default_factory=list)
@@ -165,6 +166,7 @@ class AdelicEnergyReport:
             "places": [e.to_json() for e in self.entries],
             "total": self.total,
             "arch_tol": self.arch_tol,
+            "quad_err": self.quad_err,
             "h_ab": self.h_ab,
             "relevant_places": [place_to_json(v) for v in self.relevant],
         }
@@ -182,9 +184,9 @@ def pair_energy_global(quad_a, quad_b, arch_samples: int = 4000) -> AdelicEnergy
 
     Finite odd places are exact closed forms; the place 2 is reported as
     excluded; the archimedean entry is the torus-grid quadrature of
-    ``lattes_pairing`` with tolerance 3/sqrt(n).  The total is
-    therefore a lower bound up to the archimedean tolerance (local terms are
-    nonnegative).
+    ``lattes_pairing`` with tolerance 3/sqrt(n), reported next to its
+    quadrature error estimate ``quad_err``.  The total is therefore a lower
+    bound up to the archimedean tolerance (local terms are nonnegative).
     """
     quad_a, quad_b = as_quadruple(quad_a), as_quadruple(quad_b)
     relevant = _relevant_places(quad_a, quad_b)
@@ -198,11 +200,11 @@ def pair_energy_global(quad_a, quad_b, arch_samples: int = 4000) -> AdelicEnergy
         entries.append(PlaceEntry(v, e, True))
         total += e
     mu_a = LattesMeasure(quad_a, arch_samples)
-    arch, _ = lattes_pairing(mu_a, LattesMeasure(quad_b, arch_samples))
+    arch, quad_err = lattes_pairing(mu_a, LattesMeasure(quad_b, arch_samples))
     arch_tol = ARCH_NOISE_COEFF / math.sqrt(arch_samples)
     entries.append(PlaceEntry(ARCH, arch, False, f"torus grid, level {mu_a.level}"))
     total += arch
-    return AdelicEnergyReport(entries, arch, arch_tol, total, relevant=relevant)
+    return AdelicEnergyReport(entries, arch, arch_tol, quad_err, total, relevant=relevant)
 
 
 def global_energy(
@@ -544,7 +546,8 @@ def inequality_suite(cfg: PairConfig) -> dict:
 # random configurations and scans
 
 
-def _random_fraction(rng: np.random.Generator, height: int) -> Fraction:
+def random_rational(rng: np.random.Generator, height: int) -> Fraction:
+    """A nonzero rational num/den with |num| <= height and 1 <= den <= height."""
     while True:
         num = int(rng.integers(-height, height + 1))
         if num != 0:
@@ -555,8 +558,8 @@ def _random_fraction(rng: np.random.Generator, height: int) -> Fraction:
 
 def random_pair_config(rng: np.random.Generator, height: int = 20) -> PairConfig:
     while True:
-        a = tuple(_random_fraction(rng, height) for _ in range(3))
-        b = tuple(_random_fraction(rng, height) for _ in range(3))
+        a = tuple(random_rational(rng, height) for _ in range(3))
+        b = tuple(random_rational(rng, height) for _ in range(3))
         try:
             return PairConfig(a, b)
         except DegenerateConfig:

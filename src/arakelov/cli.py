@@ -26,6 +26,14 @@ class UsageError(Exception):
     """A missing or malformed command-line argument (exit code 2)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose own errors are ``UsageError``s, so that they
+    print JSON like every other usage error; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _parse_place(args) -> places.Place:
     token = getattr(args, "place", None)
     eps = float(getattr(args, "epsilon", 1.0) or 1.0)
@@ -233,7 +241,7 @@ def _cmd_suite(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="arakelov",
         description="Energies and heights on the Berkovich projective line over Q",
     )
@@ -333,10 +341,9 @@ def _digest(args: argparse.Namespace) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     started = time.time()
     try:
+        args = build_parser().parse_args(argv)
         result = args.func(args)
         text = _result_text(result)
     except ArakelovError as exc:

@@ -1,7 +1,11 @@
-"""The invariant battery: quick randomized checks across all modules.
+"""The invariant battery, and the random inputs and invariant checks that it
+shares with the acceptance criteria.
 
-Each check returns (name, ok, detail); `run_battery` collects them and is
-what the ``suite`` CLI subcommand runs.  Sizes shrink under ``quick``.
+Each shared check takes an ``rng`` plus its sizes, draws its inputs in a fixed
+order and returns the statistic it measures; the battery and
+``tests/test_acceptance.py`` call the same functions with their own seeds,
+sizes and tolerances.  `run_battery` collects (name, ok, detail) and is what
+the ``suite`` CLI subcommand runs.  Sizes shrink under ``quick``.
 """
 
 from __future__ import annotations
@@ -11,18 +15,147 @@ import math
 import numpy as np
 
 from . import adelic, energy_arch, energy_ua, lattes, places, tree
+from .adelic import random_rational
 
 Check = tuple[str, bool, str]
 
 
-def _random_point(rng, v, span=4) -> tree.TreePoint:
-    c = adelic._random_fraction(rng, 9)
-    k = float(rng.uniform(-span, span)) * math.log(v.p)
-    return tree.TreePoint(c, k)
+# ---------------------------------------------------------------------------
+# random inputs
 
 
-def _random_segment(rng, v) -> tree.Segment:
-    return tree.segment_between(_random_point(rng, v), _random_point(rng, v), v)
+def random_point(rng, v: places.Place, span: float) -> tree.TreePoint:
+    """A type-2 point: center of height 9, log radius uniform in [-span, span] log p."""
+    return tree.TreePoint(random_rational(rng, 9), float(rng.uniform(-span, span)) * math.log(v.p))
+
+
+def random_measure(rng, v: places.Place, span: float) -> energy_ua.SegmentMeasure:
+    """The segment measure between two `random_point` draws."""
+    a, b = random_point(rng, v, span), random_point(rng, v, span)
+    return energy_ua.segment_measure(tree.segment_between(a, b, v))
+
+
+def random_quadruple(rng, height: int) -> lattes.Quadruple:
+    """Four distinct points; each draw is infinity with probability 0.15 while
+    infinity is not taken, else a rational of the given height."""
+    pts: list = []
+    while len(pts) < 4:
+        if rng.uniform() < 0.15 and places.INFINITY not in pts:
+            cand = places.INFINITY
+        else:
+            cand = random_rational(rng, height)
+        if cand not in pts:
+            pts.append(cand)
+    return lattes.Quadruple(tuple(pts))
+
+
+# ---------------------------------------------------------------------------
+# shared invariant checks
+
+
+def product_formula_residual(rng, count: int, height: int) -> float:
+    """Worst |sum_v log|x|_v| over `count` random rationals."""
+    return max(
+        abs(places.product_formula_residual(random_rational(rng, height))) for _ in range(count)
+    )
+
+
+def reciprocal_height(rng, count: int, height: int) -> float:
+    """Worst |h(x) - h(1/x)| over `count` random rationals."""
+    worst = 0.0
+    for _ in range(count):
+        x = random_rational(rng, height)
+        worst = max(worst, abs(places.affine_height(x) - places.affine_height(1 / x)))
+    return worst
+
+
+def height_bound(rng, count: int, height: int) -> bool:
+    """Whether the (n+1) height bound holds on `count` random 1- to 6-tuples."""
+    ok = True
+    for _ in range(count):
+        us = [random_rational(rng, height) for _ in range(int(rng.integers(1, 7)))]
+        ok &= adelic.height_log_norm_bound(us)["holds"]
+    return ok
+
+
+def closed_form_vs_oracle(rng, count: int, n: int, span: float) -> tuple[float, bool]:
+    """Worst |closed - oracle| / max(1e-2, 3 (total length) / n) over `count`
+    random segment pairs at p in {3, 5, 7}, and whether every lower bound held."""
+    worst, bounds_hold = 0.0, True
+    for _ in range(count):
+        v = places.finite(int(rng.choice([3, 5, 7])))
+        ia, ib = random_measure(rng, v, span), random_measure(rng, v, span)
+        closed = energy_ua.energy_closed_form(ia, ib, v)
+        oracle = energy_ua.energy_oracle(ia, ib, v, n=n)
+        cfg = tree.classify_pair(ia.support, ib.support, v)
+        length = cfg.la + cfg.lb + (cfg.d_ab if cfg.variant == "disjoint" else 0.0)
+        worst = max(worst, abs(closed - oracle) / max(1e-2, 3.0 * length / n))
+        bounds_hold &= energy_ua.lower_bound_report(ia, ib, v)["all_hold"]
+    return worst, bounds_hold
+
+
+def union_recursion(rng, count: int, span: float, split: tuple[float, float]) -> float:
+    """Worst |lhs - rhs| of `energy_union_check` at p = 5 over `count` random
+    non-singleton segments, each cut at a uniform fraction in `split` of its length."""
+    v = places.finite(5)
+    worst = 0.0
+    done = 0
+    while done < count:
+        seg = tree.segment_between(random_point(rng, v, span), random_point(rng, v, span), v)
+        if seg.is_singleton:
+            continue
+        mid = tree.point_on_path(seg.a, seg.b, v, seg.length * float(rng.uniform(*split)))
+        b1 = energy_ua.segment_measure(tree.segment_between(seg.a, mid, v))
+        b2 = energy_ua.segment_measure(tree.segment_between(mid, seg.b, v))
+        ia = random_measure(rng, v, span)
+        lhs, rhs = energy_ua.energy_union_check(ia, b1, b2, v)
+        worst = max(worst, abs(lhs - rhs))
+        done += 1
+    return worst
+
+
+def cross_ratio_length(rng, count: int, height: int) -> tuple[float, bool]:
+    """Over `count` random quadruples at p in {3, 5, 7, 11}: the worst
+    |length - units log p| of the Lattes segment, and whether length / log p
+    always rounds to `lattes_segment_length_units`."""
+    worst, exact = 0.0, True
+    for _ in range(count):
+        p = int(rng.choice([3, 5, 7, 11]))
+        v = places.finite(p)
+        quad = random_quadruple(rng, height)
+        seg = lattes.lattes_segment(quad, v)
+        units = lattes.lattes_segment_length_units(quad, v)
+        exact &= round(seg.length / math.log(p)) == units
+        worst = max(worst, abs(seg.length - units * math.log(p)))
+    return worst, exact
+
+
+def postcritical_containment(rng, count: int, height: int) -> bool:
+    """Whether L_lam({0, 1, lam, inf}) = {inf} for `count` random lam not in {0, 1}."""
+    ok = True
+    checked = 0
+    while checked < count:
+        lam = random_rational(rng, height)
+        if lam in (0, 1):
+            continue
+        images = {lattes.legendre_lattes_eval(lam, t) for t in (0, 1, lam, places.INFINITY)}
+        ok &= images == {places.INFINITY}
+        checked += 1
+    return ok
+
+
+def standard_height_recovery(rng, count: int, height: int) -> float:
+    """Worst |h_rho(x) - h(x)| for the standard family over `count` random rationals."""
+    std = adelic.StandardFamily()
+    worst = 0.0
+    for _ in range(count):
+        x = random_rational(rng, height)
+        worst = max(worst, abs(adelic.h_rho_F(std, [x])["value"] - places.affine_height(x)))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# the battery
 
 
 def run_battery(quick: bool = True, seed: int = 7) -> dict:
@@ -34,39 +167,25 @@ def run_battery(quick: bool = True, seed: int = 7) -> dict:
         checks.append((name, bool(ok), detail))
 
     # places
-    worst = max(
-        abs(places.product_formula_residual(adelic._random_fraction(rng, 500)))
-        for _ in range(100 * size)
-    )
+    worst = product_formula_residual(rng, 100 * size, 500)
     record("product_formula_residual", worst <= 1e-12, f"max |res| = {worst:.2e}")
+    record("affine_height_reciprocal", reciprocal_height(rng, 50 * size, 200) <= 1e-12)
 
     ok = True
     for _ in range(50 * size):
-        x = adelic._random_fraction(rng, 200)
-        ok &= abs(places.affine_height(x) - places.affine_height(1 / x)) <= 1e-12
-    record("affine_height_reciprocal", ok)
-
-    ok = True
-    for _ in range(50 * size):
-        x, y = adelic._random_fraction(rng, 50), adelic._random_fraction(rng, 50)
+        x, y = random_rational(rng, 50), random_rational(rng, 50)
         for v in (places.finite(3), places.finite(7), places.ARCH):
             lhs = places.log_abs(x * y, v)
             rhs = places.log_abs(x, v) + places.log_abs(y, v)
             ok &= abs(lhs - rhs) <= 1e-12
     record("log_abs_multiplicative", ok)
-
-    ok = True
-    for _ in range(30 * size):
-        us = [adelic._random_fraction(rng, 60) for _ in range(int(rng.integers(1, 7)))]
-        rep = adelic.height_log_norm_bound(us)
-        ok &= rep["holds"]
-    record("height_log_norm_bound", ok)
+    record("height_log_norm_bound", height_bound(rng, 30 * size, 60))
 
     # tree
     v = places.finite(5)
     ok = True
     for _ in range(50 * size):
-        x, y = _random_point(rng, v), _random_point(rng, v)
+        x, y = random_point(rng, v, 4), random_point(rng, v, 4)
         j = tree.join(x, y, v)
         ok &= tree.points_equal(j, tree.join(y, x, v), v)
         ok &= tree.points_equal(tree.join(x, x, v), x, v)
@@ -75,64 +194,20 @@ def run_battery(quick: bool = True, seed: int = 7) -> dict:
 
     ok = True
     for _ in range(30 * size):
-        x, y, z = (_random_point(rng, v) for _ in range(3))
+        x, y, z = (random_point(rng, v, 4) for _ in range(3))
         dxy = tree.path_length(x, y, v)
         ok &= dxy <= tree.path_length(x, z, v) + tree.path_length(z, y, v) + 1e-12
     record("path_length_triangle", ok)
 
     # ultrametric energies
-    ok = True
-    for _ in range(8 * size):
-        p = int(rng.choice([3, 5, 7]))
-        vp = places.finite(p)
-        ia = energy_ua.segment_measure(_random_segment(rng, vp))
-        ib = energy_ua.segment_measure(_random_segment(rng, vp))
-        closed = energy_ua.energy_closed_form(ia, ib, vp)
-        oracle = energy_ua.energy_oracle(ia, ib, vp, n=600)
-        cfg = tree.classify_pair(ia.support, ib.support, vp)
-        span = cfg.la + cfg.lb + (cfg.d_ab if isinstance(cfg, tree.Disjoint) else 0.0)
-        ok &= abs(closed - oracle) <= max(1e-2, 3.0 * span / 600)
-        ok &= energy_ua.lower_bound_report(ia, ib, vp)["all_hold"]
-    record("closed_form_vs_oracle", ok)
-
-    ok = True
-    for _ in range(20 * size):
-        vp = places.finite(5)
-        seg = _random_segment(rng, vp)
-        if seg.is_singleton:
-            continue
-        mid = tree.point_on_path(seg.a, seg.b, vp, seg.length * float(rng.uniform(0.2, 0.8)))
-        b1 = energy_ua.segment_measure(tree.segment_between(seg.a, mid, vp))
-        b2 = energy_ua.segment_measure(tree.segment_between(mid, seg.b, vp))
-        ia = energy_ua.segment_measure(_random_segment(rng, vp))
-        lhs, rhs = energy_ua.energy_union_check(ia, b1, b2, vp)
-        ok &= abs(lhs - rhs) <= 1e-10
-    record("union_recursion", ok)
+    worst, bounds_hold = closed_form_vs_oracle(rng, 8 * size, n=600, span=4)
+    record("closed_form_vs_oracle", worst <= 1.0 and bounds_hold)
+    record("union_recursion", union_recursion(rng, 20 * size, span=4, split=(0.2, 0.8)) <= 1e-10)
 
     # lattes
-    ok = True
-    for _ in range(30 * size):
-        p = int(rng.choice([3, 5, 7, 11]))
-        vp = places.finite(p)
-        pts = []
-        while len(pts) < 4:
-            cand = adelic._random_fraction(rng, 30) if rng.uniform() > 0.15 else places.INFINITY
-            if cand not in pts:
-                pts.append(cand)
-        quad = lattes.Quadruple(tuple(pts))
-        seg = lattes.lattes_segment(quad, vp)
-        units = lattes.lattes_segment_length_units(quad, vp)
-        ok &= abs(seg.length - units * math.log(p)) <= 1e-9
-    record("cross_ratio_length", ok)
-
-    ok = True
-    for _ in range(20 * size):
-        lam = adelic._random_fraction(rng, 40)
-        if lam in (0, 1):
-            continue
-        images = {lattes.legendre_lattes_eval(lam, t) for t in (0, 1, lam, places.INFINITY)}
-        ok &= images == {places.INFINITY}
-    record("postcritical_containment", ok)
+    worst, exact = cross_ratio_length(rng, 30 * size, 30)
+    record("cross_ratio_length", exact and worst <= 1e-9)
+    record("postcritical_containment", postcritical_containment(rng, 20 * size, 40))
 
     # archimedean closed forms
     e_half = energy_arch.sq_energy_arch(
@@ -148,13 +223,7 @@ def run_battery(quick: bool = True, seed: int = 7) -> dict:
     )
 
     # classical height recovery
-    std = adelic.StandardFamily()
-    ok = True
-    for _ in range(20 * size):
-        x = adelic._random_fraction(rng, 80)
-        got = adelic.h_rho_F(std, [x])["value"]
-        ok &= abs(got - places.affine_height(x)) <= 1e-12
-    record("standard_height_recovery", ok)
+    record("standard_height_recovery", standard_height_recovery(rng, 20 * size, 80) <= 1e-12)
 
     # explicit-constant suite
     rep = adelic.suite_scan(count=20 * size, seed=seed, height=12)

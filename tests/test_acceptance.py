@@ -10,29 +10,22 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 
-from arakelov import adelic, energy_arch, energy_ua, lattes, places, tree
+from arakelov import adelic, energy_arch, suite, tree
 from arakelov.adelic import (
     LattesFamily,
     SmoothedSetFamily,
     StandardFamily,
     finite_set,
-    h_rho_F,
     local_pair_energy,
     triangle_inequality_check,
 )
 from arakelov.energy_arch import Circle, UNIT_CIRCLE, sample_lattes_equilibrium, sq_energy_arch
-from arakelov.energy_ua import (
-    energy_closed_form,
-    energy_oracle,
-    energy_union_check,
-    lower_bound_report,
-    segment_measure,
-)
-from arakelov.lattes import Quadruple, lattes_segment, lattes_segment_length_units
-from arakelov.places import INFINITY, finite
+from arakelov.energy_ua import lower_bound_report, segment_measure
+from arakelov.lattes import Quadruple, lattes_segment
+from arakelov.places import finite
+from arakelov.suite import random_measure, random_quadruple, random_rational
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -40,46 +33,10 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def rand_rational(rng, height=9):
-    num = 0
-    while num == 0:
-        num = int(rng.integers(-height, height + 1))
-    return Fraction(num, int(rng.integers(1, height + 1)))
-
-
-def rand_point(rng, v, span=3.0):
-    return tree.TreePoint(rand_rational(rng), float(rng.uniform(-span, span)) * math.log(v.p))
-
-
-def rand_measure(rng, v):
-    return segment_measure(tree.segment_between(rand_point(rng, v), rand_point(rng, v), v))
-
-
-def rand_quadruple(rng, height=30):
-    pts = []
-    while len(pts) < 4:
-        if rng.uniform() < 0.15 and INFINITY not in pts:
-            cand = INFINITY
-        else:
-            cand = rand_rational(rng, height)
-        if cand not in pts:
-            pts.append(cand)
-    return Quadruple(tuple(pts))
-
-
 def test_c01_closed_form_vs_oracle():
     rng = np.random.default_rng(101)
     start = time.monotonic()
-    worst = 0.0
-    for _ in range(300):
-        v = finite(int(rng.choice([3, 5, 7])))
-        ia, ib = rand_measure(rng, v), rand_measure(rng, v)
-        closed = energy_closed_form(ia, ib, v)
-        oracle = energy_oracle(ia, ib, v, n=2000)
-        cfg = tree.classify_pair(ia.support, ib.support, v)
-        span = cfg.la + cfg.lb + (cfg.d_ab if cfg.variant == "disjoint" else 0.0)
-        tol = max(1e-2, 3.0 * span / 2000)
-        worst = max(worst, abs(closed - oracle) / tol)
+    worst, _ = suite.closed_form_vs_oracle(rng, 300, n=2000, span=3.0)
     elapsed = time.monotonic() - start
     report(
         1,
@@ -89,21 +46,7 @@ def test_c01_closed_form_vs_oracle():
 
 
 def test_c02_union_recursion():
-    rng = np.random.default_rng(102)
-    v = finite(5)
-    worst = 0.0
-    done = 0
-    while done < 200:
-        seg = tree.segment_between(rand_point(rng, v), rand_point(rng, v), v)
-        if seg.is_singleton:
-            continue
-        mid = tree.point_on_path(seg.a, seg.b, v, seg.length * float(rng.uniform(0.05, 0.95)))
-        b1 = segment_measure(tree.segment_between(seg.a, mid, v))
-        b2 = segment_measure(tree.segment_between(mid, seg.b, v))
-        ia = rand_measure(rng, v)
-        lhs, rhs = energy_union_check(ia, b1, b2, v)
-        worst = max(worst, abs(lhs - rhs))
-        done += 1
+    worst = suite.union_recursion(np.random.default_rng(102), 200, span=3.0, split=(0.05, 0.95))
     report(2, worst <= 1e-10, f"200 abuttable splits, worst defect {worst:.2e} <= 1e-10")
 
 
@@ -113,7 +56,7 @@ def test_c03_lower_bounds():
     all_ok = True
     while n_disjoint < 1000 or n_meeting < 1000:
         v = finite(int(rng.choice([3, 5, 7])))
-        ia, ib = rand_measure(rng, v), rand_measure(rng, v)
+        ia, ib = random_measure(rng, v, 3.0), random_measure(rng, v, 3.0)
         cfg = tree.classify_pair(ia.support, ib.support, v)
         rep = lower_bound_report(ia, ib, v)
         all_ok &= rep["all_hold"]
@@ -147,16 +90,8 @@ def test_c03_lower_bounds():
 
 
 def test_c04_cross_ratio_length():
-    rng = np.random.default_rng(104)
-    ok = True
-    for _ in range(500):
-        p = int(rng.choice([3, 5, 7, 11]))
-        v = finite(p)
-        quad = rand_quadruple(rng)
-        seg = lattes_segment(quad, v)
-        units = lattes_segment_length_units(quad, v)
-        ok &= round(seg.length / math.log(p)) == units
-        ok &= abs(seg.length - units * math.log(p)) <= 1e-9
+    worst, exact = suite.cross_ratio_length(np.random.default_rng(104), 500, 30)
+    ok = exact and worst <= 1e-9
     report(4, ok, "500 quadruples at p in {3,5,7,11}: exact in units of log p")
 
 
@@ -205,18 +140,9 @@ def test_c06_flow_scaling():
 
 def test_c07_product_formula_and_heights():
     rng = np.random.default_rng(107)
-    worst_res = max(
-        abs(places.product_formula_residual(rand_rational(rng, 500))) for _ in range(1000)
-    )
-    worst_rec = 0.0
-    for _ in range(200):
-        x = rand_rational(rng, 300)
-        worst_rec = max(worst_rec, abs(places.affine_height(x) - places.affine_height(1 / x)))
-    std = StandardFamily()
-    worst_h = 0.0
-    for _ in range(100):
-        x = rand_rational(rng, 80)
-        worst_h = max(worst_h, abs(h_rho_F(std, [x])["value"] - places.affine_height(x)))
+    worst_res = suite.product_formula_residual(rng, 1000, 500)
+    worst_rec = suite.reciprocal_height(rng, 200, 300)
+    worst_h = suite.standard_height_recovery(rng, 100, 80)
     ok = worst_res <= 1e-12 and worst_rec <= 1e-12 and worst_h <= 1e-12
     report(
         7,
@@ -226,11 +152,7 @@ def test_c07_product_formula_and_heights():
 
 
 def test_c08_explicit_constant_inequalities():
-    rng = np.random.default_rng(108)
-    ok = True
-    for _ in range(500):
-        us = [rand_rational(rng, 60) for _ in range(int(rng.integers(1, 7)))]
-        ok &= adelic.height_log_norm_bound(us)["holds"]
+    ok = suite.height_bound(np.random.default_rng(108), 500, 60)
     scan = adelic.suite_scan(count=500, seed=108, height=20)
     ok &= scan["all_hold"]
     report(8, ok, "height bound (n+1) on 500 tuples; 61log2+122 and 81 bounds on 500 configs")
@@ -290,12 +212,12 @@ def test_c11_sqrt_triangle_inequality():
     rng = np.random.default_rng(111)
     pool = [StandardFamily()]
     for k in range(10):
-        quad = rand_quadruple(rng, 12)
+        quad = random_quadruple(rng, 12)
         pool.append(LattesFamily(quad, arch_samples=2000, seed=300 + k))
     for k in range(5):
         pts = []
         while len(pts) < int(rng.integers(1, 4)):
-            cand = rand_rational(rng, 12)
+            cand = random_rational(rng, 12)
             if cand not in pts:
                 pts.append(cand)
         pool.append(SmoothedSetFamily(finite_set(pts)))
@@ -307,16 +229,7 @@ def test_c11_sqrt_triangle_inequality():
 
 
 def test_c12_postcritical():
-    rng = np.random.default_rng(112)
-    ok = True
-    checked = 0
-    while checked < 100:
-        lam = rand_rational(rng, 200)
-        if lam in (0, 1):
-            continue
-        images = {lattes.legendre_lattes_eval(lam, t) for t in (0, 1, lam, INFINITY)}
-        ok &= images == {INFINITY}
-        checked += 1
+    ok = suite.postcritical_containment(np.random.default_rng(112), 100, 200)
     report(12, ok, "L({0,1,lam,inf}) = {inf} exactly for 100 random lambda")
 
 

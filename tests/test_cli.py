@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -109,6 +110,20 @@ class TestBasicCommands:
         assert code == 0
         assert json.loads(out)["failed"] == 0
 
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ([], "7e2cd6a47ccee36979fc3414cf421f73e993195d3a0a5687c07a271b2d36da9f"),
+            (["--quick"], "8ec4e9d95439a7f585d9d7001c90ee9ab674e96833025559334277987478f0d2"),
+        ],
+        ids=["full", "quick"],
+    )
+    def test_suite_stdout_pinned(self, flags, digest, capsys):
+        # sha256 of the whole stdout, recorded before the battery and the
+        # acceptance criteria shared their check functions
+        code, out, _ = run(["suite", *flags, "--seed", "7"], capsys)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestErrorsAndDeterminism:
     def test_degenerate_config_exit_one(self, capsys):
@@ -151,9 +166,13 @@ class TestErrorsAndDeterminism:
         assert json.loads(out)["error"] == "DegenerateQuadruple"
 
     def test_usage_error_exit_two(self, capsys):
+        code, out, _ = run(["energy", "nope"], capsys)
+        assert code == 2 and json.loads(out)["error"] == "UsageError"
+
+    def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["energy", "nope"])
-        assert exc.value.code == 2
+            cli.main(["energy", "arch", "--help"])
+        assert exc.value.code == 0 and "--lambda-a" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",
@@ -196,6 +215,10 @@ class TestErrorsAndDeterminism:
             ["lattes", "torsion", "--lambda", "2", "--level", "1", "--tol", "nan"],
             ["adelic", "bft", "--lambda-a", "2", "--lambda-b", "3", "--level", "1",
              "--tol", "-1"],
+            ["places", "logabs", "--x", "2", "--bogus"],
+            ["energy", "arch", "--lambda-a", "2"],
+            ["lattes", "torsion", "--lambda", "2", "--level", "x"],
+            ["lattes", "torsion", "--lambda", "2", "--level", "1", "--tol", "-1e+16"],
         ],
     )
     def test_bad_argument_exit_two_with_json(self, argv, capsys):
@@ -230,6 +253,12 @@ class TestErrorsAndDeterminism:
         assert payload["tolerance"] == pytest.approx(3.0 / math.sqrt(2000), abs=1e-15)
         assert 0.0 < payload["quad_err"] < payload["tolerance"]
         assert abs(payload["energy"] - 0.0223) <= payload["tolerance"]
+
+    def test_adelic_energy_reports_quad_err(self, capsys):
+        cfg = json.dumps({"a": ["1", "2", "3"], "b": ["1/5", "2/5", "3/5"]})
+        code, out, _ = run(["adelic", "energy", "--config-json", cfg], capsys)
+        payload = json.loads(out)
+        assert code == 0 and 0.0 < payload["quad_err"] < payload["arch_tol"]
 
     def test_energy_arch_seed_changes_no_output(self, capsys):
         args = ["energy", "arch", "--lambda-a", "2", "--lambda-b", "3"]

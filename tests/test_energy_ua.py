@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arakelov import energy_ua, places, tree
+from arakelov import energy_ua, places, suite, tree
 from arakelov.energy_ua import (
     energy_closed_form,
     energy_oracle,
@@ -24,24 +24,10 @@ from arakelov.errors import (
     ResidueCharTwo,
 )
 from arakelov.lattes import local_discrepancy
+from arakelov.suite import random_measure
 
 V3 = places.finite(3)
 V5 = places.finite(5)
-
-
-def rand_rational(rng, height=9):
-    num = 0
-    while num == 0:
-        num = int(rng.integers(-height, height + 1))
-    return Fraction(num, int(rng.integers(1, height + 1)))
-
-
-def rand_point(rng, v, span=3.0):
-    return tree.TreePoint(rand_rational(rng), float(rng.uniform(-span, span)) * math.log(v.p))
-
-
-def rand_measure(rng, v):
-    return segment_measure(tree.segment_between(rand_point(rng, v), rand_point(rng, v), v))
 
 
 def seg_measure(a, b, v=V5):
@@ -105,7 +91,7 @@ class TestClosedForm:
         for _ in range(300):
             p = int(rng.choice([3, 5, 7]))
             v = places.finite(p)
-            ia, ib = rand_measure(rng, v), rand_measure(rng, v)
+            ia, ib = random_measure(rng, v, 3.0), random_measure(rng, v, 3.0)
             e = energy_closed_form(ia, ib, v)
             assert e >= -1e-12
             assert e == pytest.approx(energy_closed_form(ib, ia, v), abs=1e-12)
@@ -113,7 +99,7 @@ class TestClosedForm:
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(22)
         for _ in range(100):
-            ia, ib = rand_measure(rng, V5), rand_measure(rng, V5)
+            ia, ib = random_measure(rng, V5, 3.0), random_measure(rng, V5, 3.0)
             e = energy_closed_form(ia, ib, V5)
             same = tree.points_equal(ia.support.a, ib.support.a, V5) and tree.points_equal(
                 ia.support.b, ib.support.b, V5
@@ -136,7 +122,7 @@ class TestClosedForm:
         for _ in range(200):
             p = int(rng.choice([3, 5, 7]))
             v = places.finite(p)
-            ia, ib = rand_measure(rng, v), rand_measure(rng, v)
+            ia, ib = random_measure(rng, v, 3.0), random_measure(rng, v, 3.0)
             assert energy_closed_form(ia, ib, v) == pytest.approx(
                 mutual_energy_raw(ia, ib, v), abs=1e-9
             )
@@ -244,7 +230,7 @@ class TestOracle:
         rng = np.random.default_rng(101)  # criterion 1's random pairs
         for i in range(300):
             v = places.finite(int(rng.choice([3, 5, 7])))
-            for mu in (rand_measure(rng, v), rand_measure(rng, v)):
+            for mu in (random_measure(rng, v, 3.0), random_measure(rng, v, 3.0)):
                 self.assert_discretize_bitwise(mu, 2000 if i < 5 else 101, v)
         # the tied pairs put atoms exactly on a join (s == up), e.g. n = 3 on
         # the equidistant centers
@@ -297,18 +283,7 @@ class TestUnionRecursion:
 
     def test_random_splits(self):
         rng = np.random.default_rng(31)
-        worst = 0.0
-        for _ in range(100):
-            seg = tree.segment_between(rand_point(rng, V5), rand_point(rng, V5), V5)
-            if seg.is_singleton:
-                continue
-            mid = tree.point_on_path(seg.a, seg.b, V5, seg.length * float(rng.uniform(0.1, 0.9)))
-            b1 = segment_measure(tree.segment_between(seg.a, mid, V5))
-            b2 = segment_measure(tree.segment_between(mid, seg.b, V5))
-            ia = rand_measure(rng, V5)
-            lhs, rhs = energy_union_check(ia, b1, b2, V5)
-            worst = max(worst, abs(lhs - rhs))
-        assert worst <= 1e-10
+        assert suite.union_recursion(rng, 100, span=3.0, split=(0.1, 0.9)) <= 1e-10
 
     def test_not_abuttable(self):
         ia = seg_measure(tree.eta(0, 0.0), tree.eta(0, 1.0))

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from arakelov import lattes, places, tree
+from arakelov import lattes, places, suite, tree
 from arakelov.energy_arch import sample_lattes_equilibrium
 from arakelov.errors import DegenerateQuadruple, LevelTooLarge, ResidueCharTwo
 from arakelov.lattes import (
@@ -23,28 +23,10 @@ from arakelov.lattes import (
     torsion_images,
 )
 from arakelov.places import INFINITY
+from arakelov.suite import random_quadruple
 
 V3 = places.finite(3)
 V5 = places.finite(5)
-
-
-def rand_rational(rng, height=30):
-    num = 0
-    while num == 0:
-        num = int(rng.integers(-height, height + 1))
-    return Fraction(num, int(rng.integers(1, height + 1)))
-
-
-def rand_quadruple(rng, height=30, allow_inf=True):
-    pts = []
-    while len(pts) < 4:
-        if allow_inf and rng.uniform() < 0.15 and INFINITY not in pts:
-            cand = INFINITY
-        else:
-            cand = rand_rational(rng, height)
-        if cand not in pts:
-            pts.append(cand)
-    return Quadruple(tuple(pts))
 
 
 class TestCrossRatio:
@@ -63,7 +45,7 @@ class TestCrossRatio:
         import itertools
 
         for _ in range(10):
-            quad = rand_quadruple(rng, 12)
+            quad = random_quadruple(rng, 12)
             orbit = set(cross_ratio_orbit(cross_ratio(*quad.points)))
             for perm in itertools.permutations(quad.points):
                 assert cross_ratio(*perm) in orbit
@@ -96,7 +78,7 @@ class TestLattesSegment:
         for _ in range(500):
             p = int(rng.choice([3, 5, 7, 11]))
             v = places.finite(p)
-            quad = rand_quadruple(rng)
+            quad = random_quadruple(rng, 30)
             seg = lattes_segment(quad, v)
             units = lattes_segment_length_units(quad, v)
             assert units >= 0
@@ -149,13 +131,7 @@ class TestLegendreMap:
         assert legendre_lattes_eval(2, 3) == Fraction(49, 24)
 
     def test_postcritical_set(self):
-        rng = np.random.default_rng(44)
-        for _ in range(100):
-            lam = rand_rational(rng, 60)
-            if lam in (0, 1):
-                continue
-            images = {legendre_lattes_eval(lam, t) for t in (0, 1, lam, INFINITY)}
-            assert images == {INFINITY}
+        assert suite.postcritical_containment(np.random.default_rng(44), 100, 60)
 
     def test_complex_evaluation(self):
         lam = Fraction(2)
@@ -181,7 +157,7 @@ class TestNormalization:
     def test_round_trip(self):
         rng = np.random.default_rng(45)
         for _ in range(50):
-            quad = rand_quadruple(rng, 15)
+            quad = random_quadruple(rng, 15)
             lam, mob = normalize_to_legendre(quad)
             inv = mob.inverse()
             images = [inv.apply(t) for t in (INFINITY, Fraction(0), Fraction(1), lam.lam)]

@@ -4,18 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from arakelov import places
+from arakelov import places, suite
 from arakelov.errors import AllZero, TooFewValues, ZeroInput
+from arakelov.suite import random_rational
 
 V3 = places.finite(3)
 V7 = places.finite(7)
-
-
-def rand_rational(rng, height=200):
-    num = 0
-    while num == 0:
-        num = int(rng.integers(-height, height + 1))
-    return Fraction(num, int(rng.integers(1, height + 1)))
 
 
 class TestValuation:
@@ -31,7 +25,7 @@ class TestValuation:
     def test_additive(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            x, y = rand_rational(rng), rand_rational(rng)
+            x, y = random_rational(rng, 200), random_rational(rng, 200)
             for p in (2, 3, 5):
                 assert places.padic_valuation(x * y, p) == places.padic_valuation(
                     x, p
@@ -61,7 +55,7 @@ class TestLogAbs:
     def test_multiplicative(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
-            x, y = rand_rational(rng), rand_rational(rng)
+            x, y = random_rational(rng, 200), random_rational(rng, 200)
             for v in (V3, V7, places.ARCH):
                 assert places.log_abs(x * y, v) == pytest.approx(
                     places.log_abs(x, v) + places.log_abs(y, v), abs=1e-12
@@ -70,7 +64,7 @@ class TestLogAbs:
     def test_flow_linearity_exact(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
-            x = rand_rational(rng)
+            x = random_rational(rng, 200)
             base = places.log_abs(x, V3)
             assert places.log_abs(x, places.finite(3, 0.25)) == 0.25 * base
 
@@ -92,12 +86,7 @@ class TestProductFormula:
             places.product_formula_residual(0)
 
     def test_thousand_randoms(self):
-        rng = np.random.default_rng(5)
-        worst = max(
-            abs(places.product_formula_residual(rand_rational(rng, 500)))
-            for _ in range(1000)
-        )
-        assert worst <= 1e-12
+        assert suite.product_formula_residual(np.random.default_rng(5), 1000, 500) <= 1e-12
 
 
 class TestHeights:
@@ -127,18 +116,13 @@ class TestHeights:
         assert places.affine_height([2, 3]) == pytest.approx(math.log(3), abs=1e-14)
 
     def test_reciprocal_symmetry(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            x = rand_rational(rng)
-            assert places.affine_height(x) == pytest.approx(
-                places.affine_height(1 / x), abs=1e-12
-            )
+        assert suite.reciprocal_height(np.random.default_rng(7), 200, 200) <= 1e-12
 
     def test_random_scaling_invariance(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            xs = [rand_rational(rng, 30) for _ in range(3)]
-            c = rand_rational(rng, 30)
+            xs = [random_rational(rng, 30) for _ in range(3)]
+            c = random_rational(rng, 30)
             assert places.projective_height([c * x for x in xs]) == pytest.approx(
                 places.projective_height(xs), abs=1e-11
             )

@@ -14,10 +14,23 @@ from hypothesis import strategies as st
 
 from arakelov import cli
 from arakelov.energy_arch import LattesMeasure, escape_rate, lattes_pairing, pair_energy_arch
-from arakelov.energy_ua import energy_closed_form, energy_oracle, segment_measure
+from arakelov.energy_ua import (
+    energy_closed_form,
+    energy_oracle,
+    energy_union_check,
+    segment_measure,
+)
 from arakelov.lattes import lattes_preimages, lattes_preimages_array, legendre_lattes_eval
 from arakelov.places import INFINITY, finite
-from arakelov.tree import TreePoint, classify_pair, scale_point, segment_between, translate_point
+from arakelov.tree import (
+    TreePoint,
+    classify_pair,
+    hsia_log_kernel,
+    point_on_path,
+    scale_point,
+    segment_between,
+    translate_point,
+)
 
 # derandomized, so that every run checks the same examples
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -134,6 +147,31 @@ def test_ultrametric_energies_are_symmetric(pair):
     assert close(energy_oracle(ia, ib, v, n=64), energy_oracle(ib, ia, v, n=64))
 
 
+@PROPERTY
+@given(ua_pairs())
+def test_hsia_kernel_is_symmetric(pair):
+    v, ia, ib = pair
+    ends = [ia.support.a, ia.support.b, ib.support.a, ib.support.b]
+    for x in ends:
+        for y in ends:
+            assert hsia_log_kernel(x, y, v) == hsia_log_kernel(y, x, v)
+
+
+@PROPERTY
+@given(ua_pairs(), st.floats(0.01, 0.99))
+def test_union_recursion(pair, t):
+    # ib's support split at the point a fraction t along it; t stays away
+    # from 0 and 1 because segment_between snaps a piece shorter than
+    # tree.EQ_TOL to a singleton of length 0
+    v, ia, ib = pair
+    seg = ib.support
+    assume(not seg.is_singleton)
+    mid = point_on_path(seg.a, seg.b, v, t * seg.length)
+    b1, b2 = (segment_measure(segment_between(x, y, v)) for x, y in ((seg.a, mid), (mid, seg.b)))
+    lhs, rhs = energy_union_check(ia, b1, b2, v)
+    assert abs(lhs - rhs) <= 1e-10
+
+
 def _refuse(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -164,6 +202,10 @@ FUZZ_ARGV = [
     ["adelic", "bft", "--lambda-a", "2", "--lambda-b", "3", "--level", "1", "--tol", "3"],
     ["lattes", "torsion", "--lambda", "2", "--level", "3", "--tol", "1e300"],
     ["adelic", "bft", "--lambda-a", "2", "--lambda-b", "3", "--level", "3", "--tol", "1e300"],
+    ["places", "logabs", "--x", "2", "--bogus"],
+    ["energy", "arch", "--lambda-a", "2"],
+    ["lattes", "torsion", "--lambda", "2", "--level", "x"],
+    ["lattes", "torsion", "--lambda", "2", "--level", "1", "--tol", "-1e+16"],
 ]
 
 
@@ -190,6 +232,8 @@ def test_cli_fuzz_table(argv):
     st.floats(allow_nan=True, allow_infinity=True),
 )
 def test_cli_tolerance_fuzz(argv, tol):
-    code, payload = run_cli(argv + [f"--tol={tol!r}"])  # "--tol -1e+16" reads as a flag
-    assert code == (0 if 0.0 < tol < 2.0**1022 else 2)
-    assert code == 0 or payload["error"] == "UsageError"
+    # as a separate token, "-1e+16" reads as an option: still a usage error
+    for tail in ([f"--tol={tol!r}"], ["--tol", repr(tol)]):
+        code, payload = run_cli(argv + tail)
+        assert code == (0 if 0.0 < tol < 2.0**1022 else 2)
+        assert code == 0 or payload["error"] == "UsageError"

@@ -6,20 +6,10 @@ import pytest
 
 from arakelov import places, tree
 from arakelov.errors import ChartMismatch, PlaceMismatch, Type1Endpoint
+from arakelov.suite import random_point, random_rational
 
 V5 = places.finite(5)
 V7 = places.finite(7)
-
-
-def rand_rational(rng, height=9):
-    num = 0
-    while num == 0:
-        num = int(rng.integers(-height, height + 1))
-    return Fraction(num, int(rng.integers(1, height + 1)))
-
-
-def rand_point(rng, v, span=3.0):
-    return tree.TreePoint(rand_rational(rng), float(rng.uniform(-span, span)) * math.log(v.p))
 
 
 class TestJoin:
@@ -40,7 +30,7 @@ class TestJoin:
     def test_axioms_random(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            x, y = rand_point(rng, V5), rand_point(rng, V5)
+            x, y = random_point(rng, V5, 3.0), random_point(rng, V5, 3.0)
             j = tree.join(x, y, V5)
             assert tree.points_equal(j, tree.join(y, x, V5), V5)
             assert tree.points_equal(tree.join(x, x, V5), x, V5)
@@ -71,7 +61,7 @@ class TestHsiaKernel:
     def test_symmetric(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            x, y = rand_point(rng, V7), rand_point(rng, V7)
+            x, y = random_point(rng, V7, 3.0), random_point(rng, V7, 3.0)
             assert tree.hsia_log_kernel(x, y, V7) == tree.hsia_log_kernel(y, x, V7)
 
 
@@ -94,14 +84,14 @@ class TestPathLength:
     def test_metric_triangle(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
-            x, y, z = (rand_point(rng, V5) for _ in range(3))
+            x, y, z = (random_point(rng, V5, 3.0) for _ in range(3))
             dxy = tree.path_length(x, y, V5)
             assert dxy <= tree.path_length(x, z, V5) + tree.path_length(z, y, V5) + 1e-12
 
     def test_aligned_triple_additive(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            x, y = rand_point(rng, V5), rand_point(rng, V5)
+            x, y = random_point(rng, V5, 3.0), random_point(rng, V5, 3.0)
             total = tree.path_length(x, y, V5)
             if total == 0.0:
                 continue
@@ -162,8 +152,8 @@ class TestClassifyPair:
     def test_length_reconstruction_exact(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
-            ia = tree.segment_between(rand_point(rng, V5), rand_point(rng, V5), V5)
-            ib = tree.segment_between(rand_point(rng, V5), rand_point(rng, V5), V5)
+            ia = tree.segment_between(random_point(rng, V5, 3.0), random_point(rng, V5, 3.0), V5)
+            ib = tree.segment_between(random_point(rng, V5, 3.0), random_point(rng, V5, 3.0), V5)
             cfg = tree.classify_pair(ia, ib, V5)
             if cfg.variant == "disjoint":
                 assert cfg.la1 + cfg.la2 == cfg.la
@@ -198,11 +188,11 @@ class TestClassifyPair:
     def test_moebius_invariance(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
-            pts = [rand_point(rng, V7) for _ in range(4)]
+            pts = [random_point(rng, V7, 3.0) for _ in range(4)]
             ia = tree.segment_between(pts[0], pts[1], V7)
             ib = tree.segment_between(pts[2], pts[3], V7)
             ref = self._config_tuple(tree.classify_pair(ia, ib, V7))
-            c = rand_rational(rng)
+            c = random_rational(rng, 9)
             moves = [
                 lambda q: tree.translate_point(q, c, V7),
                 lambda q: tree.scale_point(q, c, V7),
@@ -240,7 +230,7 @@ class TestInversionLaw:
     def test_involution(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
-            x = rand_point(rng, V5)
+            x = random_point(rng, V5, 3.0)
             y = tree.invert_point(tree.invert_point(x, V5), V5)
             assert tree.points_equal(x, y, V5)
 

@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 domain error (degenerate input, residue
 characteristic 2, ...), 2 usage error.  All randomness is seeded; the
 environment variable ARAKELOV_SEED overrides --seed.  Results go to stdout
 (or --out) and are byte-identical across runs with the same inputs and seed;
-the run manifest (with wall time) goes to stderr.
+the run manifest (with wall time) goes to stderr on exit 0 and on exit 1.
 """
 
 from __future__ import annotations
@@ -123,9 +123,7 @@ def _cmd_places(args) -> dict:
         if op == "height":
             return {"projective_height": places.projective_height(coords)}
         return {"affine_height": places.affine_height(coords)}
-    if op == "submax":
-        return {"submax": _parsed(args, "values", _json(places.submax))}
-    raise argparse.ArgumentTypeError(f"unknown places op {op!r}")
+    return {"submax": _parsed(args, "values", _json(places.submax))}  # op == "submax"
 
 
 def _cmd_tree(args) -> dict:
@@ -140,9 +138,7 @@ def _cmd_tree(args) -> dict:
         return {"join": tree.tree_point_to_json(tree.join(x, y, v))}
     if args.op == "kernel":
         return {"hsia_log_kernel": tree.hsia_log_kernel(x, y, v)}
-    if args.op == "length":
-        return {"path_length": tree.path_length(x, y, v)}
-    raise argparse.ArgumentTypeError(f"unknown tree op {args.op!r}")
+    return {"path_length": tree.path_length(x, y, v)}  # op == "length"
 
 
 def _cmd_energy_ua(args) -> dict:
@@ -198,11 +194,10 @@ def _cmd_lattes(args) -> dict:
             "distinct": len(pts),
             "total_multiplicity": sum(m for _, m in pts),
         }
-    if args.op == "eval":
-        lam = lattes.LegendreParam(_parsed(args, "lam", places.parse_p1_point, "--lambda"))
-        val = lattes.legendre_lattes_eval(lam, _parsed(args, "t", places.parse_p1_point))
-        return {"value": places.format_p1_point(val)}
-    raise argparse.ArgumentTypeError(f"unknown lattes op {args.op!r}")
+    # op == "eval"
+    lam = lattes.LegendreParam(_parsed(args, "lam", places.parse_p1_point, "--lambda"))
+    val = lattes.legendre_lattes_eval(lam, _parsed(args, "t", places.parse_p1_point))
+    return {"value": places.format_p1_point(val)}
 
 
 def _cmd_adelic(args) -> dict:
@@ -227,10 +222,8 @@ def _cmd_adelic(args) -> dict:
         b = _parsed(args, "lambda_b", places.parse_p1_point)
         tol = _parsed(args, "tol", lattes.positive_tolerance)
         return adelic.bft_scan(a, b, int(args.level), tol=tol)
-    if args.op == "suite":
-        count = _parsed(args, "count", _count)
-        return adelic.suite_scan(count=count, seed=seed, height=int(args.height))
-    raise argparse.ArgumentTypeError(f"unknown adelic op {args.op!r}")
+    count = _parsed(args, "count", _count)  # op == "suite"
+    return adelic.suite_scan(count=count, seed=seed, height=int(args.height))
 
 
 def _cmd_suite(args) -> dict:
@@ -339,6 +332,19 @@ def _digest(args: argparse.Namespace) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()
 
 
+def _print_manifest(argv: list[str], args: argparse.Namespace, started: float) -> None:
+    """The run manifest, one JSON line on stderr: after every parsed command,
+    whether it succeeded or failed with a domain error."""
+    manifest = {
+        "command": argv,
+        "input_digest": _digest(args),
+        "seed": os.environ.get("ARAKELOV_SEED") or getattr(args, "seed", None),
+        "versions": {"arakelov": __version__},
+        "wall_time_s": round(time.time() - started, 3),
+    }
+    print(json.dumps(manifest, sort_keys=True), file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     started = time.time()
@@ -348,6 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         text = _result_text(result)
     except ArakelovError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True))
+        _print_manifest(argv, args, started)
         return 1
     except UsageError as exc:
         print(json.dumps({"error": "UsageError", "message": str(exc)}, sort_keys=True))
@@ -357,14 +364,7 @@ def main(argv: list[str] | None = None) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    manifest = {
-        "command": argv,
-        "input_digest": _digest(args),
-        "seed": os.environ.get("ARAKELOV_SEED") or getattr(args, "seed", None),
-        "versions": {"arakelov": __version__},
-        "wall_time_s": round(time.time() - started, 3),
-    }
-    print(json.dumps(manifest, sort_keys=True), file=sys.stderr)
+    _print_manifest(argv, args, started)
     if args.command == "suite" and result.get("failed"):
         return 1
     return 0

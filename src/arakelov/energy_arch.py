@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import CoincidentAtoms, NonConvergentRoots, QuadratureFailure, SingularPair
 from .lattes import LegendreParam, lattes_preimages, lattes_preimages_array, legendre_form
@@ -135,6 +134,8 @@ def _circle_circle_mean(c1: complex, r1: float, c2: complex, r2: float, tol: flo
         return math.log(d)
     if d + r2 <= r1:
         return math.log(r1)
+
+    from scipy.integrate import quad  # here, so that `import arakelov` does not load it
 
     def f(phi: float) -> float:
         dist2 = d * d + r2 * r2 - 2.0 * d * r2 * math.cos(phi)
@@ -294,18 +295,27 @@ def escape_rate(lam, x, y) -> np.ndarray:
     G(F(v)) = 4 G(v) and G(c v) = G(v) + log|c|.
     """
     lamc = complex(lam)
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
     norm = np.hypot(np.abs(x), np.abs(y))
     g = np.log(norm)
+    # the steps run in place in these buffers: fresh temporaries at every step
+    # cost page faults whenever the allocator gives large blocks back
+    u, v, x2, y2, xy, t = (np.empty(x.shape, dtype=complex) for _ in range(6))
+    ax, ay, nb = (np.empty(x.shape) for _ in range(3))
     weight = 1.0
     for _ in range(_ESCAPE_STEPS):
-        x, y = x / norm, y / norm
-        x2, y2 = x * x, y * y
-        x, y = np.square(x2 - lamc * y2), 4.0 * (x2 - x * y) * (x * y - lamc * y2)
-        norm = np.hypot(np.abs(x), np.abs(y))
+        x, y = np.divide(x, norm, out=u), np.divide(y, norm, out=v)
+        np.multiply(x, x, out=x2)
+        np.multiply(y, y, out=y2)
+        np.multiply(lamc, y2, out=t)
+        np.multiply(x, y, out=xy)
+        # y <- 4 (x2 - xy)(xy - lam y2), then x <- (x2 - lam y2)^2
+        np.multiply(4.0, np.subtract(x2, xy, out=y), out=y)
+        np.multiply(y, np.subtract(xy, t, out=xy), out=y)
+        np.square(np.subtract(x2, t, out=x), out=x)
+        norm = np.hypot(np.abs(x, out=ax), np.abs(y, out=ay), out=nb)
         weight *= 0.25
-        g += weight * np.log(norm)
+        g += np.multiply(weight, np.log(norm, out=ax), out=ax)
     return g
 
 

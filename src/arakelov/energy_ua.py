@@ -30,6 +30,7 @@ from .tree import (
     TreePoint,
     classify_pair,
     hsia_log_kernel,
+    path_length,
     points_equal,
     segment_between,
     type1,
@@ -244,9 +245,13 @@ def energy_union_check(
 
     lhs = E(I_a, I_b); rhs combines E(I_a, I'_b), E(I_a, I''_b) and
     E(I'_b, I''_b) with the length weights.  The two pieces must share exactly
-    one endpoint and their union must again be a segment.
+    one endpoint and their union must again be a segment, and neither may be
+    a segment that ``segment_between`` snapped to a point, whose weight the
+    recursion would drop.
     """
     s1, s2 = ib1.support, ib2.support
+    if any(piece.is_singleton and path_length(piece.a, piece.b, v) > 0.0 for piece in (s1, s2)):
+        raise NotAbuttable("a piece shorter than the point tolerance was snapped to a point")
     shared = None
     for e1 in (s1.a, s1.b):
         for e2 in (s2.a, s2.b):

@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
-from scipy.spatial import KDTree
 
 from .energy_ua import SegmentMeasure, segment_measure, segment_potential
 from .errors import BadRadii, BranchPointCenter, DegenerateQuadruple, LevelTooLarge, ResidueCharTwo
@@ -174,45 +173,24 @@ def legendre_form(gamma_or_lambda) -> tuple[LegendreParam, MobiusMap | None]:
 # the equilibrium segment at a finite place
 
 
-_PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
-
-
-def _path_intersection(e1a, e1b, e2a, e2b, v: Place) -> Segment | None:
-    """[e1a, e1b] cut with [e2a, e2b]; None when the paths miss each other."""
-    m1 = median(e1a, e1b, e2a, v)
-    m2 = median(e1a, e1b, e2b, v)
-    if points_equal(median(e2a, e2b, m1, v), m1, v) and points_equal(
-        median(e2a, e2b, m2, v), m2, v
-    ):
-        return segment_between(m1, m2, v)
-    return None
-
-
 def lattes_segment(gamma, v: Place) -> Segment:
-    """The common core of the two geodesics joining the four branch points.
+    """The core of the tree spanned by the four branch points: Lebesgue measure
+    on it is the equilibrium measure at an odd finite place.
 
-    For any pairing of the quadruple into two pairs whose geodesics meet, the
-    intersection is the same type-2/3 segment.  Defined at odd finite places
-    (it describes the equilibrium measure only away from residue
-    characteristic 2).
+    A tree with four leaves has at most two branch points, and the medians
+    med(g0, g3, g1), med(g0, g3, g2) are both of them unless the split is
+    {03|12}; then med(g0, g2, g1), med(g0, g2, g3) are.  When all four medians
+    agree the core is a point.
     """
     if not v.is_finite or v.p == 2:
         raise ResidueCharTwo("the equilibrium segment needs an odd finite place")
-    quad = as_quadruple(gamma)
-    leaves = [type1(p) for p in quad.points]
-    found: Segment | None = None
-    for (i, j), (k, l) in _PAIRINGS:
-        seg = _path_intersection(leaves[i], leaves[j], leaves[k], leaves[l], v)
-        if seg is None:
-            continue
-        if found is not None:
-            same = (
-                points_equal(found.a, seg.a, v) and points_equal(found.b, seg.b, v)
-            ) or (points_equal(found.a, seg.b, v) and points_equal(found.b, seg.a, v))
-            assert same, "admissible pairings disagree"
-        found = seg
-    assert found is not None, "some pairing always yields a nonempty intersection"
-    return found
+    g0, g1, g2, g3 = (type1(p) for p in as_quadruple(gamma).points)
+    a, b = median(g0, g3, g1, v), median(g0, g3, g2, v)
+    if points_equal(a, b, v):
+        c, d = median(g0, g2, g1, v), median(g0, g2, g3, v)
+        if not points_equal(c, d, v):
+            a, b = c, d
+    return segment_between(a, b, v)
 
 
 def lattes_segment_length_units(gamma, v: Place) -> int:
@@ -226,10 +204,6 @@ def lattes_segment_length_units(gamma, v: Place) -> int:
 
 def equilibrium_measure_ua(gamma, v: Place) -> SegmentMeasure:
     """The equilibrium measure at an odd finite place: mu_{I_gamma}."""
-    if not v.is_finite:
-        raise ResidueCharTwo("ultrametric equilibrium measures need a finite place")
-    if v.p == 2:
-        raise ResidueCharTwo("residue characteristic 2 is excluded")
     return segment_measure(lattes_segment(gamma, v))
 
 
@@ -327,6 +301,8 @@ class PointIndex:
     """
 
     def __init__(self, points):
+        from scipy.spatial import KDTree  # here, so that `import arakelov` does not load it
+
         self.z = np.asarray(points, dtype=complex)
         self.tree = KDTree(self.z.view(float).reshape(-1, 2))
 
@@ -398,7 +374,6 @@ def torsion_images(
     gamma_or_lambda,
     level: int,
     tol: float = 1e-9,
-    level_cap: int = TORSION_LEVEL_CAP,
 ) -> list[tuple[complex | object, int]]:
     """Images of the 2^(level+1)-torsion: L^{-level} of the branch set {0,1,lam,inf}.
 
@@ -408,8 +383,8 @@ def torsion_images(
     ``DegenerateQuadruple``; a ``tol`` outside (0, 2^1022) raises ``ValueError``.
     """
     positive_tolerance(tol)
-    if level < 0 or level > level_cap:
-        raise LevelTooLarge(f"level must lie in [0, {level_cap}]")
+    if level < 0 or level > TORSION_LEVEL_CAP:
+        raise LevelTooLarge(f"level must lie in [0, {TORSION_LEVEL_CAP}]")
     param, mobius = legendre_form(gamma_or_lambda)
     lamc = complex(param.lam)
     current = [(p, 1) for p in lattes_preimages(INFINITY, lamc)]

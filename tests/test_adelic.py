@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from arakelov import adelic, cli, energy_arch, places, tree
+from arakelov import adelic, cli, energy_arch, lattes, places, tree
 from arakelov.adelic import (
     LattesFamily,
     PairConfig,
@@ -458,9 +458,10 @@ class TestPointIndexOracles:
         assert rep["min_gap_b"] == min_gap_rows(pts_b)
 
     @pytest.mark.parametrize("level", [6, 7])
-    def test_uncapped_levels_match_oracles(self, level):
+    def test_uncapped_levels_match_oracles(self, level, monkeypatch):
+        monkeypatch.setattr(lattes, "TORSION_LEVEL_CAP", 7)
         pts_a, pts_b = (
-            [p for p, _ in torsion_images(lam, level, level_cap=7) if p is not places.INFINITY]
+            [p for p, _ in torsion_images(lam, level) if p is not places.INFINITY]
             for lam in (2, 3)
         )
         index_a = PointIndex(pts_a)

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -133,11 +136,13 @@ class TestErrorsAndDeterminism:
         assert json.loads(out)["error"] == "DegenerateConfig"
 
     def test_residue_char_two_exit_one(self, capsys):
-        code, out, _ = run(
-            ["lattes", "segment", "--gamma", '["inf","0","1","3"]', "--place", "2"], capsys
-        )
+        argv = ["lattes", "segment", "--gamma", '["inf","0","1","3"]', "--place", "2"]
+        code, out, err = run(argv, capsys)
         assert code == 1
         assert json.loads(out)["error"] == "ResidueCharTwo"
+        manifest = json.loads(err.strip().splitlines()[-1])  # a domain error writes one too
+        assert manifest["command"] == argv
+        assert "input_digest" in manifest and "wall_time_s" in manifest
 
     def test_degenerate_quadruple(self, capsys):
         code, out, _ = run(
@@ -316,3 +321,15 @@ class TestErrorsAndDeterminism:
             "QuadratureFailure", "NonConvergentRoots", "CoincidentAtoms", "NonFiniteResult",
         }
         assert expected <= set(ERROR_CODES)
+
+
+def test_import_leaves_scipy_submodules_unloaded():
+    code = (
+        "import sys, arakelov.cli; "
+        "print(sorted(m for m in ('scipy.spatial', 'scipy.integrate') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -285,6 +285,17 @@ class TestUnionRecursion:
         rng = np.random.default_rng(31)
         assert suite.union_recursion(rng, 100, span=3.0, split=(0.1, 0.9)) <= 1e-10
 
+    def test_snapped_piece_is_refused(self):
+        # a piece 2.2e-10 long is snapped to a point and its weight would be
+        # dropped: lhs - rhs was 1.46e-10 against the Gauss Dirac
+        v = places.finite(3)
+        seg = tree.segment_between(tree.GAUSS, tree.eta(0, math.log(3) / 2), v)
+        mid = tree.point_on_path(seg.a, seg.b, v, 4e-10 * seg.length)
+        b1, b2 = (seg_measure(x, y, v) for x, y in ((seg.a, mid), (mid, seg.b)))
+        assert b1.support.is_singleton
+        with pytest.raises(NotAbuttable, match="snapped"):
+            energy_union_check(seg_measure(tree.GAUSS, tree.GAUSS, v), b1, b2, v)
+
     def test_not_abuttable(self):
         ia = seg_measure(tree.eta(0, 0.0), tree.eta(0, 1.0))
         b1 = seg_measure(tree.eta(0, 2.0), tree.eta(0, 3.0))

@@ -106,6 +106,72 @@ class TestLattesSegment:
             found += 1
 
 
+PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+
+
+def pairing_oracle(gamma, v):
+    """The former route: cut the geodesics of each pairing with each other and
+    keep the last nonempty cut; every nonempty cut is the same segment."""
+    leaves = [tree.type1(p) for p in as_quadruple(gamma).points]
+    found = None
+    for (i, j), (k, l) in PAIRINGS:
+        m1 = tree.median(leaves[i], leaves[j], leaves[k], v)
+        m2 = tree.median(leaves[i], leaves[j], leaves[l], v)
+        if not all(
+            tree.points_equal(tree.median(leaves[k], leaves[l], m, v), m, v) for m in (m1, m2)
+        ):
+            continue
+        seg = tree.segment_between(m1, m2, v)
+        if found is not None:
+            same = (
+                tree.points_equal(found.a, seg.a, v) and tree.points_equal(found.b, seg.b, v)
+            ) or (tree.points_equal(found.a, seg.b, v) and tree.points_equal(found.b, seg.a, v))
+            assert same, "admissible pairings disagree"
+        found = seg
+    assert found is not None, "some pairing always yields a nonempty intersection"
+    return found
+
+
+ORACLE_PRIMES = (3, 5, 7, 11, 13)
+ORACLE_EPSILONS = (1 / 3, 1 / 2, 1.0, 2.0)
+
+
+def oracle_cases(seed, count):
+    """(quadruple, place) cases.  Every fourth case has good reduction: four
+    distinct points of P^1(F_p), lifted and moved by x -> p^k x + t, so its
+    segment is a point.  The others take infinity in slot n % 5 (slot 4: none)."""
+    rng = np.random.default_rng(seed)
+    for n in range(count):
+        p = int(rng.choice(ORACLE_PRIMES))
+        v = places.finite(p, float(rng.choice(ORACLE_EPSILONS)))
+        if n % 4 == 3:
+            scale = Fraction(p) ** int(rng.integers(-2, 3))
+            shift = suite.random_rational(rng, 9)
+            residues = rng.permutation(p + 1)[:4]  # p stands for infinity
+            pts = [INFINITY if r == p else scale * int(r) + shift for r in residues]
+        else:
+            height = int(rng.choice([3, 30, 200]))
+            pts = []
+            while len(pts) < 4:
+                x = suite.random_rational(rng, height)
+                if x not in pts:
+                    pts.append(x)
+            if n % 5 < 4:
+                pts[n % 5] = INFINITY
+        yield Quadruple(tuple(pts)), v
+
+
+class TestPairingOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_pairing_route(self, seed):
+        points = 0
+        for quad, v in oracle_cases(1100 + seed, 5000):
+            seg = lattes_segment(quad, v)
+            assert seg == pairing_oracle(quad, v), (quad, v)
+            points += seg.is_singleton
+        assert points >= 1250  # the good-reduction quarter at least
+
+
 class TestEquilibriumMeasure:
     def test_wraps_segment(self):
         mu = equilibrium_measure_ua(["inf", 0, 1, 25], V5)

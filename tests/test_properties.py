@@ -1,5 +1,6 @@
-"""Property tests of the escape rate, the Lattes pairings, the array preimage
-kernel, the ultrametric energies and the CLI over random inputs."""
+"""Property tests of the escape rate, the Lattes pairings and potential, the
+array preimage kernel, the ultrametric energies, flow scaling and the CLI over
+random inputs."""
 
 import contextlib
 import io
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arakelov import cli
+from arakelov.adelic import local_pair_energy
 from arakelov.energy_arch import LattesMeasure, escape_rate, lattes_pairing, pair_energy_arch
 from arakelov.energy_ua import (
     energy_closed_form,
@@ -20,7 +22,13 @@ from arakelov.energy_ua import (
     energy_union_check,
     segment_measure,
 )
-from arakelov.lattes import lattes_preimages, lattes_preimages_array, legendre_lattes_eval
+from arakelov.lattes import (
+    as_quadruple,
+    lattes_preimages,
+    lattes_preimages_array,
+    lattes_segment,
+    legendre_lattes_eval,
+)
 from arakelov.places import INFINITY, finite
 from arakelov.tree import (
     TreePoint,
@@ -80,6 +88,17 @@ def test_lattes_pairings_are_symmetric(a, b):
     mu_a, mu_b = LattesMeasure(a, 200), LattesMeasure(b, 200)
     assert lattes_pairing(mu_a, mu_b) == lattes_pairing(mu_b, mu_a)
     assert pair_energy_arch(mu_a, mu_b) == pair_energy_arch(mu_b, mu_a)
+
+
+@PROPERTY
+@given(sides, st.builds(complex, st.floats(-10, 10), st.floats(-10, 10)))
+def test_lattes_potential_is_the_grid_mean(side, u):
+    # U(u) = G(u, 1) - G(1, 0) against the mean of log|u - x| over the
+    # level-7 grid, 4^7 points equidistributed for the measure; G(1, 0) is 0
+    # for a Legendre parameter, so quadruples are what test that constant
+    mu = LattesMeasure(side, 4**7)
+    _, (x, y) = mu.grids
+    assert abs(float(np.log(np.abs(u - x / y)).mean()) - float(mu.potential(u))) <= 1e-3
 
 
 @PROPERTY
@@ -162,7 +181,7 @@ def test_hsia_kernel_is_symmetric(pair):
 def test_union_recursion(pair, t):
     # ib's support split at the point a fraction t along it; t stays away
     # from 0 and 1 because segment_between snaps a piece shorter than
-    # tree.EQ_TOL to a singleton of length 0
+    # tree.EQ_TOL to a singleton of length 0, which energy_union_check refuses
     v, ia, ib = pair
     seg = ib.support
     assume(not seg.is_singleton)
@@ -170,6 +189,16 @@ def test_union_recursion(pair, t):
     b1, b2 = (segment_measure(segment_between(x, y, v)) for x, y in ((seg.a, mid), (mid, seg.b)))
     lhs, rhs = energy_union_check(ia, b1, b2, v)
     assert abs(lhs - rhs) <= 1e-10
+
+
+@PROPERTY
+@given(quadruples, quadruples, st.sampled_from([3, 5, 7, 11, 13]), st.floats(0.05, 20))
+def test_flow_scales_segments_and_energies(a, b, p, eps):
+    # every local quantity at finite(p, eps) is eps times its eps = 1 value
+    qa, qb = as_quadruple(a), as_quadruple(b)
+    v1, ve = finite(p), finite(p, eps)
+    assert close(lattes_segment(qa, ve).length, eps * lattes_segment(qa, v1).length)
+    assert close(local_pair_energy(qa, qb, ve), eps * local_pair_energy(qa, qb, v1))
 
 
 def _refuse(name):

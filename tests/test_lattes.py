@@ -278,20 +278,82 @@ class TestTorsionImages:
 
 
 def dedup_quadratic(pts, tol):
-    """The former O(n^2) greedy scan: each point joins the first kept point within tol."""
-    finite, inf_mult = [], 0
+    """The former greedy scan: each point joins the first kept point within tol.
+    numpy preselects the kept points within 2 tol, and abs(p - q) <= tol decides."""
+    kept, near_kept, mults, inf_mult = [], np.empty(len(pts), dtype=complex), [], 0
     for p, m in pts:
         if p is INFINITY:
             inf_mult += m
             continue
-        for i, (q, mq) in enumerate(finite):
-            if abs(p - q) <= tol:
-                finite[i] = (q, mq + m)
-                break
+        near = np.flatnonzero(np.abs(near_kept[: len(kept)] - p) <= 2 * tol).tolist()
+        hit = next((i for i in near if abs(p - kept[i]) <= tol), None)
+        if hit is None:
+            near_kept[len(kept)] = p
+            kept.append(p)
+            mults.append(m)
         else:
-            finite.append((p, m))
-    finite.sort(key=lambda pm: (pm[0].real, pm[0].imag))
+            mults[hit] += m
+    finite = sorted(zip(kept, mults), key=lambda pm: (pm[0].real, pm[0].imag))
     return finite + ([(INFINITY, inf_mult)] if inf_mult else [])
+
+
+def torsion_oracle(source, max_level, tol=1e-9):
+    """The former route to ``torsion_images`` at levels 0..max_level: scalar
+    preimages level by level from [0, 1, lam, inf], merged within tol, then
+    each point pulled back through the inverse Moebius map and merged again."""
+    param, mobius = lattes.legendre_form(source)
+    lamc = complex(param.lam)
+    inv = None if mobius is None else mobius.inverse()
+
+    def preimages(w):
+        return [0j, 1 + 0j, lamc, INFINITY] if w is INFINITY else lattes_preimages(w, lamc)
+
+    current = [(p, 1) for p in preimages(INFINITY)]
+    levels = []
+    for level in range(max_level + 1):
+        if level:
+            current = dedup_quadratic([(p, m) for w, m in current for p in preimages(w)], tol)
+        if inv is None:
+            levels.append(current)
+            continue
+        moved = [(inv.apply(p), m) for p, m in current]
+        moved = [(p if p is INFINITY else complex(p), m) for p, m in moved]
+        levels.append(dedup_quadratic(moved, tol))
+    return levels
+
+
+def assert_same_images(got, want, rel=1e-12):
+    """Equal distinct counts and multiplicities, each point within rel max(1, |p|)
+    of its nearest counterpart, and that nearest-point map a bijection."""
+    assert len(got) == len(want)
+    assert [m for p, m in got if p is INFINITY] == [m for p, m in want if p is INFINITY]
+    gz, gm = (np.array(c) for c in zip(*[(p, m) for p, m in got if p is not INFINITY]))
+    wz, wm = (np.array(c) for c in zip(*[(p, m) for p, m in want if p is not INFINITY]))
+    nearest = np.concatenate(
+        [np.abs(gz[s : s + 256, None] - wz).argmin(axis=1) for s in range(0, len(gz), 256)]
+    )
+    assert np.array_equal(np.sort(nearest), np.arange(len(wz)))
+    assert np.all(np.abs(gz - wz[nearest]) <= rel * np.maximum(1.0, np.abs(wz[nearest])))
+    assert np.array_equal(gm, wm[nearest])
+
+
+TORSION_PANEL = [
+    *map(Fraction, ("2", "3", "4", "5", "-1", "1/9", "1001/1000", "-1000")),
+    ("inf", "0", "1", "5"),
+    ("0", "1", "inf", "5"),
+    ("0", "1", "3", "inf"),
+    ("0", "1", "2", "5"),
+    ("1/2", "-3", "2", "7/3"),
+    ("-1", "1/3", "4", "2"),
+    ("0", "1", "2", "-1"),  # lambda = 4 and M(inf) = 2 = sqrt(lambda): inf is critical
+]
+
+
+class TestTorsionOracle:
+    @pytest.mark.parametrize("source", TORSION_PANEL, ids=str)
+    def test_matches_former_route(self, source):
+        for level, want in enumerate(torsion_oracle(source, 5)):
+            assert_same_images(torsion_images(source, level), want)
 
 
 class TestDedup:

@@ -49,6 +49,7 @@ from .places import (
     ARCH,
     INFINITY,
     Place,
+    affine_height,
     finite,
     format_rational,
     log_abs,
@@ -61,7 +62,11 @@ from .places import (
 from .tree import GAUSS, TreePoint, segment_between, type1
 
 LOG2 = math.log(2.0)
-ARCH_NOISE_COEFF = 3.0  # the reported archimedean tolerance is this over sqrt(n)
+
+
+def arch_tolerance(arch_samples: int) -> float:
+    """The archimedean tolerance reported next to an n-sample pairing: 3 / sqrt(n)."""
+    return 3.0 / math.sqrt(arch_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +206,7 @@ def pair_energy_global(quad_a, quad_b, arch_samples: int = 4000) -> AdelicEnergy
         total += e
     mu_a = LattesMeasure(quad_a, arch_samples)
     arch, quad_err = lattes_pairing(mu_a, LattesMeasure(quad_b, arch_samples))
-    arch_tol = ARCH_NOISE_COEFF / math.sqrt(arch_samples)
+    arch_tol = arch_tolerance(arch_samples)
     entries.append(PlaceEntry(ARCH, arch, False, f"torus grid, level {mu_a.level}"))
     total += arch
     return AdelicEnergyReport(entries, arch, arch_tol, quad_err, total, relevant=relevant)
@@ -247,7 +252,7 @@ class LattesFamily:
     def __init__(self, quad, arch_samples: int = 4000, seed: int = 0):
         self.quad = as_quadruple(quad)
         self.mu = LattesMeasure(self.quad, arch_samples)
-        self.arch_tol = ARCH_NOISE_COEFF / math.sqrt(arch_samples)
+        self.arch_tol = arch_tolerance(arch_samples)
 
     def support_primes(self) -> list[int]:
         return quad_support_primes(self.quad)
@@ -485,8 +490,6 @@ def max_log_norm_sum(us) -> float:
 
 def height_log_norm_bound(us) -> dict:
     """The (n+1) height bound: sum_v max_i |log|u_i|_v| <= (n+1) h(u)."""
-    from .places import affine_height
-
     xs = [parse_rational(u) for u in us]
     lhs = max_log_norm_sum(xs)
     rhs = (len(xs) + 1) * affine_height(xs)
@@ -598,7 +601,7 @@ def gap_scan(
     configurations; ``burn_in`` changes no output.
     """
     rng = np.random.default_rng(seed)
-    arch_tol = ARCH_NOISE_COEFF / math.sqrt(arch_samples)
+    arch_tol = arch_tolerance(arch_samples)
     min_energy = math.inf
     argmin = None
     totals = []
@@ -635,9 +638,10 @@ def _point_key(p) -> tuple:
 def bft_scan(quad_or_lambda_a, quad_or_lambda_b, level: int, tol: float = 1e-7) -> dict:
     """Count common 2-power torsion images of two configurations at one level.
 
-    Points are matched by euclidean distance <= tol after deduplication; a
-    collision audit reports the minimum pairwise gap inside each set, both
-    through one ``PointIndex`` per set.  A ``tol`` outside (0, 2^1022) raises
+    Points are matched by euclidean distance <= tol; a collision audit
+    reports the minimum pairwise gap inside each set, the numeric evidence
+    that the exactly distinct images stay apart as floats; both go through
+    one ``PointIndex`` per set.  A ``tol`` outside (0, 2^1022) raises
     ``ValueError``.
     """
     positive_tolerance(tol)

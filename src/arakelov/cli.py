@@ -164,7 +164,7 @@ def _cmd_energy_arch(args) -> dict:
         "energy": energy,
         "quad_err": quad_err,
         "level": mu_a.level,
-        "tolerance": adelic.ARCH_NOISE_COEFF / math.sqrt(n),
+        "tolerance": adelic.arch_tolerance(n),
         "samples": n,
     }
 
@@ -181,9 +181,7 @@ def _cmd_lattes(args) -> dict:
         }
     if args.op == "torsion":
         pts = lattes.torsion_images(
-            _parsed(args, "lam", places.parse_p1_point, "--lambda"),
-            int(args.level),
-            tol=_parsed(args, "tol", lattes.positive_tolerance),
+            _parsed(args, "lam", places.parse_p1_point, "--lambda"), int(args.level)
         )
         return {
             "level": int(args.level),
@@ -292,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", help='quadruple JSON, e.g. \'["inf","0","1","1/9"]\'')
     p.add_argument("--lambda", dest="lam")
     p.add_argument("--level", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--t")
     common(p, place=True)
     p.set_defaults(func=_cmd_lattes)

@@ -25,7 +25,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CoincidentAtoms, NonConvergentRoots, QuadratureFailure, SingularPair
-from .lattes import LegendreParam, lattes_preimages, lattes_preimages_array, legendre_form
+from .lattes import (
+    LegendreParam,
+    adjugate_lift,
+    lattes_preimages,
+    lattes_preimages_array,
+    legendre_form,
+)
 
 _TILE = 256
 _UPPER = np.triu(np.ones((_TILE, _TILE), dtype=bool), k=1)
@@ -100,11 +106,10 @@ class LattesMeasure:
     def grids(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
         """adj(M)(w, 1) over L^-(k-1)(w_0) and L^-k(w_0): M pulls mu_lambda back
         to this measure, and adj(M) does so without dividing or dropping points."""
-        a, b, c, d = self.mat
         levels = [np.array([_START])]
         for _ in range(self.level):
             levels.append(lattes_preimages_array(levels[-1], self.lam))
-        return tuple((d * w - b, a - c * w) for w in levels[-2:])
+        return tuple(adjugate_lift(self.mat, w) for w in levels[-2:])
 
     @cached_property
     def grid_escapes(self) -> tuple[np.ndarray, np.ndarray]:

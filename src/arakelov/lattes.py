@@ -15,13 +15,20 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
 from .energy_ua import SegmentMeasure, segment_measure, segment_potential
 from .errors import BadRadii, BranchPointCenter, DegenerateQuadruple, LevelTooLarge, ResidueCharTwo
-from .places import INFINITY, P1Point, Place, format_p1_point, parse_p1_point, parse_rational
+from .places import (
+    INFINITY,
+    P1Point,
+    Place,
+    format_p1_point,
+    padic_valuation,
+    parse_p1_point,
+    parse_rational,
+)
 from .tree import Segment, TreePoint, median, points_equal, segment_between, type1
 
 TORSION_LEVEL_CAP = 5
@@ -197,8 +204,6 @@ def lattes_segment_length_units(gamma, v: Place) -> int:
     """ell(I_gamma) as an exact integer multiple of epsilon * log p."""
     quad = as_quadruple(gamma)
     beta = cross_ratio(*quad.points)
-    from .places import padic_valuation
-
     return max(-padic_valuation(x, v.p) for x in cross_ratio_orbit(beta))
 
 
@@ -214,10 +219,7 @@ def local_discrepancy(points, u: Fraction | int | str, r: float, v: Place) -> fl
     convention eta_{u,0} = u; u must avoid the branch points of P.
     """
     quad = as_quadruple(points)
-    if not v.is_finite:
-        raise ResidueCharTwo("local discrepancies are ultrametric; use a finite place")
-    if v.p == 2:
-        raise ResidueCharTwo("residue characteristic 2 is excluded")
+    mu = equilibrium_measure_ua(quad, v)  # the odd-place guard, before u and r
     u = parse_rational(u)
     if any(pt is not None and pt == u for pt in quad.finite_points()):
         raise BranchPointCenter(f"u = {u} is a branch point of the quadruple")
@@ -225,7 +227,6 @@ def local_discrepancy(points, u: Fraction | int | str, r: float, v: Place) -> fl
         raise BadRadii("radius must be nonnegative")
     if r == 0:
         return 0.0
-    mu = equilibrium_measure_ua(quad, v)
     z_disk = TreePoint(u, v.epsilon * math.log(r))
     z_point = type1(u)
     return abs(segment_potential(mu, z_disk, v) - segment_potential(mu, z_point, v))
@@ -253,20 +254,17 @@ def legendre_lattes_eval(lam: LegendreParam | Fraction | int | str, t):
     return (t * t - lam_p) ** 2 / den
 
 
-def lattes_preimages(w, lam: Fraction | complex) -> list[complex | object]:
+def lattes_preimages(w, lam: Fraction | complex) -> list[complex]:
     """The four preimages of w under the Legendre map, repeated by multiplicity.
 
     With r_i = sqrt(w - e_i) for e = (0, 1, lam), the halving formula
     u = w + r1 r2 + r1 r3 + r2 r3 gives one preimage per sign class of
     (r1, r2, r3); the class of largest modulus avoids cancellation.  The deck
     group t -> lam / t, (t - lam) / (t - 1), lam (t - 1) / (t - lam) gives the
-    other three, so branch values come out as two coincident pairs.
-    L^{-1}(inf) = [0, 1, lam, inf].  Finite preimages are sorted by
-    (real, imag).
+    other three, so branch values come out as two coincident pairs.  w is
+    finite, and the preimages are sorted by (real, imag).
     """
     lamc = complex(lam)
-    if w is INFINITY:
-        return [0j, 1 + 0j, lamc, INFINITY]
     wc = complex(w)
     r1, r2, r3 = (cmath.sqrt(wc - e) for e in (0, 1, lamc))
     p12, p13, p23 = r1 * r2, r1 * r3, r2 * r3
@@ -306,10 +304,6 @@ class PointIndex:
         self.z = np.asarray(points, dtype=complex)
         self.tree = KDTree(self.z.view(float).reshape(-1, 2))
 
-    def candidate_pairs(self, r: float) -> np.ndarray:
-        """Index pairs (i, j), i < j, at max-norm distance <= r."""
-        return self.tree.query_pairs(r, p=math.inf, output_type="ndarray")
-
     def near(self, other: "PointIndex", r: float) -> np.ndarray:
         """The sorted indices of the points p with np.abs(q - p) <= r for some q of ``other``."""
         found = self.tree.sparse_distance_matrix(other.tree, r, p=math.inf, output_type="ndarray")
@@ -325,78 +319,67 @@ class PointIndex:
         if len(self.z) < 2:
             return math.inf
         nearest = self.tree.query(self.tree.data, k=2, p=math.inf)[1][:, 1]
-        pairs = self.candidate_pairs(np.abs(self.z - self.z[nearest]).min())
+        bound = np.abs(self.z - self.z[nearest]).min()
+        pairs = self.tree.query_pairs(bound, p=math.inf, output_type="ndarray")
         return float(np.abs(self.z[pairs[:, 0]] - self.z[pairs[:, 1]]).min())
-
-
-def _dedup_points(pts: Iterable[tuple[complex | object, int]], tol: float):
-    """Merge each point into the earliest kept point within ``tol``, adding multiplicities.
-
-    The candidates are the pairs within ``tol`` in the max norm (``PointIndex``),
-    taken in order of their later point; ``abs(p - q) <= tol`` decides each.
-    Finite points come out sorted by (real, imag), infinity last.
-    """
-    points: list[complex] = []
-    mults: list[int] = []
-    inf_mult = 0
-    for p, m in pts:
-        if p is INFINITY:
-            inf_mult += m
-        else:
-            points.append(p)
-            mults.append(m)
-    owner = list(range(len(points)))  # the kept point each point merged into
-    pairs = PointIndex(points).candidate_pairs(tol)
-    for i, j in pairs[np.lexsort(pairs.T)].tolist():
-        if owner[j] == j and owner[i] == i and abs(points[j] - points[i]) <= tol:
-            owner[j] = i
-    totals = [0] * len(points)
-    for i, m in zip(owner, mults):
-        totals[i] += m
-    out: list[tuple[complex | object, int]] = sorted(
-        ((p, totals[i]) for i, p in enumerate(points) if owner[i] == i),
-        key=lambda pm: (pm[0].real, pm[0].imag),
-    )
-    if inf_mult:
-        out.append((INFINITY, inf_mult))
-    return out
 
 
 def positive_tolerance(tol: float) -> float:
     """``tol`` if 0 < tol < 2^1022, else ``ValueError``: the input contract of the
-    dedup and match tolerances (the ``PointIndex`` search takes any positive float)."""
+    match tolerance (the ``PointIndex`` search takes any positive float)."""
     if not 0.0 < tol < 2.0**1022:
         raise ValueError(f"a tolerance must lie in (0, 2^1022), not {tol!r}")
     return tol
 
 
-def torsion_images(
-    gamma_or_lambda,
-    level: int,
-    tol: float = 1e-9,
-) -> list[tuple[complex | object, int]]:
+def adjugate_lift(mat, w):
+    """adj(M)(w, 1) = (d w - b, a - c w) for M = (a, b, c, d): a vector of C^2
+    whose ratio is M^{-1}(w), found without dividing, so that no point is dropped."""
+    a, b, c, d = mat
+    return d * w - b, a - c * w
+
+
+def torsion_images(gamma_or_lambda, level: int) -> list[tuple[complex | object, int]]:
     """Images of the 2^(level+1)-torsion: L^{-level} of the branch set {0,1,lam,inf}.
 
-    Returns deduplicated complex points with multiplicities (total 4^(level+1));
-    for a general quadruple the Legendre picture is pulled back through the
-    normalizing Moebius map.  A Legendre parameter of 0, 1 or infinity raises
-    ``DegenerateQuadruple``; a ``tol`` outside (0, 2^1022) raises ``ValueError``.
+    Returns the distinct complex points with multiplicities (total
+    4^(level+1)), finite ones sorted by (real, imag) and infinity last.  The
+    branch points have multiplicity 1; level 1 adds the six critical points
+    +-sqrt(lam), 1 +- sqrt(1 - lam), lam +- sqrt(lam^2 - lam), double roots of
+    L = 0, 1, lam; each further level adds the four simple preimages of every
+    point the level before added, with multiplicity 2.  L sends the critical
+    values 0, 1, lam to infinity, so no point below a critical point is
+    critical or repeated, and the points are built distinct with no merge.
+    For a general quadruple the branch points are its own, and the other
+    points are pulled back through the normalizing Moebius map.  A Legendre
+    parameter of 0, 1 or infinity raises ``DegenerateQuadruple``.
     """
-    positive_tolerance(tol)
     if level < 0 or level > TORSION_LEVEL_CAP:
         raise LevelTooLarge(f"level must lie in [0, {TORSION_LEVEL_CAP}]")
     param, mobius = legendre_form(gamma_or_lambda)
-    lamc = complex(param.lam)
-    current = [(p, 1) for p in lattes_preimages(INFINITY, lamc)]
-    for _ in range(level):
-        current = _dedup_points(
-            ((p, m) for w, m in current for p in lattes_preimages(w, lamc)), tol
-        )
+    lam = param.lam
+    added = [np.empty(0, dtype=complex)]
+    if level:
+        centres = np.array([0, 1, lam], dtype=complex)
+        radii = np.sqrt(np.array([lam, 1 - lam, lam * lam - lam], dtype=complex))
+        added.append(np.concatenate([centres + radii, centres - radii]))
+    for _ in range(1, level):
+        added.append(lattes_preimages_array(added[-1], complex(lam)))
+    w = np.concatenate(added)
+    below = len(w)
+    branch = [INFINITY, Fraction(0), Fraction(1), lam]
     if mobius is not None:
         inv = mobius.inverse()
-        moved = []
-        for p, m in current:
-            img = inv.apply(p)
-            moved.append((img if img is INFINITY else complex(img), m))
-        current = _dedup_points(moved, tol)
-    return current
+        branch = [inv.apply(t) for t in branch]  # exactly the quadruple's points
+        x, y = adjugate_lift(tuple(map(complex, (mobius.a, mobius.b, mobius.c, mobius.d))), w)
+        finite = y != 0  # a zero second coordinate is infinity
+        w = x[finite] / y[finite]
+    branch = [complex(p) for p in branch if p is not INFINITY]
+    points = np.concatenate([branch, w])
+    mults = np.repeat([1, 2], [len(branch), len(w)])
+    order = np.lexsort((points.imag, points.real))
+    out = list(zip(points[order].tolist(), mults[order].tolist()))
+    inf_mult = 4 - len(branch) + 2 * (below - len(w))
+    if inf_mult:
+        out.append((INFINITY, inf_mult))
+    return out

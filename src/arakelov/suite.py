@@ -163,13 +163,14 @@ def run_battery(quick: bool = True, seed: int = 7) -> dict:
     size = 1 if quick else 4
     checks: list[Check] = []
 
-    def record(name: str, ok: bool, detail: str = "") -> None:
+    def record(name: str, ok: bool, detail: str) -> None:
         checks.append((name, bool(ok), detail))
 
     # places
     worst = product_formula_residual(rng, 100 * size, 500)
     record("product_formula_residual", worst <= 1e-12, f"max |res| = {worst:.2e}")
-    record("affine_height_reciprocal", reciprocal_height(rng, 50 * size, 200) <= 1e-12)
+    worst = reciprocal_height(rng, 50 * size, 200)
+    record("affine_height_reciprocal", worst <= 1e-12, f"max |h(x) - h(1/x)| = {worst:.2e}")
 
     ok = True
     for _ in range(50 * size):
@@ -178,8 +179,8 @@ def run_battery(quick: bool = True, seed: int = 7) -> dict:
             lhs = places.log_abs(x * y, v)
             rhs = places.log_abs(x, v) + places.log_abs(y, v)
             ok &= abs(lhs - rhs) <= 1e-12
-    record("log_abs_multiplicative", ok)
-    record("height_log_norm_bound", height_bound(rng, 30 * size, 60))
+    record("log_abs_multiplicative", ok, f"{50 * size} pairs")
+    record("height_log_norm_bound", height_bound(rng, 30 * size, 60), f"{30 * size} tuples")
 
     # tree
     v = places.finite(5)
@@ -190,24 +191,27 @@ def run_battery(quick: bool = True, seed: int = 7) -> dict:
         ok &= tree.points_equal(j, tree.join(y, x, v), v)
         ok &= tree.points_equal(tree.join(x, x, v), x, v)
         ok &= tree.hsia_log_kernel(x, y, v) == j.log_radius
-    record("join_axioms", ok)
+    record("join_axioms", ok, f"{50 * size} pairs")
 
     ok = True
     for _ in range(30 * size):
         x, y, z = (random_point(rng, v, 4) for _ in range(3))
         dxy = tree.path_length(x, y, v)
         ok &= dxy <= tree.path_length(x, z, v) + tree.path_length(z, y, v) + 1e-12
-    record("path_length_triangle", ok)
+    record("path_length_triangle", ok, f"{30 * size} triples")
 
     # ultrametric energies
     worst, bounds_hold = closed_form_vs_oracle(rng, 8 * size, n=600, span=4)
-    record("closed_form_vs_oracle", worst <= 1.0 and bounds_hold)
-    record("union_recursion", union_recursion(rng, 20 * size, span=4, split=(0.2, 0.8)) <= 1e-10)
+    detail = f"worst |closed-oracle|/tol = {worst:.2e}"
+    record("closed_form_vs_oracle", worst <= 1.0 and bounds_hold, detail)
+    worst = union_recursion(rng, 20 * size, span=4, split=(0.2, 0.8))
+    record("union_recursion", worst <= 1e-10, f"max |lhs - rhs| = {worst:.2e}")
 
     # lattes
     worst, exact = cross_ratio_length(rng, 30 * size, 30)
-    record("cross_ratio_length", exact and worst <= 1e-9)
-    record("postcritical_containment", postcritical_containment(rng, 20 * size, 40))
+    record("cross_ratio_length", exact and worst <= 1e-9, f"max |len - units log p| = {worst:.2e}")
+    ok = postcritical_containment(rng, 20 * size, 40)
+    record("postcritical_containment", ok, f"{20 * size} lambdas")
 
     # archimedean closed forms
     e_half = energy_arch.sq_energy_arch(
@@ -223,11 +227,12 @@ def run_battery(quick: bool = True, seed: int = 7) -> dict:
     )
 
     # classical height recovery
-    record("standard_height_recovery", standard_height_recovery(rng, 20 * size, 80) <= 1e-12)
+    worst = standard_height_recovery(rng, 20 * size, 80)
+    record("standard_height_recovery", worst <= 1e-12, f"max |h_rho(x) - h(x)| = {worst:.2e}")
 
     # explicit-constant suite
     rep = adelic.suite_scan(count=20 * size, seed=seed, height=12)
-    record("explicit_constant_suite", rep["all_hold"])
+    record("explicit_constant_suite", rep["all_hold"], f"{len(rep['failures'])} failures")
 
     passed = sum(1 for _, ok, _ in checks if ok)
     return {

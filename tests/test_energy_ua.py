@@ -415,3 +415,11 @@ class TestLocalDiscrepancy:
     def test_residue_char_two(self):
         with pytest.raises(ResidueCharTwo):
             local_discrepancy([1, 3, 5, "inf"], 0, 1.0, places.finite(2))
+
+    @pytest.mark.parametrize("v", [places.finite(2), places.ARCH], ids=str)
+    @pytest.mark.parametrize("u, r", [(0, 0.0), (1, 1.0), (0, -1.0)])
+    def test_odd_place_guard_comes_first(self, v, u, r):
+        # r = 0 returns early, u = 1 is a branch point and r < 0 is a bad
+        # radius: at an excluded place each still raises ResidueCharTwo
+        with pytest.raises(ResidueCharTwo):
+            local_discrepancy([1, 3, 5, "inf"], u, r, v)

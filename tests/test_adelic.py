@@ -242,6 +242,16 @@ class TestInequalitySuite:
         rep = adelic.suite_scan(count=100, seed=17, height=15)
         assert rep["all_hold"], rep["failures"][:3]
 
+    def test_reports_pinned(self):
+        # every number of 300 random reports and the two edge configurations
+        rng = np.random.default_rng(3)
+        cfgs = [adelic.random_pair_config(rng, 20) for _ in range(300)]
+        cfgs += [pair_config([1, 2, 3], [1, 2, 3]), pair_config([1, 2, 10**6], [1, 3, 7])]
+        digest = hashlib.sha256()
+        for cfg in cfgs:
+            digest.update(json.dumps(inequality_suite(cfg), sort_keys=True).encode())
+        assert digest.hexdigest() == "b4afa72e975f784b5cf9dd093c1c874ed11da83701e3ed4e39411f33038553c8"
+
 
 class TestTriangleInequality:
     def test_families(self):

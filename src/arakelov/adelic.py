@@ -50,6 +50,7 @@ from .places import (
     INFINITY,
     Place,
     affine_height,
+    difference_primes,
     finite,
     format_rational,
     log_abs,
@@ -119,12 +120,6 @@ def h_ab(cfg: PairConfig) -> float:
     return projective_height(cfg.entries)
 
 
-def quad_support_primes(quad: Quadruple) -> list[int]:
-    pts = quad.finite_points()
-    diffs = [pts[i] - pts[j] for i in range(len(pts)) for j in range(i + 1, len(pts))]
-    return support_primes(pts + diffs)
-
-
 def relevant_places(cfg: PairConfig) -> list[Place]:
     """Archimedean, 2, and every prime where the configuration is not unit-clean.
 
@@ -134,7 +129,8 @@ def relevant_places(cfg: PairConfig) -> list[Place]:
 
 
 def _relevant_places(quad_a: Quadruple, quad_b: Quadruple) -> list[Place]:
-    primes = set(quad_support_primes(quad_a)) | set(quad_support_primes(quad_b)) | {2}
+    primes = set(difference_primes(quad_a.finite_points()))
+    primes |= set(difference_primes(quad_b.finite_points())) | {2}
     return [ARCH] + [finite(p) for p in sorted(primes)]
 
 
@@ -255,7 +251,7 @@ class LattesFamily:
         self.arch_tol = arch_tolerance(arch_samples)
 
     def support_primes(self) -> list[int]:
-        return quad_support_primes(self.quad)
+        return difference_primes(self.quad.finite_points())
 
     def finite_measure(self, v: Place) -> SegmentMeasure:
         return equilibrium_measure_ua(self.quad, v)
@@ -308,9 +304,7 @@ class SmoothedSetFamily:
         self.fs = fs
 
     def support_primes(self) -> list[int]:
-        pts = list(self.fs.points)
-        diffs = [x - y for i, x in enumerate(pts) for y in pts[i + 1 :]]
-        primes = set(support_primes(pts + diffs))
+        primes = set(difference_primes(self.fs.points))
         for v in self.fs.radius_places():
             if v.is_finite:
                 primes.add(v.p)
@@ -345,22 +339,22 @@ class PointSetFamily(SmoothedSetFamily):
 MeasureFamily = StandardFamily | LattesFamily | SmoothedSetFamily
 
 
-def _mixture_pair(mix1, mix2, tol: float = 1e-8) -> float:
+def _mixture_pair(mix1, mix2) -> float:
     total = 0.0
     for m1, w1 in mix1:
         for m2, w2 in mix2:
-            total += w1 * w2 * pair_energy_arch(m1, m2, tol)
+            total += w1 * w2 * pair_energy_arch(m1, m2)
     return total
 
 
-def _mixture_self(mix, tol: float = 1e-8) -> float:
+def _mixture_self(mix) -> float:
     """Self-pairing of a mixture; a Dirac atom is not paired with itself."""
     total = 0.0
     for i, (m1, w1) in enumerate(mix):
         if not isinstance(m1, DiracAt):
             total += w1 * w1 * arch_self_energy(m1)
         for m2, w2 in mix[i + 1 :]:
-            total += 2.0 * w1 * w2 * pair_energy_arch(m1, m2, tol)
+            total += 2.0 * w1 * w2 * pair_energy_arch(m1, m2)
     return total
 
 
@@ -505,27 +499,22 @@ def inequality_suite(cfg: PairConfig) -> dict:
     remaining invertible subfamily is the same).
     """
     u = cfg.entries
-    b1 = cfg.b[0]
-    diffs = [u[i] - u[j] for i in range(6) for j in range(6) if i != j]
-    primes = support_primes(list(u) + [d for d in diffs if d != 0])
-    places = [ARCH] + [finite(p) for p in primes]
-
     h_f1 = 0.0
     sum_term = 0.0
     h_f2 = 0.0
-    for v in places:
+    for v in [ARCH] + [finite(p) for p in difference_primes(u)]:
+        logs = [log_abs(x, v) for x in u]  # b1 = u[3]
         best = 0.0
         for i in range(6):
             for j in range(6):
                 if i == j:
                     continue
-                best = max(best, abs(log_abs(u[i], v) - log_abs(u[j], v)))
+                best = max(best, abs(logs[i] - logs[j]))
                 if u[i] != u[j]:
-                    best = max(best, abs(log_abs(u[i] - u[j], v) - log_abs(u[j], v)))
+                    best = max(best, abs(log_abs(u[i] - u[j], v) - logs[j]))
         h_f1 += best
-        sum_term += max(abs(log_abs(x, v) - log_abs(b1, v)) for x in u)
-        ratios = [log_abs(ai, v) - log_abs(bj, v) for ai in cfg.a for bj in cfg.b]
-        h_f2 += max(0.0, submax(ratios))
+        sum_term += max(abs(x - logs[3]) for x in logs)
+        h_f2 += max(0.0, submax([logs[i] - logs[j] for i in range(3) for j in range(3, 6)]))
 
     config_height = h_ab(cfg)
     bound_f1 = 61.0 * LOG2 + 122.0 * sum_term
@@ -550,7 +539,12 @@ def inequality_suite(cfg: PairConfig) -> dict:
 
 
 def random_rational(rng: np.random.Generator, height: int) -> Fraction:
-    """A nonzero rational num/den with |num| <= height and 1 <= den <= height."""
+    """A nonzero rational num/den with |num| <= height and 1 <= den <= height.
+
+    A height below 1 leaves no such rational and raises ``ValueError``.
+    """
+    if height < 1:
+        raise ValueError(f"a height must be at least 1, not {height}")
     while True:
         num = int(rng.integers(-height, height + 1))
         if num != 0:

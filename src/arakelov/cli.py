@@ -10,6 +10,7 @@ the run manifest (with wall time) goes to stderr on exit 0 and on exit 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -35,13 +36,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_place(args) -> places.Place:
-    token = getattr(args, "place", None)
-    eps = float(getattr(args, "epsilon", 1.0) or 1.0)
+    token, eps = args.place, args.epsilon
     try:
         if token in (None, "inf", "arch"):
             return places.Place("archimedean", None, eps)
         if token == "trivial":
-            return places.TRIVIAL
+            return places.Place("trivial", None, eps)
         return places.finite(int(token), eps)
     except ValueError as exc:
         raise UsageError(f"--place/--epsilon: {exc}") from None
@@ -82,24 +82,26 @@ def _oracle_count(n: int) -> int:
     return n
 
 
+def _height(n: int) -> int:
+    if n < 1:
+        raise ValueError("a height must be at least 1")
+    return n
+
+
 def _seed(args) -> int:
+    """ARAKELOV_SEED when it is set, else --seed: a nonnegative integer."""
     env = os.environ.get("ARAKELOV_SEED")
-    if env is not None:
-        return int(env)
-    return int(getattr(args, "seed", 0) or 0)
+    if env is None:
+        return _parsed(args, "seed", _count)
+    try:
+        return _count(int(env))
+    except ValueError:
+        raise UsageError(f"ARAKELOV_SEED: invalid value {env!r}") from None
 
 
 def _config_json(cfg) -> dict:
-    out = {"variant": cfg.variant, "la": cfg.la, "lb": cfg.lb}
-    if cfg.variant == "disjoint":
-        out.update(
-            {"la1": cfg.la1, "la2": cfg.la2, "lb1": cfg.lb1, "lb2": cfg.lb2, "d_ab": cfg.d_ab}
-        )
-    else:
-        out.update(
-            {"l_ab": cfg.l_ab, "la1": cfg.la1, "la2": cfg.la2, "lb1": cfg.lb1, "lb2": cfg.lb2}
-        )
-    return out
+    lengths = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.type == "float"}
+    return {"variant": cfg.variant, **lengths}
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +214,7 @@ def _cmd_adelic(args) -> dict:
         return adelic.gap_scan(
             count=_parsed(args, "count", _count),
             seed=seed,
-            height=int(args.height),
+            height=_parsed(args, "height", _height),
             arch_samples=_parsed(args, "arch_samples", _sample_count),
         )
     if args.op == "bft":
@@ -221,7 +223,7 @@ def _cmd_adelic(args) -> dict:
         tol = _parsed(args, "tol", lattes.positive_tolerance)
         return adelic.bft_scan(a, b, int(args.level), tol=tol)
     count = _parsed(args, "count", _count)  # op == "suite"
-    return adelic.suite_scan(count=count, seed=seed, height=int(args.height))
+    return adelic.suite_scan(count=count, seed=seed, height=_parsed(args, "height", _height))
 
 
 def _cmd_suite(args) -> dict:

@@ -40,6 +40,8 @@ _ESCAPE_STEPS = 24  # the series tail is below 4^-24 max |log||F(u)||| over unit
 _START = 0.3 + 0.7j  # base point of the preimage grids and the sampler; no branch value
 _GRID_LEVEL_CAP = 7  # the finest grid has 4^7 = 16384 points
 _CIRCLE_NODES = 4096  # equally spaced nodes of the circle-vs-Lattes quadrature
+_CIRCLE_QUAD_TOL = 1e-8  # absolute and relative target of the crossing-circle quadrature
+_BURN_IN = 64  # sampler steps discarded before the first kept point
 
 
 @dataclass(frozen=True)
@@ -127,11 +129,9 @@ def circle_potential(c: complex, r: float, z: complex) -> float:
     return math.log(max(abs(z - c), r))
 
 
-def _circle_circle_mean(c1: complex, r1: float, c2: complex, r2: float, tol: float) -> float:
+def _circle_circle_mean(c1: complex, r1: float, c2: complex, r2: float) -> float:
     """Mean of log|z - w| over two circles; closed forms when they do not cross."""
     d = abs(c1 - c2)
-    if d == 0.0:
-        return math.log(max(r1, r2))
     # integrate over the circle whose potential plateau is wider
     if r1 < r2:
         c1, r1, c2, r2 = c2, r2, c1, r1
@@ -150,8 +150,9 @@ def _circle_circle_mean(c1: complex, r1: float, c2: complex, r2: float, tol: flo
     cos_star = (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2)
     if -1.0 < cos_star < 1.0:
         pts.append(math.acos(cos_star))
+    tol = _CIRCLE_QUAD_TOL
     val, err = quad(f, 0.0, math.pi, points=pts or None, limit=200, epsabs=tol, epsrel=tol)
-    if not math.isfinite(val) or err > max(10 * tol, 1e-7):
+    if not math.isfinite(val) or err > 10 * tol:
         raise QuadratureFailure(f"circle pairing quadrature error {err:.2e}")
     return val / math.pi
 
@@ -206,11 +207,11 @@ def arch_self_energy(m: ArchMeasure) -> float:
     return -total / (n * (n - 1) - excluded)
 
 
-def pair_energy_arch(m1: ArchMeasure, m2: ArchMeasure, tol: float = 1e-8) -> float:
+def pair_energy_arch(m1: ArchMeasure, m2: ArchMeasure) -> float:
     """The raw pairing (m1, m2) = - mean of log|z - w|.
 
     Closed forms: Dirac/Dirac, Dirac/circle (log max(|x-c|, r)), concentric or
-    non-crossing circles; crossing circles by angular quadrature to ``tol``;
+    non-crossing circles; crossing circles by angular quadrature to 1e-8;
     clouds by plain means (self-pairs via the off-diagonal convention when the
     same cloud object is passed twice).  A Lattes measure pairs through its
     potential, with a circle by the mean over ``_CIRCLE_NODES`` equally spaced
@@ -219,7 +220,7 @@ def pair_energy_arch(m1: ArchMeasure, m2: ArchMeasure, tol: float = 1e-8) -> flo
     if m1 is m2:
         return arch_self_energy(m1)
     if isinstance(m1, LattesMeasure) and not isinstance(m2, LattesMeasure):
-        return pair_energy_arch(m2, m1, tol)
+        return pair_energy_arch(m2, m1)
     if isinstance(m2, LattesMeasure):
         if isinstance(m1, LattesMeasure):
             return 0.5 * (m1.self_energy + m2.self_energy) - lattes_pairing(m1, m2)[0]
@@ -228,9 +229,9 @@ def pair_energy_arch(m1: ArchMeasure, m2: ArchMeasure, tol: float = 1e-8) -> flo
             return -float(m2.potential(m1.center + m1.radius * roots).mean())
         return -float(m2.potential(m1.c if isinstance(m1, DiracAt) else m1.points).mean())
     if isinstance(m1, Cloud) and not isinstance(m2, Cloud):
-        return pair_energy_arch(m2, m1, tol)
+        return pair_energy_arch(m2, m1)
     if isinstance(m1, Circle) and isinstance(m2, DiracAt):
-        return pair_energy_arch(m2, m1, tol)
+        return pair_energy_arch(m2, m1)
 
     if isinstance(m1, DiracAt):
         if isinstance(m2, DiracAt):
@@ -239,10 +240,10 @@ def pair_energy_arch(m1: ArchMeasure, m2: ArchMeasure, tol: float = 1e-8) -> flo
             return -math.log(abs(m1.c - m2.c))
         if isinstance(m2, Circle):
             return -circle_potential(m2.center, m2.radius, m1.c)
-        return pair_energy_arch(Cloud(np.array([m1.c])), m2, tol)
+        return pair_energy_arch(Cloud(np.array([m1.c])), m2)
     if isinstance(m1, Circle):
         if isinstance(m2, Circle):
-            return -_circle_circle_mean(m1.center, m1.radius, m2.center, m2.radius, tol)
+            return -_circle_circle_mean(m1.center, m1.radius, m2.center, m2.radius)
         vals = np.maximum(np.abs(m2.points - m1.center), m1.radius)
         return -float(np.log(vals).mean())
     assert isinstance(m1, Cloud) and isinstance(m2, Cloud)
@@ -254,25 +255,18 @@ def pair_energy_arch(m1: ArchMeasure, m2: ArchMeasure, tol: float = 1e-8) -> flo
     return -0.5 * total / (len(x) * len(y) - excluded)
 
 
-def sq_energy_arch(m1: ArchMeasure, m2: ArchMeasure, tol: float = 1e-8) -> float:
+def sq_energy_arch(m1: ArchMeasure, m2: ArchMeasure) -> float:
     """<m1, m2> = (1/2)(m1 - m2, m1 - m2), cloud self-terms off-diagonal."""
-    return 0.5 * (
-        arch_self_energy(m1) - 2.0 * pair_energy_arch(m1, m2, tol) + arch_self_energy(m2)
-    )
+    return 0.5 * (arch_self_energy(m1) - 2.0 * pair_energy_arch(m1, m2) + arch_self_energy(m2))
 
 
-def sample_lattes_equilibrium(
-    lam,
-    n: int,
-    seed: int = 0,
-    burn_in: int = 64,
-) -> Cloud:
+def sample_lattes_equilibrium(lam, n: int, seed: int = 0) -> Cloud:
     """Backward-orbit sample of the Legendre Lattes equilibrium measure.
 
     A single chain: each step replaces the current point by a uniformly random
     one of the four preimages of L(t) = current, repeated by multiplicity and
     sorted by (real, imag) as ``lattes_preimages`` returns them.  The first
-    ``burn_in`` points are discarded.  Deterministic given the seed.  The
+    ``_BURN_IN`` points are discarded.  Deterministic given the seed.  The
     parameter must avoid 0, 1 and infinity (``DegenerateQuadruple`` otherwise).
     """
     if n < 100:
@@ -281,12 +275,12 @@ def sample_lattes_equilibrium(
     rng = np.random.default_rng(seed)
     t = _START
     out = np.empty(n, dtype=complex)
-    for k in range(burn_in + n):
+    for k in range(_BURN_IN + n):
         t = lattes_preimages(t, lamc)[rng.integers(4)]
         if not (math.isfinite(t.real) and math.isfinite(t.imag)):
             raise NonConvergentRoots("backward orbit left the finite plane")
-        if k >= burn_in:
-            out[k - burn_in] = t
+        if k >= _BURN_IN:
+            out[k - _BURN_IN] = t
     return Cloud(out)
 
 

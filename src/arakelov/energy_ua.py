@@ -44,17 +44,14 @@ class SegmentMeasure:
     """Unit measure on a segment: Lebesgue (normalized) or Dirac on a singleton."""
 
     support: Segment
-    kind: str  # "dirac" | "lebesgue"
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("dirac", "lebesgue"):
-            raise ValueError(f"unknown measure kind {self.kind!r}")
-        if (self.kind == "dirac") != self.support.is_singleton:
-            raise ValueError("Dirac measures are exactly the singleton supports")
+    @property
+    def kind(self) -> str:
+        return "dirac" if self.support.is_singleton else "lebesgue"
 
 
 def segment_measure(seg: Segment) -> SegmentMeasure:
-    return SegmentMeasure(seg, "dirac" if seg.is_singleton else "lebesgue")
+    return SegmentMeasure(seg)
 
 
 Atoms = list[tuple[TreePoint, float]]
@@ -137,7 +134,7 @@ def _concentric_pieces(seg: Segment, v: Place) -> list[tuple[Fraction, float, fl
 def segment_potential(mu: SegmentMeasure, z: TreePoint, v: Place) -> float:
     """U_mu(z) = integral of log kappa(x, z) d mu(x), exactly."""
     seg = mu.support
-    if mu.kind == "dirac":
+    if mu.support.is_singleton:
         return hsia_log_kernel(seg.a, z, v)
     total = 0.0
     for center, lo, hi in _concentric_pieces(seg, v):
@@ -152,7 +149,7 @@ def segment_potential(mu: SegmentMeasure, z: TreePoint, v: Place) -> float:
 
 def _as_atoms(mu: SegmentMeasure | Atoms) -> Atoms | None:
     if isinstance(mu, SegmentMeasure):
-        if mu.kind == "dirac":
+        if mu.support.is_singleton:
             return [(mu.support.a, 1.0)]
         return None
     return mu
@@ -288,7 +285,7 @@ def _discretize(mu: SegmentMeasure, n: int, v: Place) -> list[tuple[Fraction, np
     every atom, clamped and split as ``tree.point_on_path`` does.
     """
     seg = mu.support
-    if mu.kind == "dirac":
+    if mu.support.is_singleton:
         return [(seg.a.center, np.array([seg.a.log_radius]), np.ones(1))]
     k = hsia_log_kernel(seg.a, seg.b, v)
     up = k - seg.a.log_radius

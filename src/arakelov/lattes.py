@@ -46,7 +46,7 @@ class Quadruple:
             raise DegenerateQuadruple("a quadruple has four points")
         for i in range(4):
             for j in range(i + 1, 4):
-                if pts[i] == pts[j] or (pts[i] is INFINITY and pts[j] is INFINITY):
+                if pts[i] == pts[j]:
                     raise DegenerateQuadruple(f"points {i} and {j} coincide")
 
     def finite_points(self) -> list[Fraction]:
@@ -221,7 +221,7 @@ def local_discrepancy(points, u: Fraction | int | str, r: float, v: Place) -> fl
     quad = as_quadruple(points)
     mu = equilibrium_measure_ua(quad, v)  # the odd-place guard, before u and r
     u = parse_rational(u)
-    if any(pt is not None and pt == u for pt in quad.finite_points()):
+    if u in quad.finite_points():
         raise BranchPointCenter(f"u = {u} is a branch point of the quadruple")
     if r < 0:
         raise BadRadii("radius must be nonnegative")

@@ -21,21 +21,6 @@ INF = math.inf
 NEG_INF = -math.inf
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of |n|, by trial division."""
     n = abs(n)
@@ -57,6 +42,10 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    return prime_factors(n) == [n]
 
 
 @dataclass(frozen=True)
@@ -154,6 +143,12 @@ def support_primes(xs: Iterable[Fraction | int]) -> list[int]:
         ps.update(prime_factors(x.numerator))
         ps.update(prime_factors(x.denominator))
     return sorted(ps)
+
+
+def difference_primes(points: Sequence[Fraction | int]) -> list[int]:
+    """``support_primes`` of the points together with their pairwise differences."""
+    pts = list(points)
+    return support_primes(pts + [x - y for i, x in enumerate(pts) for y in pts[i + 1 :]])
 
 
 def product_formula_residual(x: Fraction | int) -> float:

@@ -114,11 +114,11 @@ def union_recursion(rng, count: int, span: float, split: tuple[float, float]) ->
     return worst
 
 
-def cross_ratio_length(rng, count: int, height: int) -> tuple[float, bool]:
+def cross_ratio_length(rng, count: int, height: int) -> tuple[float, bool, int]:
     """Over `count` random quadruples at p in {3, 5, 7, 11}: the worst
-    |length - units log p| of the Lattes segment, and whether length / log p
-    always rounds to `lattes_segment_length_units`."""
-    worst, exact = 0.0, True
+    |length - units log p| of the Lattes segment, whether length / log p
+    always rounds to `lattes_segment_length_units`, and the sum of the units."""
+    worst, exact, total = 0.0, True, 0
     for _ in range(count):
         p = int(rng.choice([3, 5, 7, 11]))
         v = places.finite(p)
@@ -127,7 +127,8 @@ def cross_ratio_length(rng, count: int, height: int) -> tuple[float, bool]:
         units = lattes.lattes_segment_length_units(quad, v)
         exact &= round(seg.length / math.log(p)) == units
         worst = max(worst, abs(seg.length - units * math.log(p)))
-    return worst, exact
+        total += units
+    return worst, exact, total
 
 
 def postcritical_containment(rng, count: int, height: int) -> bool:
@@ -208,8 +209,9 @@ def run_battery(quick: bool = True, seed: int = 7) -> dict:
     record("union_recursion", worst <= 1e-10, f"max |lhs - rhs| = {worst:.2e}")
 
     # lattes
-    worst, exact = cross_ratio_length(rng, 30 * size, 30)
-    record("cross_ratio_length", exact and worst <= 1e-9, f"max |len - units log p| = {worst:.2e}")
+    worst, exact, units = cross_ratio_length(rng, 30 * size, 30)
+    detail = f"max |len - units log p| = {worst:.2e}, sum of units = {units}"
+    record("cross_ratio_length", exact and worst <= 1e-9, detail)
     ok = postcritical_containment(rng, 20 * size, 40)
     record("postcritical_containment", ok, f"{20 * size} lambdas")
 

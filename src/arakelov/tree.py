@@ -63,11 +63,6 @@ def _require_affine(x: TreePoint) -> None:
         raise ChartMismatch("the point at infinity has no direct-chart representation")
 
 
-def log_center_dist(a: Fraction, b: Fraction, v: Place) -> float:
-    """log|a - b|_v (epsilon-scaled); -inf when the centers coincide."""
-    return log_abs(a - b, v)
-
-
 def join(x: TreePoint, y: TreePoint, v: Place) -> TreePoint:
     """The smallest point above both, eta_{alpha, max(r, s, |alpha-beta|)}."""
     k = hsia_log_kernel(x, y, v)
@@ -85,17 +80,17 @@ def hsia_log_kernel(x: TreePoint, y: TreePoint, v: Place) -> float:
         raise PlaceMismatch("tree operations need a finite place")
     _require_affine(x)
     _require_affine(y)
-    return max(x.log_radius, y.log_radius, log_center_dist(x.center, y.center, v))
+    return max(x.log_radius, y.log_radius, log_abs(x.center - y.center, v))
 
 
-def points_equal(x: TreePoint, y: TreePoint, v: Place, tol: float = EQ_TOL) -> bool:
+def points_equal(x: TreePoint, y: TreePoint, v: Place) -> bool:
     if x.at_infinity or y.at_infinity:
         return x.at_infinity and y.at_infinity
     if x.is_type1 or y.is_type1:
         return x.is_type1 and y.is_type1 and x.center == y.center
     return (
-        abs(x.log_radius - y.log_radius) <= tol
-        and log_center_dist(x.center, y.center, v) <= x.log_radius + tol
+        abs(x.log_radius - y.log_radius) <= EQ_TOL
+        and log_abs(x.center - y.center, v) <= x.log_radius + EQ_TOL
     )
 
 
@@ -114,17 +109,12 @@ def median(x: TreePoint, y: TreePoint, z: TreePoint, v: Place) -> TreePoint:
     two); the result is always an affine point when at most one argument is
     infinite.
     """
-    infinities = [p for p in (x, y, z) if p.at_infinity]
-    if len(infinities) >= 2:
+    affine = [p for p in (x, y, z) if not p.at_infinity]
+    if len(affine) == 2:
+        return join(*affine, v)
+    if len(affine) < 2:
         return POINT_AT_INFINITY
-    if x.at_infinity:
-        return join(y, z, v)
-    if y.at_infinity:
-        return join(x, z, v)
-    if z.at_infinity:
-        return join(x, y, v)
-    cands = (join(x, y, v), join(x, z, v), join(y, z, v))
-    return min(cands, key=lambda p: p.log_radius)
+    return min((join(x, y, v), join(x, z, v), join(y, z, v)), key=lambda p: p.log_radius)
 
 
 @dataclass(frozen=True)
@@ -166,8 +156,8 @@ def point_on_path(x: TreePoint, y: TreePoint, v: Place, s: float) -> TreePoint:
     return TreePoint(y.center, y.log_radius + (total - s))
 
 
-def point_on_segment(p: TreePoint, seg: Segment, tol: float = EQ_TOL) -> bool:
-    return points_equal(median(seg.a, seg.b, p, seg.place), p, seg.place, tol)
+def point_on_segment(p: TreePoint, seg: Segment) -> bool:
+    return points_equal(median(seg.a, seg.b, p, seg.place), p, seg.place)
 
 
 @dataclass(frozen=True)
@@ -215,7 +205,7 @@ class Meeting:
 PairConfiguration = Disjoint | Meeting
 
 
-def classify_pair(ia: Segment, ib: Segment, v: Place, tol: float = EQ_TOL) -> PairConfiguration:
+def classify_pair(ia: Segment, ib: Segment, v: Place) -> PairConfiguration:
     """Relative position of two segments: Disjoint/touching or Meeting.
 
     Matches the two pictures of the segment-vs-segment calculus: in the
@@ -230,11 +220,9 @@ def classify_pair(ia: Segment, ib: Segment, v: Place, tol: float = EQ_TOL) -> Pa
     p2 = median(xa, ya, yb, v)
     la, lb = ia.length, ib.length
 
-    p1_in_b = point_on_segment(p1, ib, tol)
-    p2_in_b = point_on_segment(p2, ib, tol)
-    if p1_in_b and p2_in_b:
+    if point_on_segment(p1, ib) and point_on_segment(p2, ib):
         l_ab = path_length(p1, p2, v)
-        if l_ab > tol:
+        if l_ab > EQ_TOL:
             du, dv_ = path_length(xa, p1, v), path_length(xa, p2, v)
             u, w = (p1, p2) if du <= dv_ else (p2, p1)
             du, dv_ = min(du, dv_), max(du, dv_)

@@ -90,7 +90,7 @@ def test_c03_lower_bounds():
 
 
 def test_c04_cross_ratio_length():
-    worst, exact = suite.cross_ratio_length(np.random.default_rng(104), 500, 30)
+    worst, exact, _ = suite.cross_ratio_length(np.random.default_rng(104), 500, 30)
     ok = exact and worst <= 1e-9
     report(4, ok, "500 quadruples at p in {3,5,7,11}: exact in units of log p")
 

@@ -117,8 +117,8 @@ class TestBasicCommands:
     @pytest.mark.parametrize(
         "flags, digest",
         [
-            ([], "7878b1b63a99b4bab1efeaebf1e03b00bee27383d0c76d1eb7cf73c2c8ea0283"),
-            (["--quick"], "21d346313d7af0996e215905ba3100a78a0d47cf489567faabe088aa2812048f"),
+            ([], "1e2538e95642d5ca06b0a888133e48df05b2dcfe8942e09db85b72880efd14d1"),
+            (["--quick"], "6e6658f448aaf56a270cccf4db84f4dd438e97176756053e6f7f7378cf589984"),
         ],
         ids=["full", "quick"],
     )
@@ -224,12 +224,34 @@ class TestErrorsAndDeterminism:
             ["energy", "arch", "--lambda-a", "2"],
             ["lattes", "torsion", "--lambda", "2", "--level", "x"],
             ["lattes", "torsion", "--lambda", "2", "--level", "1", "--tol", "-1e+16"],
+            ["adelic", "suite", "--count", "2", "--height=-1"],
+            ["adelic", "gap-scan", "--count", "1", "--height=-5"],
+            ["adelic", "suite", "--count", "2", "--seed=-1"],
+            ["suite", "--quick", "--seed=-3"],
+            ["places", "logabs", "--x", "1/9", "--place", "3", "--epsilon", "0"],
+            ["places", "logabs", "--x", "1/9", "--epsilon", "0"],
+            ["places", "logabs", "--x", "1/9", "--place", "trivial", "--epsilon=-5"],
         ],
     )
     def test_bad_argument_exit_two_with_json(self, argv, capsys):
         code, out, _ = run(argv, capsys)
         assert code == 2
         assert json.loads(out)["error"] == "UsageError"
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+    def test_bad_env_seed_exit_two_with_json(self, value, capsys, monkeypatch):
+        monkeypatch.setenv("ARAKELOV_SEED", value)
+        for argv in (["adelic", "suite", "--count", "2"], ["suite", "--quick"]):
+            code, out, _ = run(argv, capsys)
+            assert code == 2 and json.loads(out)["error"] == "UsageError"
+
+    @pytest.mark.parametrize("op", ["suite", "gap-scan"])
+    def test_height_zero_exits_two(self, op):
+        # no nonzero numerator has height 0; a subprocess keeps a hang from stalling the suite
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        argv = [sys.executable, "-m", "arakelov.cli", "adelic", op, "--count", "2", "--height", "0"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and json.loads(proc.stdout)["error"] == "UsageError"
 
     def test_sample_count_bounds_accepted(self, capsys):
         args = ["energy", "arch", "--lambda-a", "2", "--lambda-b", "3", "--samples", "100"]

@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 
 from arakelov import cli
 from arakelov.adelic import local_pair_energy
-from arakelov.energy_arch import LattesMeasure, escape_rate, lattes_pairing, pair_energy_arch
+from arakelov.energy_arch import (
+    Cloud,
+    LattesMeasure,
+    arch_self_energy,
+    escape_rate,
+    lattes_pairing,
+    pair_energy_arch,
+)
 from arakelov.energy_ua import (
     energy_closed_form,
     energy_oracle,
@@ -101,6 +108,19 @@ def test_lattes_potential_is_the_grid_mean(side, u):
     mu = LattesMeasure(side, 4**7)
     _, (x, y) = mu.grids
     assert abs(float(np.log(np.abs(u - x / y)).mean()) - float(mu.potential(u))) <= 1e-3
+
+
+@PROPERTY
+@given(lambdas.filter(lambda x: abs(x.numerator) <= 20 and x.denominator <= 20))
+def test_lattes_self_energy_is_the_grid_energy(lam):
+    # the off-diagonal energy of N grid points carries -ln N / (2N); one
+    # Richardson step from level 4 to level 5 leaves -ln 4 / (6 N / 4) of it,
+    # which is added back.  Over all 509 parameters of height <= 20 the
+    # residual is at most 1.5e-5; the bound is twice that.
+    mu = LattesMeasure(lam, 4**5)
+    coarse, fine = (arch_self_energy(Cloud(x / y)) for x, y in mu.grids)
+    richardson = (4.0 * fine - coarse) / 3.0 + math.log(4.0) / (6.0 * 4**4)
+    assert abs(mu.self_energy - richardson) <= 3.0e-5
 
 
 @PROPERTY
@@ -250,6 +270,13 @@ FUZZ_ARGV = [
     ["energy", "arch", "--lambda-a", "2"],
     ["lattes", "torsion", "--lambda", "2", "--level", "x"],
     ["lattes", "torsion", "--lambda", "2", "--level", "1", "--tol", "-1e+16"],
+    ["adelic", "suite", "--count", "2", "--height=-1"],
+    ["adelic", "gap-scan", "--count", "1", "--height=-5"],
+    ["adelic", "suite", "--count", "2", "--seed=-1"],
+    ["suite", "--quick", "--seed=-3"],
+    ["places", "logabs", "--x", "1/9", "--place", "3", "--epsilon", "0"],
+    ["places", "logabs", "--x", "1/9", "--epsilon", "0"],
+    ["places", "logabs", "--x", "1/9", "--place", "trivial", "--epsilon=-5"],
 ]
 
 

@@ -45,7 +45,7 @@ print("  (the branch set {0, 1, lam, inf} maps to inf, which is fixed)")
 
 print()
 lam, mob = normalize_to_legendre([1, 2, 3, 4])
-print(f"normalizing (1,2,3,4): lam = {lam.lam}, Moebius = ({mob.a} t + {mob.b}) / ({mob.c} t + {mob.d})")
+print(f"normalizing (1,2,3,4): lam = {lam}, Moebius = ({mob.a} t + {mob.b}) / ({mob.c} t + {mob.d})")
 
 print()
 print("2-power torsion images for lam = 2 (iterated preimages of the branch set):")

@@ -43,7 +43,6 @@ from .energy_ua import (
     sigma_potential,
 )
 from .lattes import (
-    LegendreParam,
     MobiusMap,
     Quadruple,
     as_quadruple,

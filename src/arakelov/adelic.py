@@ -35,7 +35,7 @@ from .energy_ua import (
     pair_raw,
     segment_measure,
 )
-from .errors import DegenerateConfig, EmptyF
+from .errors import BadRadii, DegenerateConfig, EmptyF
 from .lattes import (
     PointIndex,
     Quadruple,
@@ -53,6 +53,7 @@ from .places import (
     difference_primes,
     finite,
     format_rational,
+    is_prime,
     log_abs,
     parse_rational,
     place_to_json,
@@ -273,6 +274,9 @@ class FiniteSet:
         if len(set(self.points)) != len(self.points):
             raise EmptyF("the finite set has repeated points")
         for key, r in self.radii.items():
+            canonical = isinstance(key, str) and key.isdecimal() and key == str(int(key))
+            if key != "inf" and not (canonical and is_prime(int(key))):
+                raise BadRadii(f"a radius key is 'inf' or a prime, not {key!r}")
             if not r > 0:
                 raise EmptyF(f"radius at {key} must be positive")
 
@@ -629,7 +633,7 @@ def _point_key(p) -> tuple:
     return (0, p.real, p.imag)
 
 
-def bft_scan(quad_or_lambda_a, quad_or_lambda_b, level: int, tol: float = 1e-7) -> dict:
+def bft_scan(side_a, side_b, level: int, tol: float = 1e-7) -> dict:
     """Count common 2-power torsion images of two configurations at one level.
 
     Points are matched by euclidean distance <= tol; a collision audit
@@ -639,8 +643,8 @@ def bft_scan(quad_or_lambda_a, quad_or_lambda_b, level: int, tol: float = 1e-7) 
     ``ValueError``.
     """
     positive_tolerance(tol)
-    set_a = torsion_images(quad_or_lambda_a, level)
-    set_b = torsion_images(quad_or_lambda_b, level)
+    set_a = torsion_images(side_a, level)
+    set_b = torsion_images(side_b, level)
     finite_a = [p for p, _ in set_a if p is not INFINITY]
     finite_b = [p for p, _ in set_b if p is not INFINITY]
     index_a, index_b = PointIndex(finite_a), PointIndex(finite_b)

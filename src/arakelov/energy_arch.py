@@ -26,11 +26,10 @@ import numpy as np
 
 from .errors import CoincidentAtoms, NonConvergentRoots, QuadratureFailure, SingularPair
 from .lattes import (
-    LegendreParam,
     adjugate_lift,
     lattes_preimages,
     lattes_preimages_array,
-    legendre_form,
+    normalize_to_legendre,
 )
 
 _TILE = 256
@@ -71,18 +70,17 @@ class Cloud:
 class LattesMeasure:
     """Equilibrium measure of the Lattes map of a Legendre parameter or quadruple.
 
-    ``side`` is resolved once by ``legendre_form`` into lambda and the
+    ``side`` is resolved once by ``normalize_to_legendre`` into lambda and the
     normalizing matrix M (the identity for a parameter); G(v) = G_lambda(M v)
     is the escape rate of the lift.  ``n`` sets the level k = min(7, max(2,
     ceil(log_4 n))) of the preimage grids of ``lattes_pairing``.
     """
 
     def __init__(self, side, n: int = 4000):
-        param, mob = legendre_form(side)
-        self.lam = complex(param.lam)
+        lam, mob = normalize_to_legendre(side)
+        self.lam = complex(lam)
         self.level = min(_GRID_LEVEL_CAP, max(2, ((n - 1).bit_length() + 1) // 2))
-        entries = (1, 0, 0, 1) if mob is None else (mob.a, mob.b, mob.c, mob.d)
-        self.mat = tuple(map(complex, entries))
+        self.mat = tuple(map(complex, (mob.a, mob.b, mob.c, mob.d)))
 
     def escape(self, x, y) -> np.ndarray:
         """G(v) = G_lambda(M v) on arrays of vectors v = (x, y)."""
@@ -266,12 +264,15 @@ def sample_lattes_equilibrium(lam, n: int, seed: int = 0) -> Cloud:
     A single chain: each step replaces the current point by a uniformly random
     one of the four preimages of L(t) = current, repeated by multiplicity and
     sorted by (real, imag) as ``lattes_preimages`` returns them.  The first
-    ``_BURN_IN`` points are discarded.  Deterministic given the seed.  The
-    parameter must avoid 0, 1 and infinity (``DegenerateQuadruple`` otherwise).
+    ``_BURN_IN`` points are discarded.  Deterministic given the seed.  ``lam`` is
+    read by ``normalize_to_legendre``; a side with M != 1 raises ``TypeError``.
     """
     if n < 100:
         raise ValueError("need n >= 100 samples")
-    lamc = complex((lam if isinstance(lam, LegendreParam) else LegendreParam(lam)).lam)
+    lam, mob = normalize_to_legendre(lam)
+    if not mob.is_identity:
+        raise TypeError("the sampler draws mu_lambda; a quadruple needs its Moebius pullback")
+    lamc = complex(lam)
     rng = np.random.default_rng(seed)
     t = _START
     out = np.empty(n, dtype=complex)
@@ -337,10 +338,10 @@ def lattes_pairing(mu_a: LattesMeasure, mu_b: LattesMeasure) -> tuple[float, flo
     return 0.5 * (integrals[1] - integrals[0]), 0.5 * (errors[0] + errors[1])
 
 
-def lattes_sq_energy_arch(gamma_or_lambda_a, gamma_or_lambda_b, n: int) -> tuple[float, float]:
+def lattes_sq_energy_arch(side_a, side_b, n: int) -> tuple[float, float]:
     """<mu_a, mu_b> at infinity for two Lattes maps, and its quadrature error.
 
-    Each side is a Legendre parameter or a quadruple (as for ``torsion_images``);
+    Each side is a Legendre parameter or a quadruple (``normalize_to_legendre``);
     ``n`` sets the grid level of ``LattesMeasure``.
     """
-    return lattes_pairing(LattesMeasure(gamma_or_lambda_a, n), LattesMeasure(gamma_or_lambda_b, n))
+    return lattes_pairing(LattesMeasure(side_a, n), LattesMeasure(side_b, n))

@@ -85,6 +85,12 @@ class CoincidentAtoms(ArakelovError):
     code = "CoincidentAtoms"
 
 
+class FactorizationTooLarge(ArakelovError):
+    """An integer has a cofactor that trial division cannot decide."""
+
+    code = "FactorizationTooLarge"
+
+
 class NonFiniteResult(ArakelovError):
     """A result holds an infinite or NaN float, which JSON cannot carry."""
 

@@ -47,7 +47,7 @@ class Quadruple:
         for i in range(4):
             for j in range(i + 1, 4):
                 if pts[i] == pts[j]:
-                    raise DegenerateQuadruple(f"points {i} and {j} coincide")
+                    raise DegenerateQuadruple(f"points {i} and {j} of {self} coincide")
 
     def finite_points(self) -> list[Fraction]:
         return [p for p in self.points if p is not INFINITY]
@@ -60,15 +60,6 @@ def as_quadruple(points) -> Quadruple:
     if isinstance(points, Quadruple):
         return points
     return Quadruple(tuple(parse_p1_point(p) for p in points))
-
-
-@dataclass(frozen=True)
-class LegendreParam:
-    lam: Fraction
-
-    def __post_init__(self) -> None:
-        if self.lam is INFINITY or self.lam in (0, 1):
-            raise DegenerateQuadruple("Legendre parameter must avoid 0, 1 and infinity")
 
 
 # ---------------------------------------------------------------------------
@@ -139,41 +130,26 @@ class MobiusMap:
         return self.b == 0 and self.c == 0 and self.a == self.d
 
 
-def normalize_to_legendre(gamma) -> tuple[LegendreParam, MobiusMap]:
-    """The Moebius map sending g1, g2, g3 to infinity, 0, 1 and the image of g4.
+def normalize_to_legendre(side) -> tuple[Fraction, MobiusMap]:
+    """The Legendre parameter lam of a side and the Moebius map M sending its
+    points g1, g2, g3, g4 to infinity, 0, 1, lam; lam is the cross-ratio.
 
-    The Legendre parameter is exactly the cross-ratio [g1, g2, g3, g4].
+    A side is a quadruple (a ``Quadruple``, tuple or list) or a Legendre
+    parameter lam, which is the quadruple (infinity, 0, 1, lam): M is then the
+    identity, and lam in {0, 1, infinity} raises ``DegenerateQuadruple``.  In
+    homogeneous coordinates g = (x, y), with k = det(g1, g3) and
+    l = det(g2, g3), M = (k y2, -k x2, l y1, -l x1).
     """
-    quad = as_quadruple(gamma)
+    if not isinstance(side, (Quadruple, tuple, list)):
+        side = (INFINITY, 0, 1, side)
+    quad = as_quadruple(side)
     g1, g2, g3, g4 = quad.points
-    # rows of the matrix for t -> (g3-g1)(t-g2) / ((g3-g2)(t-g1)), with the
-    # usual degenerations when one of g1, g2, g3 is infinite
-    if g1 is INFINITY:
-        m = MobiusMap(Fraction(1), -g2, Fraction(0), g3 - g2)
-    elif g2 is INFINITY:
-        m = MobiusMap(Fraction(0), g3 - g1, Fraction(1), -g1)
-    elif g3 is INFINITY:
-        m = MobiusMap(Fraction(1), -g2, Fraction(1), -g1)
-    else:
-        k = g3 - g1
-        l = g3 - g2
-        m = MobiusMap(k, -k * g2, l, -l * g1)
+    (x1, y1), (x2, y2) = _homog(g1), _homog(g2)
+    k, l = _det(g1, g3), _det(g2, g3)
+    m = MobiusMap(k * y2, -k * x2, l * y1, -l * x1)
     lam = m.apply(g4)
     assert lam == cross_ratio(*quad.points)
-    return LegendreParam(lam), m
-
-
-def legendre_form(gamma_or_lambda) -> tuple[LegendreParam, MobiusMap | None]:
-    """A Legendre parameter, with the normalizing Moebius map when given a quadruple.
-
-    A quadruple is a ``Quadruple``, tuple or list; anything else is read as the
-    parameter itself (0, 1 and infinity raise ``DegenerateQuadruple``).
-    """
-    if isinstance(gamma_or_lambda, (Quadruple, tuple, list)):
-        return normalize_to_legendre(gamma_or_lambda)
-    if isinstance(gamma_or_lambda, LegendreParam):
-        return gamma_or_lambda, None
-    return LegendreParam(parse_p1_point(gamma_or_lambda)), None
+    return lam, m
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +212,12 @@ def local_discrepancy(points, u: Fraction | int | str, r: float, v: Place) -> fl
 # the Legendre map and 2-power torsion images
 
 
-def legendre_lattes_eval(lam: LegendreParam | Fraction | int | str, t):
+def legendre_lattes_eval(lam: Fraction | int | str, t):
     """L(t) = (t^2 - lam)^2 / (4 t (t-1) (t-lam)); infinity is a value.
 
     Exact over rationals (P^1 points); floating for complex arguments.
     """
-    lam_p = lam.lam if isinstance(lam, LegendreParam) else parse_p1_point(lam)
+    lam_p = parse_p1_point(lam)
     if isinstance(t, complex):
         lam_p = complex(lam_p)
     else:
@@ -339,8 +315,9 @@ def adjugate_lift(mat, w):
     return d * w - b, a - c * w
 
 
-def torsion_images(gamma_or_lambda, level: int) -> list[tuple[complex | object, int]]:
-    """Images of the 2^(level+1)-torsion: L^{-level} of the branch set {0,1,lam,inf}.
+def torsion_images(side, level: int) -> list[tuple[complex | object, int]]:
+    """Images of the 2^(level+1)-torsion: the branch points of a side and the
+    pullbacks through its normalizing map M of L^{-level}(infinity).
 
     Returns the distinct complex points with multiplicities (total
     4^(level+1)), finite ones sorted by (real, imag) and infinity last.  The
@@ -350,14 +327,12 @@ def torsion_images(gamma_or_lambda, level: int) -> list[tuple[complex | object, 
     point the level before added, with multiplicity 2.  L sends the critical
     values 0, 1, lam to infinity, so no point below a critical point is
     critical or repeated, and the points are built distinct with no merge.
-    For a general quadruple the branch points are its own, and the other
-    points are pulled back through the normalizing Moebius map.  A Legendre
-    parameter of 0, 1 or infinity raises ``DegenerateQuadruple``.
+    The side is read by ``normalize_to_legendre``: its branch points are
+    exactly its own, and every other point is pulled back through adj(M).
     """
     if level < 0 or level > TORSION_LEVEL_CAP:
         raise LevelTooLarge(f"level must lie in [0, {TORSION_LEVEL_CAP}]")
-    param, mobius = legendre_form(gamma_or_lambda)
-    lam = param.lam
+    lam, mobius = normalize_to_legendre(side)
     added = [np.empty(0, dtype=complex)]
     if level:
         centres = np.array([0, 1, lam], dtype=complex)
@@ -367,14 +342,12 @@ def torsion_images(gamma_or_lambda, level: int) -> list[tuple[complex | object, 
         added.append(lattes_preimages_array(added[-1], complex(lam)))
     w = np.concatenate(added)
     below = len(w)
-    branch = [INFINITY, Fraction(0), Fraction(1), lam]
-    if mobius is not None:
-        inv = mobius.inverse()
-        branch = [inv.apply(t) for t in branch]  # exactly the quadruple's points
-        x, y = adjugate_lift(tuple(map(complex, (mobius.a, mobius.b, mobius.c, mobius.d))), w)
-        finite = y != 0  # a zero second coordinate is infinity
-        w = x[finite] / y[finite]
+    inv = mobius.inverse()
+    branch = [inv.apply(t) for t in (INFINITY, Fraction(0), Fraction(1), lam)]  # the side's points
     branch = [complex(p) for p in branch if p is not INFINITY]
+    x, y = adjugate_lift(tuple(map(complex, (mobius.a, mobius.b, mobius.c, mobius.d))), w)
+    finite = y != 0  # a zero second coordinate is infinity
+    w = x[finite] / y[finite]
     points = np.concatenate([branch, w])
     mults = np.repeat([1, 2], [len(branch), len(w)])
     order = np.lexsort((points.imag, points.real))

@@ -15,14 +15,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import AllZero, TooFewValues, ZeroInput
+from .errors import AllZero, FactorizationTooLarge, TooFewValues, ZeroInput
 
 INF = math.inf
 NEG_INF = -math.inf
+_TRIAL_LIMIT = 10**6  # the largest trial divisor
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of |n|, by trial division."""
+    """Distinct prime factors of |n|, by trial division up to 10^6.
+
+    A cofactor with no divisor up to 10^6 is prime below (10^6 + 1)^2; a larger
+    one raises ``FactorizationTooLarge``.
+    """
     n = abs(n)
     out: list[int] = []
     if n < 2:
@@ -34,6 +39,8 @@ def prime_factors(n: int) -> list[int]:
                 n //= p
     f = 5
     while f * f <= n:
+        if f > _TRIAL_LIMIT:
+            raise FactorizationTooLarge(f"the cofactor {n} has no prime factor up to 10^6")
         if n % f == 0:
             out.append(f)
             while n % f == 0:
@@ -104,7 +111,11 @@ def padic_valuation(x: Fraction | int, p: int) -> int | float:
     """v_p(x) with v_p(0) = +inf.  Additive: v_p(ab) = v_p(a) + v_p(b)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    x = Fraction(x)
+    return _valuation(Fraction(x), p)
+
+
+def _valuation(x: Fraction, p: int) -> int | float:
+    """``padic_valuation`` for a p already known to be prime."""
     if x == 0:
         return INF
     v = 0
@@ -127,7 +138,7 @@ def log_abs(x: Fraction | int, v: Place) -> float:
     if x == 0:
         return NEG_INF
     if v.is_finite:
-        val = padic_valuation(x, v.p)
+        val = _valuation(x, v.p)  # Place has validated its prime
         return v.epsilon * (-val * math.log(v.p))
     # archimedean; keep huge numerators safe by splitting the log
     return v.epsilon * (math.log(abs(x.numerator)) - math.log(x.denominator))

@@ -30,7 +30,7 @@ from arakelov.adelic import (
 )
 from arakelov.energy_arch import lattes_sq_energy_arch
 from arakelov.energy_ua import pair_raw
-from arakelov.errors import BranchPointCenter, DegenerateConfig, EmptyF
+from arakelov.errors import BadRadii, BranchPointCenter, DegenerateConfig, EmptyF
 from arakelov.lattes import PointIndex, torsion_images
 
 ARCH_N = 2500
@@ -317,6 +317,12 @@ class TestSmoothedSetBound:
             '"rhs": 2.184611275087283, "tol": 0.12}'
         )
 
+    @pytest.mark.parametrize("key", ["3 ", "03", "4", "1", "infinity", "Inf", 3, ""], ids=repr)
+    def test_bad_radius_key_rejected(self, key):
+        # a key is "inf" or str(p); "3 " was dropped, "4" and "infinity" failed later
+        with pytest.raises(BadRadii):
+            finite_set([5], {key: 0.5})
+
     def test_pinned_json_three_point_set(self):
         fs = finite_set(["1/2", 4, -6], {"inf": 3.0, "5": 0.2})
         rep = pair_with_smoothed_set([1, 3, 9, "inf"], fs)
@@ -421,8 +427,8 @@ class TestScans:
             '"size_a": 130, "size_b": 130, "tol": 1e-07}'
         ),
     }
-    # the (2, 2) control matches all 130 points; its 5018-byte string by digest
-    BFT_CONTROL_SHA256 = "5551b37e94f6f6d0a5141df228b00be9887cace62f414ef380ed4e3eb18bfe9d"
+    # the (2, 2) control matches all 130 points; its 5008-byte string by digest
+    BFT_CONTROL_SHA256 = "8184c27c52cfff311bcad1197149436ce5ba2404c810a8ce0a169852dad736e5"
 
     @pytest.mark.parametrize("case", sorted(BFT_RECORDED, key=repr))
     def test_bft_json_unchanged(self, case):

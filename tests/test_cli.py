@@ -253,6 +253,13 @@ class TestErrorsAndDeterminism:
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2 and json.loads(proc.stdout)["error"] == "UsageError"
 
+    def test_large_prime_exits_one(self):
+        # trial division stops at 10^6; a subprocess keeps a slow factorization from stalling the suite
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        argv = [sys.executable, "-m", "arakelov.cli", "places", "residual", "--x", "10000000000000061"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and json.loads(proc.stdout)["error"] == "FactorizationTooLarge"
+
     def test_sample_count_bounds_accepted(self, capsys):
         args = ["energy", "arch", "--lambda-a", "2", "--lambda-b", "3", "--samples", "100"]
         code, out, _ = run(args, capsys)
@@ -341,6 +348,7 @@ class TestErrorsAndDeterminism:
             "ResidueCharTwo", "BranchPointCenter", "DegenerateQuadruple",
             "DegenerateConfig", "LevelTooLarge", "EmptyF", "SingularPair",
             "QuadratureFailure", "NonConvergentRoots", "CoincidentAtoms", "NonFiniteResult",
+            "FactorizationTooLarge",
         }
         assert expected <= set(ERROR_CODES)
 

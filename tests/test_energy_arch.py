@@ -48,7 +48,7 @@ def pulled_back_cloud(quad, n, seed):
     """Equilibrium cloud of a quadruple: a Legendre sample pulled back through the
     inverse normalizing map, points sent to infinity dropped (test oracle)."""
     lam, mob = normalize_to_legendre(quad)
-    w = sample_lattes_equilibrium(lam.lam, n, seed=seed).points
+    w = sample_lattes_equilibrium(lam, n, seed=seed).points
     inv = mob.inverse()
     a, b, c, d = (complex(x) for x in (inv.a, inv.b, inv.c, inv.d))
     den = c * w + d
@@ -321,7 +321,7 @@ class TestEscapeRate:
         # G_L(M v) + (1/3) log|det M|
         param, mob = normalize_to_legendre(gamma)
         a, b, c, d = (complex(t) for t in (mob.a, mob.b, mob.c, mob.d))
-        lam = complex(param.lam)
+        lam = complex(param)
 
         def conjugate_lift(x, y):
             fx, fy = legendre_lift(lam, a * x + b * y, c * x + d * y)

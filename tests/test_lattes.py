@@ -210,15 +210,15 @@ class TestLegendreMap:
 class TestNormalization:
     def test_already_normalized(self):
         lam, mob = normalize_to_legendre(["inf", 0, 1, 5])
-        assert lam.lam == 5 and mob.is_identity
+        assert lam == 5 and mob.is_identity
 
     def test_swapped(self):
         lam, _ = normalize_to_legendre([0, "inf", 1, 2])
-        assert lam.lam == Fraction(1, 2)
+        assert lam == Fraction(1, 2)
 
     def test_generic(self):
         lam, _ = normalize_to_legendre([1, 2, 3, 4])
-        assert lam.lam == Fraction(4, 3)
+        assert lam == Fraction(4, 3)
 
     def test_round_trip(self):
         rng = np.random.default_rng(45)
@@ -226,7 +226,7 @@ class TestNormalization:
             quad = random_quadruple(rng, 15)
             lam, mob = normalize_to_legendre(quad)
             inv = mob.inverse()
-            images = [inv.apply(t) for t in (INFINITY, Fraction(0), Fraction(1), lam.lam)]
+            images = [inv.apply(t) for t in (INFINITY, Fraction(0), Fraction(1), lam)]
             assert tuple(images) == quad.points
 
 
@@ -277,6 +277,21 @@ class TestTorsionImages:
             torsion_images("inf", 1)
         with pytest.raises(DegenerateQuadruple):
             sample_lattes_equilibrium(INFINITY, 200)
+        with pytest.raises(DegenerateQuadruple):
+            sample_lattes_equilibrium("inf", 200)
+
+    def test_parameter_is_its_normalized_quadruple(self):
+        # one route: the same bytes, zero signs included
+        for lam in (2, Fraction(1, 9), Fraction(-3, 4), Fraction(1001, 1000)):
+            for level in range(5):
+                got = repr(torsion_images(lam, level))
+                assert got == repr(torsion_images(("inf", 0, 1, lam), level)), (lam, level)
+
+    @pytest.mark.parametrize("side", [0.5, (1, 2, 3, 4), [0, "inf", 1, 2]], ids=repr)
+    def test_sampler_takes_a_legendre_parameter(self, side):
+        # a float would change the finite places; a quadruple's measure is not mu_lambda
+        with pytest.raises(TypeError):
+            sample_lattes_equilibrium(side, 200)
 
 
 def dedup_quadratic(pts, tol):
@@ -303,9 +318,9 @@ def torsion_oracle(source, max_level, tol=1e-9):
     """The former route to ``torsion_images`` at levels 0..max_level: scalar
     preimages level by level from [0, 1, lam, inf], merged within tol, then
     each point pulled back through the inverse Moebius map and merged again."""
-    param, mobius = lattes.legendre_form(source)
-    lamc = complex(param.lam)
-    inv = None if mobius is None else mobius.inverse()
+    lam, mobius = lattes.normalize_to_legendre(source)
+    lamc = complex(lam)
+    inv = mobius.inverse()
 
     def preimages(w):
         return [0j, 1 + 0j, lamc, INFINITY] if w is INFINITY else lattes_preimages(w, lamc)
@@ -315,9 +330,6 @@ def torsion_oracle(source, max_level, tol=1e-9):
     for level in range(max_level + 1):
         if level:
             current = dedup_quadratic([(p, m) for w, m in current for p in preimages(w)], tol)
-        if inv is None:
-            levels.append(current)
-            continue
         moved = [(inv.apply(p), m) for p, m in current]
         moved = [(p if p is INFINITY else complex(p), m) for p, m in moved]
         levels.append(dedup_quadratic(moved, tol))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from arakelov import places, suite
-from arakelov.errors import AllZero, TooFewValues, ZeroInput
+from arakelov.errors import AllZero, FactorizationTooLarge, TooFewValues, ZeroInput
 from arakelov.suite import random_rational
 
 V3 = places.finite(3)
@@ -60,6 +60,18 @@ class TestLogAbs:
                 assert places.log_abs(x * y, v) == pytest.approx(
                     places.log_abs(x, v) + places.log_abs(y, v), abs=1e-12
                 )
+
+    def test_finite_place_skips_the_prime_check(self, monkeypatch):
+        # Place has validated its prime, so log_abs does not test it again
+        v5 = places.finite(5)
+
+        def refuse(n):
+            raise AssertionError("is_prime called")
+
+        monkeypatch.setattr(places, "is_prime", refuse)
+        assert places.log_abs(Fraction(10, 3), v5) == -math.log(5)
+        with pytest.raises(AssertionError):
+            places.padic_valuation(10, 5)
 
     def test_flow_linearity_exact(self):
         rng = np.random.default_rng(12)
@@ -141,6 +153,19 @@ class TestSubmax:
     def test_too_few(self):
         with pytest.raises(TooFewValues):
             places.submax([1])
+
+
+class TestFactorization:
+    def test_small_factors(self):
+        assert places.prime_factors(-(2**80) * 3 * 999983) == [2, 3, 999983]
+
+    def test_largest_prime_below_trial_square(self):
+        assert places.prime_factors(999999999989) == [999999999989]
+
+    @pytest.mark.parametrize("n", [10**16 + 61, 1000003 * 1000033, 6 * (10**16 + 61)])
+    def test_large_cofactor_refused(self, n):
+        with pytest.raises(FactorizationTooLarge):
+            places.prime_factors(n)
 
 
 class TestPlaceValidation:

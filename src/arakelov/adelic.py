@@ -627,20 +627,15 @@ def gap_scan(
     }
 
 
-def _point_key(p) -> tuple:
-    if p is INFINITY:
-        return (1, 0.0, 0.0)
-    return (0, p.real, p.imag)
-
-
 def bft_scan(side_a, side_b, level: int, tol: float = 1e-7) -> dict:
     """Count common 2-power torsion images of two configurations at one level.
 
     Points are matched by euclidean distance <= tol; a collision audit
     reports the minimum pairwise gap inside each set, the numeric evidence
     that the exactly distinct images stay apart as floats; both go through
-    one ``PointIndex`` per set.  A ``tol`` outside (0, 2^1022) raises
-    ``ValueError``.
+    one ``PointIndex`` per set.  Matched points keep the ``torsion_images``
+    order, finite ones by (real, imag) and infinity last.  A ``tol`` outside
+    (0, 2^1022) raises ``ValueError``.
     """
     positive_tolerance(tol)
     set_a = torsion_images(side_a, level)
@@ -651,7 +646,6 @@ def bft_scan(side_a, side_b, level: int, tol: float = 1e-7) -> dict:
     matched = [finite_a[i] for i in index_a.near(index_b, tol)]
     if len(finite_a) < len(set_a) and len(finite_b) < len(set_b):
         matched.append(INFINITY)
-    matched.sort(key=_point_key)
     return {
         "level": level,
         "tol": tol,

@@ -195,7 +195,7 @@ def _cmd_lattes(args) -> dict:
             "total_multiplicity": sum(m for _, m in pts),
         }
     # op == "eval"
-    lam, _ = lattes.normalize_to_legendre(_parsed(args, "lam", places.parse_p1_point, "--lambda"))
+    lam = _parsed(args, "lam", places.parse_p1_point, "--lambda")
     val = lattes.legendre_lattes_eval(lam, _parsed(args, "t", places.parse_p1_point))
     return {"value": places.format_p1_point(val)}
 

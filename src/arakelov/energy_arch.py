@@ -29,6 +29,7 @@ from .lattes import (
     adjugate_lift,
     lattes_preimages,
     lattes_preimages_array,
+    legendre_parameter,
     normalize_to_legendre,
 )
 
@@ -265,14 +266,11 @@ def sample_lattes_equilibrium(lam, n: int, seed: int = 0) -> Cloud:
     one of the four preimages of L(t) = current, repeated by multiplicity and
     sorted by (real, imag) as ``lattes_preimages`` returns them.  The first
     ``_BURN_IN`` points are discarded.  Deterministic given the seed.  ``lam`` is
-    read by ``normalize_to_legendre``; a side with M != 1 raises ``TypeError``.
+    read by ``legendre_parameter``; a side with M != 1 raises ``TypeError``.
     """
     if n < 100:
         raise ValueError("need n >= 100 samples")
-    lam, mob = normalize_to_legendre(lam)
-    if not mob.is_identity:
-        raise TypeError("the sampler draws mu_lambda; a quadruple needs its Moebius pullback")
-    lamc = complex(lam)
+    lamc = complex(legendre_parameter(lam))
     rng = np.random.default_rng(seed)
     t = _START
     out = np.empty(n, dtype=complex)
@@ -341,7 +339,7 @@ def lattes_pairing(mu_a: LattesMeasure, mu_b: LattesMeasure) -> tuple[float, flo
 def lattes_sq_energy_arch(side_a, side_b, n: int) -> tuple[float, float]:
     """<mu_a, mu_b> at infinity for two Lattes maps, and its quadrature error.
 
-    Each side is a Legendre parameter or a quadruple (``normalize_to_legendre``);
+    Each side is a Legendre parameter or a quadruple (``as_side``);
     ``n`` sets the grid level of ``LattesMeasure``.
     """
     return lattes_pairing(LattesMeasure(side_a, n), LattesMeasure(side_b, n))

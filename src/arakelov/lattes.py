@@ -62,6 +62,15 @@ def as_quadruple(points) -> Quadruple:
     return Quadruple(tuple(parse_p1_point(p) for p in points))
 
 
+def as_side(side) -> Quadruple:
+    """A side of a Lattes system: a quadruple (a ``Quadruple``, tuple or list) or
+    a Legendre parameter lam, which is the quadruple (infinity, 0, 1, lam), so
+    lam in {0, 1, infinity} raises ``DegenerateQuadruple``."""
+    if not isinstance(side, (Quadruple, tuple, list)):
+        side = (INFINITY, 0, 1, side)
+    return as_quadruple(side)
+
+
 # ---------------------------------------------------------------------------
 # cross-ratios and Moebius normalization
 
@@ -78,15 +87,12 @@ def _det(p: P1Point, q: P1Point) -> Fraction:
 
 
 def cross_ratio(g1, g2, g3, g4) -> Fraction:
-    """[g1, g2, g3, g4] = (g3-g1)(g4-g2) / ((g3-g2)(g4-g1)), with infinity handled.
+    """[g1, g2, g3, g4] = (g3-g1)(g4-g2) / ((g3-g2)(g4-g1)), with infinity handled:
+    the Legendre parameter of ``normalize_to_legendre``.
 
     Exact; lands outside {0, 1} for distinct points.
     """
-    quad = as_quadruple((g1, g2, g3, g4))  # parses and validates distinctness
-    g1, g2, g3, g4 = quad.points
-    num = _det(g3, g1) * _det(g4, g2)
-    den = _det(g3, g2) * _det(g4, g1)
-    return num / den
+    return normalize_to_legendre((g1, g2, g3, g4))[0]
 
 
 def cross_ratio_orbit(beta: Fraction) -> list[Fraction]:
@@ -131,25 +137,28 @@ class MobiusMap:
 
 
 def normalize_to_legendre(side) -> tuple[Fraction, MobiusMap]:
-    """The Legendre parameter lam of a side and the Moebius map M sending its
-    points g1, g2, g3, g4 to infinity, 0, 1, lam; lam is the cross-ratio.
+    """The Legendre parameter lam of a side (``as_side``) and the Moebius map M
+    sending its points g1, g2, g3, g4 to infinity, 0, 1, lam; lam = M(g4) is
+    the cross-ratio, and M is the identity for a parameter.
 
-    A side is a quadruple (a ``Quadruple``, tuple or list) or a Legendre
-    parameter lam, which is the quadruple (infinity, 0, 1, lam): M is then the
-    identity, and lam in {0, 1, infinity} raises ``DegenerateQuadruple``.  In
-    homogeneous coordinates g = (x, y), with k = det(g1, g3) and
+    In homogeneous coordinates g = (x, y), with k = det(g1, g3) and
     l = det(g2, g3), M = (k y2, -k x2, l y1, -l x1).
     """
-    if not isinstance(side, (Quadruple, tuple, list)):
-        side = (INFINITY, 0, 1, side)
-    quad = as_quadruple(side)
-    g1, g2, g3, g4 = quad.points
+    g1, g2, g3, g4 = as_side(side).points
     (x1, y1), (x2, y2) = _homog(g1), _homog(g2)
     k, l = _det(g1, g3), _det(g2, g3)
     m = MobiusMap(k * y2, -k * x2, l * y1, -l * x1)
-    lam = m.apply(g4)
-    assert lam == cross_ratio(*quad.points)
-    return lam, m
+    return m.apply(g4), m
+
+
+def legendre_parameter(side) -> Fraction:
+    """lam of a side whose normalizing map is the identity: a parameter or a
+    quadruple (infinity, 0, 1, lam).  Any other quadruple raises ``TypeError``,
+    as the Legendre map and its equilibrium measure need its Moebius pullback."""
+    lam, mob = normalize_to_legendre(side)
+    if not mob.is_identity:
+        raise TypeError("a Legendre map takes lam; a quadruple needs its Moebius pullback")
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +187,7 @@ def lattes_segment(gamma, v: Place) -> Segment:
 
 def lattes_segment_length_units(gamma, v: Place) -> int:
     """ell(I_gamma) as an exact integer multiple of epsilon * log p."""
-    quad = as_quadruple(gamma)
-    beta = cross_ratio(*quad.points)
+    beta, _ = normalize_to_legendre(as_quadruple(gamma))
     return max(-padic_valuation(x, v.p) for x in cross_ratio_orbit(beta))
 
 
@@ -212,12 +220,13 @@ def local_discrepancy(points, u: Fraction | int | str, r: float, v: Place) -> fl
 # the Legendre map and 2-power torsion images
 
 
-def legendre_lattes_eval(lam: Fraction | int | str, t):
+def legendre_lattes_eval(lam, t):
     """L(t) = (t^2 - lam)^2 / (4 t (t-1) (t-lam)); infinity is a value.
 
-    Exact over rationals (P^1 points); floating for complex arguments.
+    Exact over rationals (P^1 points); floating for complex arguments.  ``lam``
+    is read by ``legendre_parameter``.
     """
-    lam_p = parse_p1_point(lam)
+    lam_p = legendre_parameter(lam)
     if isinstance(t, complex):
         lam_p = complex(lam_p)
     else:
@@ -327,12 +336,13 @@ def torsion_images(side, level: int) -> list[tuple[complex | object, int]]:
     point the level before added, with multiplicity 2.  L sends the critical
     values 0, 1, lam to infinity, so no point below a critical point is
     critical or repeated, and the points are built distinct with no merge.
-    The side is read by ``normalize_to_legendre``: its branch points are
-    exactly its own, and every other point is pulled back through adj(M).
+    The side is read by ``as_side``: its branch points are exactly its own,
+    and every other point is pulled back through adj(M).
     """
     if level < 0 or level > TORSION_LEVEL_CAP:
         raise LevelTooLarge(f"level must lie in [0, {TORSION_LEVEL_CAP}]")
-    lam, mobius = normalize_to_legendre(side)
+    quad = as_side(side)
+    lam, mobius = normalize_to_legendre(quad)
     added = [np.empty(0, dtype=complex)]
     if level:
         centres = np.array([0, 1, lam], dtype=complex)
@@ -342,9 +352,7 @@ def torsion_images(side, level: int) -> list[tuple[complex | object, int]]:
         added.append(lattes_preimages_array(added[-1], complex(lam)))
     w = np.concatenate(added)
     below = len(w)
-    inv = mobius.inverse()
-    branch = [inv.apply(t) for t in (INFINITY, Fraction(0), Fraction(1), lam)]  # the side's points
-    branch = [complex(p) for p in branch if p is not INFINITY]
+    branch = [complex(p) for p in quad.finite_points()]
     x, y = adjugate_lift(tuple(map(complex, (mobius.a, mobius.b, mobius.c, mobius.d))), w)
     finite = y != 0  # a zero second coordinate is infinity
     w = x[finite] / y[finite]

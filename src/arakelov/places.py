@@ -259,12 +259,3 @@ def place_to_json(v: Place) -> dict:
     if v.kind == "trivial":
         out.pop("epsilon")
     return out
-
-
-def place_from_json(obj: dict) -> Place:
-    kind = obj["kind"]
-    if kind == "finite":
-        return Place("finite", int(obj["p"]), float(obj.get("epsilon", 1.0)))
-    if kind == "archimedean":
-        return Place("archimedean", None, float(obj.get("epsilon", 1.0)))
-    return TRIVIAL

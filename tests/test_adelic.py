@@ -446,6 +446,11 @@ def min_gap_rows(points):
     return float(min(gaps, default=math.inf))
 
 
+def point_key(p) -> tuple:
+    """Finite points by (real, imag), infinity last."""
+    return (1, 0.0, 0.0) if p is places.INFINITY else (0, p.real, p.imag)
+
+
 def match_all_pairs(pts_a, pts_b, tol):
     """The former all-pairs match: one np.abs row of B per point of A."""
     finite_b = np.array([q for q in pts_b if q is not places.INFINITY], dtype=complex)
@@ -467,7 +472,7 @@ class TestPointIndexOracles:
     def test_bft_scan_matches_oracles(self, lams, level):
         rep = bft_scan(*lams, level)
         pts_a, pts_b = ([p for p, _ in torsion_images(lam, level)] for lam in lams)
-        matched = sorted(match_all_pairs(pts_a, pts_b, rep["tol"]), key=adelic._point_key)
+        matched = sorted(match_all_pairs(pts_a, pts_b, rep["tol"]), key=point_key)
         assert rep["matched"] == [
             "inf" if p is places.INFINITY else [p.real, p.imag] for p in matched
         ]

@@ -56,6 +56,24 @@ class TestCrossRatio:
         with pytest.raises(DegenerateQuadruple):
             cross_ratio("inf", "inf", 1, 2)
 
+    def test_determinant_quotient_oracle(self):
+        # the library computes lam only as M(g4); the quotient is the independent formula
+        def det(p, q):
+            (x1, y1), (x2, y2) = ((1, 0) if g is INFINITY else (g, 1) for g in (p, q))
+            return x1 * y2 - x2 * y1
+
+        def quotient(g1, g2, g3, g4):
+            return Fraction(det(g3, g1) * det(g4, g2)) / (det(g3, g2) * det(g4, g1))
+
+        rng = np.random.default_rng(46)
+        for _ in range(1000):
+            quad = random_quadruple(rng, 15)
+            finite = quad.finite_points()[:3]
+            with_inf = [Quadruple((*finite[:i], INFINITY, *finite[i:])) for i in range(4)]
+            for q in [quad, *with_inf]:
+                lam = quotient(*q.points)
+                assert normalize_to_legendre(q)[0] == lam == cross_ratio(*q.points), q
+
 
 class TestLattesSegment:
     def test_large_lambda(self):
@@ -206,6 +224,11 @@ class TestLegendreMap:
         expected = (z * z - 2) ** 2 / (4 * z * (z - 1) * (z - 2))
         assert abs(got - expected) < 1e-14
 
+    def test_side_with_identity_map(self):
+        assert legendre_lattes_eval(("inf", 0, 1, 2), 3) == Fraction(49, 24)
+        with pytest.raises(TypeError):
+            legendre_lattes_eval((1, 2, 3, 4), 3)
+
 
 class TestNormalization:
     def test_already_normalized(self):
@@ -292,6 +315,28 @@ class TestTorsionImages:
         # a float would change the finite places; a quadruple's measure is not mu_lambda
         with pytest.raises(TypeError):
             sample_lattes_equilibrium(side, 200)
+
+
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        (0, "points 1 and 3 of (inf, 0, 1, 0) coincide"),
+        (1, "points 2 and 3 of (inf, 0, 1, 1) coincide"),
+        ("inf", "points 0 and 3 of (inf, 0, 1, inf) coincide"),
+    ],
+)
+def test_degenerate_parameter_is_read_by_one_rule(lam, message):
+    readers = (
+        normalize_to_legendre,
+        lambda side: torsion_images(side, 1),
+        lambda side: sample_lattes_equilibrium(side, 200),
+        lambda side: legendre_lattes_eval(side, 3),
+        lambda side: legendre_lattes_eval(side, 3 + 1j),
+    )
+    for read in readers:
+        with pytest.raises(DegenerateQuadruple) as err:
+            read(lam)
+        assert str(err.value) == message
 
 
 def dedup_quadratic(pts, tol):

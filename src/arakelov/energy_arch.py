@@ -12,8 +12,10 @@ escape rate G of a homogeneous lift: it pairs with Diracs exactly and with
 circles by quadrature.  Two Lattes measures pair by Petsche-Szpiro-Tucker:
 <mu_a, mu_b> = (1/2)[int (G_a - G_b) d(mu_b - mu_a)], each integral a mean
 over the 4^k iterated preimages of one point, a uniform grid on the torus
-C/Lambda (trapezoidal rule), with one Richardson step from level k - 1.  The
-backward-orbit sampler and the cloud sums are the tests' oracle.
+C/Lambda (trapezoidal rule), with one Richardson step from level k - 1.  A
+measure's G on its own grids follows from G at that one point by the preimage
+recursion, one log per point and level; only the partner's G runs the series.
+The backward-orbit sampler and the cloud sums are the tests' oracle.
 """
 
 from __future__ import annotations
@@ -97,25 +99,47 @@ class LattesMeasure:
         return self.escape(u, 1.0) - self._g_inf
 
     @cached_property
+    def _log_det(self) -> float:
+        a, b, c, d = self.mat
+        return math.log(abs(a * d - b * c))
+
+    @cached_property
     def self_energy(self) -> float:
         """I = -(1/3) log|4 lam (lam - 1)| - log|det M| + 2 G(1, 0), from Res F_lam."""
-        a, b, c, d = self.mat
-        det = math.log(abs(a * d - b * c))
-        return -math.log(abs(4.0 * self.lam * (self.lam - 1.0))) / 3.0 - det + 2.0 * self._g_inf
+        lam = self.lam
+        return -math.log(abs(4.0 * lam * (lam - 1.0))) / 3.0 - self._log_det + 2.0 * self._g_inf
 
     @cached_property
-    def grids(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """adj(M)(w, 1) over L^-(k-1)(w_0) and L^-k(w_0): M pulls mu_lambda back
-        to this measure, and adj(M) does so without dividing or dropping points."""
-        levels = [np.array([_START])]
+    def _grid_levels(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], np.ndarray], ...]:
+        """adj(M)(w, 1) and G there, for w over L^-(k-1)(w_0) and L^-k(w_0).
+
+        M pulls mu_lambda back to this measure, and adj(M) does so without
+        dividing or dropping points.  G comes from G_lambda(w_0, 1) by the
+        recursion G_lambda(u, 1) = (G_lambda(L u, 1) + log|4u(u - 1)(u - lambda)|)/4,
+        since F(u, 1) = 4u(u - 1)(u - lambda) (L u, 1); M adj(M) = det M adds
+        log|det M|.  The preimages of w[i] sit at i, n + i, 2n + i and 3n + i,
+        so their parent values are ``np.tile(g, 4)``.
+        """
+        lam = self.lam
+        w = np.array([_START])
+        g = escape_rate(lam, w, 1.0)
+        levels = [(w, g)]
         for _ in range(self.level):
-            levels.append(lattes_preimages_array(levels[-1], self.lam))
-        return tuple(adjugate_lift(self.mat, w) for w in levels[-2:])
+            w = lattes_preimages_array(w, lam)
+            g = 0.25 * (np.tile(g, 4) + np.log(np.abs(4.0 * w * (w - 1.0) * (w - lam))))
+            levels = [levels[-1], (w, g)]
+        return tuple((adjugate_lift(self.mat, w), g + self._log_det) for w, g in levels)
 
-    @cached_property
+    @property
+    def grids(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """adj(M)(w, 1) over L^-(k-1)(w_0) and L^-k(w_0), the grids of ``lattes_pairing``."""
+        return tuple(v for v, _ in self._grid_levels)
+
+    @property
     def grid_escapes(self) -> tuple[np.ndarray, np.ndarray]:
-        """G on the two grids of ``grids``, shared by every partner of ``lattes_pairing``."""
-        return tuple(self.escape(x, y) for x, y in self.grids)
+        """G on the two grids of ``grids``, by the preimage recursion, shared by every
+        partner of ``lattes_pairing``; the series ``escape(*grid)`` is its oracle."""
+        return tuple(g for _, g in self._grid_levels)
 
 
 ArchMeasure = DiracAt | Circle | Cloud | LattesMeasure
@@ -290,7 +314,9 @@ def escape_rate(lam, x, y) -> np.ndarray:
     map to C^2.  Each step renormalises, so
     G(v) = log||v|| + sum_k 4^-(k+1) log||F(u_k)|| with u_0 = v/||v|| and
     u_{k+1} = F(u_k)/||F(u_k)||, summed over a fixed ``_ESCAPE_STEPS`` terms.
-    G(F(v)) = 4 G(v) and G(c v) = G(v) + log|c|.
+    A step scales by the real reciprocal of the norm and takes the norm as the
+    modulus of |x| + i|y|, which, like ``hypot``, squares nothing and so never
+    overflows.  G(F(v)) = 4 G(v) and G(c v) = G(v) + log|c|.
     """
     lamc = complex(lam)
     x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
@@ -298,11 +324,12 @@ def escape_rate(lam, x, y) -> np.ndarray:
     g = np.log(norm)
     # the steps run in place in these buffers: fresh temporaries at every step
     # cost page faults whenever the allocator gives large blocks back
-    u, v, x2, y2, xy, t = (np.empty(x.shape, dtype=complex) for _ in range(6))
-    ax, ay, nb = (np.empty(x.shape) for _ in range(3))
+    u, v, x2, y2, xy, t, xy_abs = (np.empty(x.shape, dtype=complex) for _ in range(7))
+    scale, nb = np.empty(x.shape), np.empty(x.shape)
     weight = 1.0
     for _ in range(_ESCAPE_STEPS):
-        x, y = np.divide(x, norm, out=u), np.divide(y, norm, out=v)
+        np.reciprocal(norm, out=scale)
+        x, y = np.multiply(x, scale, out=u), np.multiply(y, scale, out=v)
         np.multiply(x, x, out=x2)
         np.multiply(y, y, out=y2)
         np.multiply(lamc, y2, out=t)
@@ -311,9 +338,11 @@ def escape_rate(lam, x, y) -> np.ndarray:
         np.multiply(4.0, np.subtract(x2, xy, out=y), out=y)
         np.multiply(y, np.subtract(xy, t, out=xy), out=y)
         np.square(np.subtract(x2, t, out=x), out=x)
-        norm = np.hypot(np.abs(x, out=ax), np.abs(y, out=ay), out=nb)
+        np.abs(x, out=xy_abs.real)
+        np.abs(y, out=xy_abs.imag)
+        norm = np.abs(xy_abs, out=nb)
         weight *= 0.25
-        g += np.multiply(weight, np.log(norm, out=ax), out=ax)
+        g += np.multiply(weight, np.log(norm, out=scale), out=scale)
     return g
 
 

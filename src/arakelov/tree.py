@@ -249,28 +249,6 @@ def classify_pair(ia: Segment, ib: Segment, v: Place) -> PairConfiguration:
     return Disjoint(la, lb, la1, max(la - la1, 0.0), lb1, max(lb - lb1, 0.0), d_ab, za, zb)
 
 
-# ---------------------------------------------------------------------------
-# Moebius moves (isometries of the tree) for invariance checks
-
-
-def translate_point(x: TreePoint, c: Fraction | int, v: Place) -> TreePoint:
-    if x.at_infinity:
-        return x
-    c = parse_rational(c)
-    return TreePoint(x.center + c, x.log_radius)
-
-
-def scale_point(x: TreePoint, c: Fraction | int, v: Place) -> TreePoint:
-    c = parse_rational(c)
-    if c == 0:
-        raise ValueError("scaling by zero is not a Moebius map")
-    if x.at_infinity:
-        return x
-    if x.is_type1:
-        return type1(c * x.center)
-    return TreePoint(c * x.center, x.log_radius + log_abs(c, v))
-
-
 def invert_point(x: TreePoint, v: Place) -> TreePoint:
     """Image of x under t -> 1/t, via the chart-change law."""
     if x.at_infinity:

@@ -16,7 +16,7 @@ STDOUT_SHA256 = {
     "02_tree_geometry.py": "895f3278bbe87b84403bfb01d2eadd086d311d3afa79b872041da3528e44fc5b",
     "03_segment_energies.py": "0458b05ebd95a79d78135b0f4ff6a4677e960d5a5ebeb9b909a8739743740e15",
     "04_lattes_equilibrium.py": "7c1c1431d7861f4bd07ac18c2cb7ffa1166d17ce291dbb8b922171c39d6c211f",
-    "05_archimedean_monte_carlo.py": "ecac0da56a0c1336d5763d6133ad62fe90e58c700c91da18a48d6bfd0994941b",
+    "05_archimedean_monte_carlo.py": "b2466ff63b8798d2031a1aad108876e4e50819e69f34563f136677ef782b00f8",
     "06_adelic_energies_and_scans.py": "02e28fab5d11da7f3067ab8062ee56a78e1afe9c25293e0dcc6ee2335fb3f02e",
 }
 

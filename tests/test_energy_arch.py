@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -294,6 +295,19 @@ def iterated_escape_rate(lift, x, y, steps=30):
     return g
 
 
+def mp_escape_rate(lam, x, y):
+    """``escape_rate``'s series, its ``_ESCAPE_STEPS`` steps at 40 digits (test oracle)."""
+    with mpmath.workdps(40):
+        lam, x, y = (mpmath.mpc(complex(t)) for t in (lam, x, y))
+        norm = mpmath.sqrt(abs(x) ** 2 + abs(y) ** 2)
+        g = mpmath.log(norm)
+        for k in range(energy_arch._ESCAPE_STEPS):
+            x, y = legendre_lift(lam, x / norm, y / norm)
+            norm = mpmath.sqrt(abs(x) ** 2 + abs(y) ** 2)
+            g += mpmath.log(norm) / mpmath.mpf(4) ** (k + 1)
+        return float(g)
+
+
 def random_vectors(rng, size=200):
     return tuple(rng.normal(size=size) + 1j * rng.normal(size=size) for _ in range(2))
 
@@ -331,6 +345,34 @@ class TestEscapeRate:
         ref = iterated_escape_rate(conjugate_lift, x, y)
         got = escape_rate(lam, a * x + b * y, c * x + d * y) + math.log(abs(a * d - b * c)) / 3
         assert np.abs(got - ref).max() <= 1e-12
+
+    HUGE = [pytest.param(10**80, id="10^80"), pytest.param(10**100, id="10^100")]
+
+    @pytest.mark.parametrize("side", [2, 3, "1/9", "1001/1000", -1000, [1, 3, 9, "inf"], *HUGE])
+    def test_step_against_mpmath(self, side):
+        # every 64th point of a level-6 grid, the 0-d inputs (0, 1) and (1, 0)
+        # of the potential, and |u| = 1e200, which only a norm that squares
+        # nothing survives; the lifts of lam = 10^80 and 10^100 overflow if
+        # squared too
+        mu = LattesMeasure(side, 1500)
+        x, y = (t[::64] for t in mu.grids[1])
+        m0, m1, m2, m3 = mu.mat
+        vectors = list(zip(m0 * x + m1 * y, m2 * x + m3 * y))
+        vectors += [(0.0, 1.0), (1.0, 0.0), (1e200 * np.exp(0.3j), 1.0)]
+        for vx, vy in vectors:
+            got = escape_rate(mu.lam, vx, vy)
+            ref = mp_escape_rate(mu.lam, vx, vy)
+            assert np.ndim(got) == 0 and math.isfinite(got)
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (side, vx, vy)
+        grid = escape_rate(mu.lam, *zip(*vectors))
+        assert grid.shape == (len(vectors),) and np.isfinite(grid).all()
+        u0 = mp_escape_rate(mu.lam, m1, m3) - mp_escape_rate(mu.lam, m0, m2)
+        assert abs(mu.potential(0) - u0) <= 1e-13 * max(1.0, abs(u0))
+
+    @pytest.mark.parametrize("lam", HUGE)
+    def test_huge_parameter_pairs_finitely(self, lam):
+        energy, quad_err = lattes_sq_energy_arch(lam, 3, 20000)
+        assert math.isfinite(energy) and math.isfinite(quad_err)
 
 
 class TestLattesEnergy:
@@ -478,6 +520,31 @@ class TestLattesMeasure:
         pair_energy_arch(a, LattesMeasure(3, 500))
         # level 5: five preimage steps per grid, one grid per measure
         assert a.level == b.level == 5 and len(calls) == 3 * 5
+
+    @pytest.mark.parametrize("n", [16, 1500, 20000])
+    @pytest.mark.parametrize(
+        "side",
+        [2, 3, "1/9", "1001/1000", -1000, ["inf", -2, 5, "1/3"], [-2, "inf", 5, "1/3"],
+         [-2, 5, "inf", "1/3"], [-2, 5, "1/3", "inf"], [-2, 5, "1/3", 7]],
+    )
+    def test_grid_escapes_follow_the_series(self, side, n):
+        # the preimage recursion against the series on the same grids
+        mu = LattesMeasure(side, n)
+        for grid, g in zip(mu.grids, mu.grid_escapes):
+            assert np.abs(g - mu.escape(*grid)).max() <= 1e-9
+
+    def test_pairing_runs_the_series_on_partner_grids_only(self, monkeypatch):
+        sizes = []
+
+        def counting(lam, x, y):
+            sizes.append(np.broadcast(x, y).size)
+            return escape_rate(lam, x, y)
+
+        monkeypatch.setattr(energy_arch, "escape_rate", counting)
+        a, b = LattesMeasure(2, 500), LattesMeasure([1, 3, 9, "inf"], 500)
+        lattes_pairing(a, b)
+        # per side: one point for its own grids, then the partner on levels 4 and 5
+        assert a.level == b.level == 5 and sizes == [1, 4**4, 4**5] * 2
 
     def test_grid_is_the_iterated_preimage_set(self):
         # level 2 of mu_2: the 16 points t with L(L(t)) = w_0, each distinct

@@ -44,10 +44,9 @@ from arakelov.tree import (
     classify_pair,
     hsia_log_kernel,
     point_on_path,
-    scale_point,
     segment_between,
-    translate_point,
 )
+from test_tree import scale_point, translate_point
 
 # derandomized, so that every run checks the same examples
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -12,6 +12,28 @@ V5 = places.finite(5)
 V7 = places.finite(7)
 
 
+# Moebius moves (isometries of the tree) for the invariance checks here and in
+# test_properties
+
+
+def translate_point(x: tree.TreePoint, c: Fraction | int, v: places.Place) -> tree.TreePoint:
+    if x.at_infinity:
+        return x
+    c = places.parse_rational(c)
+    return tree.TreePoint(x.center + c, x.log_radius)
+
+
+def scale_point(x: tree.TreePoint, c: Fraction | int, v: places.Place) -> tree.TreePoint:
+    c = places.parse_rational(c)
+    if c == 0:
+        raise ValueError("scaling by zero is not a Moebius map")
+    if x.at_infinity:
+        return x
+    if x.is_type1:
+        return tree.type1(c * x.center)
+    return tree.TreePoint(c * x.center, x.log_radius + places.log_abs(c, v))
+
+
 class TestJoin:
     def test_comparable(self):
         x, y = tree.eta(0, 0.0), tree.eta(0, 2.0)
@@ -194,8 +216,8 @@ class TestClassifyPair:
             ref = self._config_tuple(tree.classify_pair(ia, ib, V7))
             c = random_rational(rng, 9)
             moves = [
-                lambda q: tree.translate_point(q, c, V7),
-                lambda q: tree.scale_point(q, c, V7),
+                lambda q: translate_point(q, c, V7),
+                lambda q: scale_point(q, c, V7),
                 lambda q: tree.invert_point(q, V7),
             ]
             for move in moves:

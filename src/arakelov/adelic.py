@@ -23,18 +23,11 @@ from .energy_arch import (
     Circle,
     DiracAt,
     LattesMeasure,
-    UNIT_CIRCLE,
     arch_self_energy,
     lattes_pairing,
     pair_energy_arch,
 )
-from .energy_ua import (
-    Atoms,
-    SegmentMeasure,
-    energy_closed_form,
-    pair_raw,
-    segment_measure,
-)
+from .energy_ua import Atoms, SegmentMeasure, energy_closed_form, mutual_energy_raw
 from .errors import BadRadii, DegenerateConfig, EmptyF
 from .lattes import (
     PointIndex,
@@ -61,7 +54,7 @@ from .places import (
     submax,
     support_primes,
 )
-from .tree import GAUSS, TreePoint, segment_between, type1
+from .tree import TreePoint, type1
 
 LOG2 = math.log(2.0)
 
@@ -222,23 +215,6 @@ def global_energy(
 # measure families (adelic measures) and their pairings
 
 
-class StandardFamily:
-    """chi_{0,1} at every place: Gauss mass at finite places, unit circle at infinity."""
-
-    label = "standard"
-    skip_two = False
-    arch_tol = 0.0
-
-    def support_primes(self) -> list[int]:
-        return []
-
-    def finite_measure(self, v: Place) -> SegmentMeasure:
-        return segment_measure(segment_between(GAUSS, GAUSS, v))
-
-    def arch_mixture(self) -> list[tuple[ArchMeasure, float]]:
-        return [(UNIT_CIRCLE, 1.0)]
-
-
 class LattesFamily:
     """Equilibrium measures of the Lattes map of a quadruple; 2-adic term skipped.
     ``seed`` changes no output: nothing is sampled."""
@@ -306,6 +282,7 @@ class SmoothedSetFamily:
 
     def __init__(self, fs: FiniteSet):
         self.fs = fs
+        self.weight = 1.0 / len(fs.points)
 
     def support_primes(self) -> list[int]:
         primes = set(difference_primes(self.fs.points))
@@ -317,13 +294,21 @@ class SmoothedSetFamily:
     def finite_measure(self, v: Place) -> Atoms:
         r = self.fs.radius_at(v)
         log_r = v.epsilon * math.log(r)
-        w = 1.0 / len(self.fs.points)
-        return [(TreePoint(u, log_r), w) for u in self.fs.points]
+        return [(TreePoint(u, log_r), self.weight) for u in self.fs.points]
 
     def arch_mixture(self) -> list[tuple[ArchMeasure, float]]:
         r = self.fs.radius_at(ARCH)
-        w = 1.0 / len(self.fs.points)
-        return [(Circle(complex(u), r), w) for u in self.fs.points]
+        return [(Circle(complex(u), r), self.weight) for u in self.fs.points]
+
+
+class StandardFamily(SmoothedSetFamily):
+    """chi_{0,1} at every place, the smoothed set {0} at radius 1: Gauss mass at
+    finite places, unit circle at infinity."""
+
+    label = "standard"
+
+    def __init__(self):
+        super().__init__(finite_set([0]))
 
 
 class PointSetFamily(SmoothedSetFamily):
@@ -332,15 +317,13 @@ class PointSetFamily(SmoothedSetFamily):
     label = "point_set"
 
     def finite_measure(self, v: Place) -> Atoms:
-        w = 1.0 / len(self.fs.points)
-        return [(type1(u), w) for u in self.fs.points]
+        return [(type1(u), self.weight) for u in self.fs.points]
 
     def arch_mixture(self) -> list[tuple[ArchMeasure, float]]:
-        w = 1.0 / len(self.fs.points)
-        return [(DiracAt(complex(u)), w) for u in self.fs.points]
+        return [(DiracAt(complex(u)), self.weight) for u in self.fs.points]
 
 
-MeasureFamily = StandardFamily | LattesFamily | SmoothedSetFamily
+MeasureFamily = LattesFamily | SmoothedSetFamily
 
 
 def _mixture_pair(mix1, mix2) -> float:
@@ -378,11 +361,9 @@ def family_sq_energy(f1: MeasureFamily, f2: MeasureFamily) -> dict:
     total = 0.0
     per_place = {}
     for v in places:
-        m1 = f1.finite_measure(v)
-        m2 = f2.finite_measure(v)
-        term = pair_raw(m1, m1, v) - 2.0 * pair_raw(m1, m2, v) + pair_raw(m2, m2, v)
-        per_place[str(v)] = 0.5 * term
-        total += 0.5 * term
+        term = mutual_energy_raw(f1.finite_measure(v), f2.finite_measure(v), v)
+        per_place[str(v)] = term
+        total += term
     mix1, mix2 = f1.arch_mixture(), f2.arch_mixture()
     # the self terms are added first, so swapping the families keeps every bit
     arch_term = 0.5 * (_mixture_self(mix1) + _mixture_self(mix2)) - _mixture_pair(mix1, mix2)
@@ -558,6 +539,10 @@ def random_rational(rng: np.random.Generator, height: int) -> Fraction:
 
 
 def random_pair_config(rng: np.random.Generator, height: int = 20) -> PairConfig:
+    """A side needs three distinct nonzero entries; height 1 has only +-1, so a
+    height below 2 raises ``ValueError``."""
+    if height < 2:
+        raise ValueError(f"a pair configuration needs height at least 2, not {height}")
     while True:
         a = tuple(random_rational(rng, height) for _ in range(3))
         b = tuple(random_rational(rng, height) for _ in range(3))

@@ -55,8 +55,8 @@ def _parsed(args, dest: str, parse, flag: str | None = None):
         raise UsageError(f"{flag} is required")
     try:
         return parse(text)
-    except (ValueError, ZeroDivisionError, KeyError, TypeError, OSError):
-        raise UsageError(f"{flag}: invalid value {text!r}") from None
+    except (ValueError, ZeroDivisionError, KeyError, TypeError, OSError) as exc:
+        raise UsageError(f"{flag}: invalid value {text!r} ({exc})") from None
 
 
 def _json(parse, *extra):
@@ -64,39 +64,41 @@ def _json(parse, *extra):
     return lambda text: parse(json.loads(text), *extra)
 
 
-def _sample_count(n: int) -> int:
-    if not 100 <= n <= 10**7:
-        raise ValueError("a sample count must lie in [100, 10^7]")
-    return n
+def _array(items, numbers: bool = False) -> list:
+    """A JSON array, of numbers other than bools when ``numbers`` is set."""
+    if not isinstance(items, list):
+        raise TypeError("expected a JSON array")
+    if numbers and not all(type(x) in (int, float) for x in items):
+        raise TypeError("expected a JSON array of numbers")
+    return items
 
 
-def _count(n: int) -> int:
-    if n < 0:
-        raise ValueError("a count must be nonnegative")
-    return n
+def _in_range(lo: int, hi: float = math.inf):
+    """A ``_parsed`` parser for an integer in [lo, hi]."""
+
+    def check(n: int) -> int:
+        if not lo <= n <= hi:
+            raise ValueError(f"must be at least {lo}" if hi == math.inf else f"must lie in [{lo}, {hi}]")
+        return n
+
+    return check
 
 
-def _oracle_count(n: int) -> int:
-    if not 2 <= n <= 10**6:
-        raise ValueError("the oracle needs n in [2, 10^6]")
-    return n
-
-
-def _height(n: int) -> int:
-    if n < 1:
-        raise ValueError("a height must be at least 1")
-    return n
+_COUNT = _in_range(0)  # --count and the seed
+_HEIGHT = _in_range(2)  # height 1 has only the rationals +-1
+_SAMPLES = _in_range(100, 10**7)
+_ORACLE_N = _in_range(2, 10**6)
 
 
 def _seed(args) -> int:
     """ARAKELOV_SEED when it is set, else --seed: a nonnegative integer."""
     env = os.environ.get("ARAKELOV_SEED")
     if env is None:
-        return _parsed(args, "seed", _count)
+        return _parsed(args, "seed", _COUNT)
     try:
-        return _count(int(env))
-    except ValueError:
-        raise UsageError(f"ARAKELOV_SEED: invalid value {env!r}") from None
+        return _COUNT(int(env))
+    except ValueError as exc:
+        raise UsageError(f"ARAKELOV_SEED: invalid value {env!r} ({exc})") from None
 
 
 def _config_json(cfg) -> dict:
@@ -121,11 +123,12 @@ def _cmd_places(args) -> dict:
         x = _parsed(args, "x", places.parse_rational)
         return {"residual": places.product_formula_residual(x)}
     if op in ("height", "affine-height"):
-        coords = _parsed(args, "coords", _json(lambda cs: list(map(places.parse_rational, cs))))
+        coords = _parsed(args, "coords", _json(lambda cs: list(map(places.parse_rational, _array(cs)))))
         if op == "height":
             return {"projective_height": places.projective_height(coords)}
         return {"affine_height": places.affine_height(coords)}
-    return {"submax": _parsed(args, "values", _json(places.submax))}  # op == "submax"
+    values = _parsed(args, "values", _json(lambda xs: _array(xs, numbers=True)))
+    return {"submax": places.submax(values)}  # op == "submax"
 
 
 def _cmd_tree(args) -> dict:
@@ -147,7 +150,7 @@ def _cmd_energy_ua(args) -> dict:
     v = _parse_place(args)
     ia = energy_ua.segment_measure(_parsed(args, "ia", _json(tree.segment_from_json, v)))
     ib = energy_ua.segment_measure(_parsed(args, "ib", _json(tree.segment_from_json, v)))
-    n = _parsed(args, "oracle_n", _oracle_count)
+    n = _parsed(args, "oracle_n", _ORACLE_N)
     return {
         "closed": energy_ua.energy_closed_form(ia, ib, v),
         "config": _config_json(tree.classify_pair(ia.support, ib.support, v)),
@@ -157,7 +160,7 @@ def _cmd_energy_ua(args) -> dict:
 
 
 def _cmd_energy_arch(args) -> dict:
-    n = _parsed(args, "samples", _sample_count)
+    n = _parsed(args, "samples", _SAMPLES)
     lam_a = _parsed(args, "lambda_a", places.parse_p1_point)
     lam_b = _parsed(args, "lambda_b", places.parse_p1_point)
     mu_a = energy_arch.LattesMeasure(lam_a, n)
@@ -208,22 +211,22 @@ def _cmd_adelic(args) -> dict:
             cfg = _parsed(args, "config", lambda path: config(Path(path).read_text("utf-8")))
         else:
             cfg = _parsed(args, "config_json", config)
-        n = _parsed(args, "arch_samples", _sample_count)
+        n = _parsed(args, "arch_samples", _SAMPLES)
         return adelic.global_energy(cfg, arch_samples=n).to_json()
     if args.op == "gap-scan":
         return adelic.gap_scan(
-            count=_parsed(args, "count", _count),
+            count=_parsed(args, "count", _COUNT),
             seed=seed,
-            height=_parsed(args, "height", _height),
-            arch_samples=_parsed(args, "arch_samples", _sample_count),
+            height=_parsed(args, "height", _HEIGHT),
+            arch_samples=_parsed(args, "arch_samples", _SAMPLES),
         )
     if args.op == "bft":
         a = _parsed(args, "lambda_a", places.parse_p1_point)
         b = _parsed(args, "lambda_b", places.parse_p1_point)
         tol = _parsed(args, "tol", lattes.positive_tolerance)
         return adelic.bft_scan(a, b, int(args.level), tol=tol)
-    count = _parsed(args, "count", _count)  # op == "suite"
-    return adelic.suite_scan(count=count, seed=seed, height=_parsed(args, "height", _height))
+    count = _parsed(args, "count", _COUNT)  # op == "suite"
+    return adelic.suite_scan(count=count, seed=seed, height=_parsed(args, "height", _HEIGHT))
 
 
 def _cmd_suite(args) -> dict:

@@ -118,26 +118,13 @@ def _sigma_integral(lo: float, hi: float, c: float, a: float, b: float) -> float
     return total
 
 
-def _concentric_pieces(seg: Segment, v: Place) -> list[tuple[Fraction, float, float]]:
-    """Split [a, b] into at most two concentric arcs (center, lo, hi)."""
-    if seg.is_singleton:
-        return []
-    k = hsia_log_kernel(seg.a, seg.b, v)
-    pieces = []
-    if k - seg.a.log_radius > 0:
-        pieces.append((seg.a.center, seg.a.log_radius, k))
-    if k - seg.b.log_radius > 0:
-        pieces.append((seg.b.center, seg.b.log_radius, k))
-    return pieces
-
-
 def segment_potential(mu: SegmentMeasure, z: TreePoint, v: Place) -> float:
     """U_mu(z) = integral of log kappa(x, z) d mu(x), exactly."""
     seg = mu.support
     if mu.support.is_singleton:
         return hsia_log_kernel(seg.a, z, v)
     total = 0.0
-    for center, lo, hi in _concentric_pieces(seg, v):
+    for center, lo, hi in seg.arcs:
         w = hsia_log_kernel(z, type1(center), v)
         total += _sigma_branch(lo, hi, w)
     return total / seg.length
@@ -176,24 +163,23 @@ def pair_raw(mu: SegmentMeasure | Atoms, nu: SegmentMeasure | Atoms, v: Place) -
         return pair_raw(nu, mu, v)
     # mu is Lebesgue on a genuine segment
     assert isinstance(mu, SegmentMeasure)
-    pieces_mu = _concentric_pieces(mu.support, v)
     if atoms_nu is not None:
         total = 0.0
         for y, wy in atoms_nu:
             total += wy * segment_potential(mu, y, v)
         return -total
     assert isinstance(nu, SegmentMeasure)
-    pieces_nu = _concentric_pieces(nu.support, v)
     total = 0.0
-    for ca, lo_a, hi_a in pieces_mu:
-        for cb, lo_b, hi_b in pieces_nu:
+    for ca, lo_a, hi_a in mu.support.arcs:
+        for cb, lo_b, hi_b in nu.support.arcs:
             c = hsia_log_kernel(type1(ca), type1(cb), v)  # log|ca - cb|, -inf if equal
             total += _sigma_integral(lo_a, hi_a, c, lo_b, hi_b)
     return -total / (mu.support.length * nu.support.length)
 
 
-def mutual_energy_raw(mu: SegmentMeasure, nu: SegmentMeasure, v: Place) -> float:
-    """<mu, nu> assembled from raw pairings; exact alternative to the closed form."""
+def mutual_energy_raw(mu: SegmentMeasure | Atoms, nu: SegmentMeasure | Atoms, v: Place) -> float:
+    """<mu, nu> = (1/2) [(mu, mu) - 2 (mu, nu) + (nu, nu)] from raw pairings: the
+    family pairings' finite term, and an exact alternative to the closed form."""
     return 0.5 * (pair_raw(mu, mu, v) - 2.0 * pair_raw(mu, nu, v) + pair_raw(nu, nu, v))
 
 
@@ -278,19 +264,17 @@ def energy_union_check(
 # discretized kernel oracle
 
 
-def _discretize(mu: SegmentMeasure, n: int, v: Place) -> list[tuple[Fraction, np.ndarray, np.ndarray]]:
+def _discretize(mu: SegmentMeasure, n: int) -> list[tuple[Fraction, np.ndarray, np.ndarray]]:
     """Atoms at arc-length midpoints as at most two groups (center, log_radii, weights).
 
-    [a, b] is two concentric rays meeting at the join, so one kernel call places
-    every atom, clamped and split as ``tree.point_on_path`` does.
+    [a, b] is two concentric rays meeting at the join ``top``, so the atoms are
+    clamped and split as ``tree.point_on_path`` does, with no kernel call.
     """
     seg = mu.support
     if mu.support.is_singleton:
         return [(seg.a.center, np.array([seg.a.log_radius]), np.ones(1))]
-    k = hsia_log_kernel(seg.a, seg.b, v)
-    up = k - seg.a.log_radius
-    total = up + (k - seg.b.log_radius)
-    s = np.minimum(np.maximum((np.arange(n) + 0.5) * seg.length / n, 0.0), total)
+    up, total = seg.top - seg.a.log_radius, seg.length
+    s = np.minimum(np.maximum((np.arange(n) + 0.5) * total / n, 0.0), total)
     low = s <= up
     w = np.full(n, 1.0 / n)
     groups = [
@@ -327,7 +311,7 @@ def energy_oracle(ia: SegmentMeasure, ib: SegmentMeasure, v: Place, n: int = 200
         raise ValueError("oracle needs n >= 2")
     groups: dict[Fraction, tuple[np.ndarray, np.ndarray]] = {}
     for sign, mu in ((1.0, ia), (-1.0, ib)):
-        for c, r, w in _discretize(mu, n, v):
+        for c, r, w in _discretize(mu, n):
             r0, w0 = groups.get(c, ((), ()))
             groups[c] = (np.concatenate((r0, r)), np.concatenate((w0, sign * w)))
     centers = list(groups)

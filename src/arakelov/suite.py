@@ -37,7 +37,10 @@ def random_measure(rng, v: places.Place, span: float) -> energy_ua.SegmentMeasur
 
 def random_quadruple(rng, height: int) -> lattes.Quadruple:
     """Four distinct points; each draw is infinity with probability 0.15 while
-    infinity is not taken, else a rational of the given height."""
+    infinity is not taken, else a rational of the given height.  Height 1 has
+    only +-1 and infinity, so a height below 2 raises ``ValueError``."""
+    if height < 2:
+        raise ValueError(f"a quadruple needs height at least 2, not {height}")
     pts: list = []
     while len(pts) < 4:
         if rng.uniform() < 0.15 and places.INFINITY not in pts:

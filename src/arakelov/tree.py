@@ -94,12 +94,19 @@ def points_equal(x: TreePoint, y: TreePoint, v: Place) -> bool:
     )
 
 
+def _rises(x: TreePoint, y: TreePoint, v: Place) -> tuple[float, float, float]:
+    """[x, y] as two concentric arcs meeting at the join: its log radius k and
+    the rises k - r_x and k - r_y from each end."""
+    k = hsia_log_kernel(x, y, v)
+    return k, k - x.log_radius, k - y.log_radius
+
+
 def path_length(x: TreePoint, y: TreePoint, v: Place) -> float:
     """Canonical log length of [x, y]; both points must be of type 2 or 3."""
     if x.is_type1 or y.is_type1:
         raise Type1Endpoint("path length is infinite at type-1 endpoints")
-    k = hsia_log_kernel(x, y, v)
-    return (k - x.log_radius) + (k - y.log_radius)
+    _, up, down = _rises(x, y, v)
+    return up + down
 
 
 def median(x: TreePoint, y: TreePoint, z: TreePoint, v: Place) -> TreePoint:
@@ -119,16 +126,26 @@ def median(x: TreePoint, y: TreePoint, z: TreePoint, v: Place) -> TreePoint:
 
 @dataclass(frozen=True)
 class Segment:
-    """A geodesic between two type-2/3 points, with its place and cached length."""
+    """A geodesic between two type-2/3 points, with its place, its cached
+    length and the log radius ``top`` of join(a, b), where its two arcs meet."""
 
     a: TreePoint
     b: TreePoint
     place: Place
     length: float
+    top: float
 
     @property
     def is_singleton(self) -> bool:
         return self.length == 0.0
+
+    @property
+    def arcs(self) -> list[tuple[Fraction, float, float]]:
+        """The nonempty concentric arcs (center, lo, top) from an end up to the join."""
+        if self.is_singleton:
+            return []
+        ends = (self.a, self.b)
+        return [(p.center, p.log_radius, self.top) for p in ends if self.top > p.log_radius]
 
     def __repr__(self) -> str:
         return f"Segment({self.a!r}, {self.b!r}, l={self.length:.6g})"
@@ -139,17 +156,14 @@ def segment_between(x: TreePoint, y: TreePoint, v: Place) -> Segment:
         raise PlaceMismatch("segments live over a finite place")
     if x.is_type1 or y.is_type1:
         raise Type1Endpoint("segment endpoints must be of type 2 or 3")
-    length = path_length(x, y, v)
-    if points_equal(x, y, v):
-        length = 0.0
-    return Segment(x, y, v, length)
+    top, up, down = _rises(x, y, v)
+    return Segment(x, y, v, 0.0 if points_equal(x, y, v) else up + down, top)
 
 
 def point_on_path(x: TreePoint, y: TreePoint, v: Place, s: float) -> TreePoint:
     """The point at arc length s from x along [x, y] (0 <= s <= length)."""
-    k = hsia_log_kernel(x, y, v)
-    up = k - x.log_radius
-    total = up + (k - y.log_radius)
+    _, up, down = _rises(x, y, v)
+    total = up + down
     s = min(max(s, 0.0), total)
     if s <= up:
         return TreePoint(x.center, x.log_radius + s)

@@ -11,6 +11,7 @@ from arakelov import adelic, cli, energy_arch, lattes, places, tree
 from arakelov.adelic import (
     LattesFamily,
     PairConfig,
+    PointSetFamily,
     SmoothedSetFamily,
     StandardFamily,
     bft_scan,
@@ -32,6 +33,7 @@ from arakelov.energy_arch import lattes_sq_energy_arch
 from arakelov.energy_ua import pair_raw
 from arakelov.errors import BadRadii, BranchPointCenter, DegenerateConfig, EmptyF
 from arakelov.lattes import PointIndex, torsion_images
+from arakelov.suite import random_quadruple
 
 ARCH_N = 2500
 
@@ -217,6 +219,48 @@ class TestHRhoF:
         assert pair_raw(disk, disk, places.finite(3)) == -1.5
 
 
+class TestFamilies:
+    def test_standard_is_the_smoothed_set_zero(self):
+        std = StandardFamily()
+        assert std.label == "standard" and std.support_primes() == []
+        for p in (2, 3, 5):
+            assert std.finite_measure(places.finite(p)) == [(tree.GAUSS, 1.0)]
+        assert std.arch_mixture() == [(energy_arch.UNIT_CIRCLE, 1.0)]
+
+    def test_standard_pairs_bit_identically_with_the_smoothed_set_zero(self):
+        zero = SmoothedSetFamily(finite_set([0]))
+        partners = [
+            LattesFamily(["inf", "0", "1", "2"], arch_samples=ARCH_N),
+            SmoothedSetFamily(finite_set([2, 3, "1/2"], {"3": 0.5, "inf": 2.0})),
+            PointSetFamily(finite_set(["1/2", 4, -6])),
+        ]
+        for other in partners:
+            for got, want in (
+                (family_sq_energy(StandardFamily(), other), family_sq_energy(zero, other)),
+                (family_sq_energy(other, StandardFamily()), family_sq_energy(other, zero)),
+            ):
+                keys = ("value", "per_place", "skipped_two", "tol")
+                assert json.dumps([got[k] for k in keys]) == json.dumps([want[k] for k in keys])
+
+    def test_finite_term_is_mutual_energy_raw(self):
+        fam = LattesFamily([1, 3, 9, "inf"], arch_samples=ARCH_N)
+        pts = PointSetFamily(finite_set(["1/2", 4, -6]))
+        rep = family_sq_energy(fam, pts)
+        for key, term in rep["per_place"].items():
+            if key == "v_inf":
+                continue
+            v = places.finite(int(key[2:]))
+            m1, m2 = fam.finite_measure(v), pts.finite_measure(v)
+            raw = pair_raw(m1, m1, v) - 2.0 * pair_raw(m1, m2, v) + pair_raw(m2, m2, v)
+            assert term == 0.5 * raw
+
+    def test_unit_radius_adds_no_place(self):
+        fs = finite_set([5], {"3": 1.0, "inf": 1, "7": 0.5})
+        assert fs.radius_places() == [places.finite(7)]
+        assert SmoothedSetFamily(fs).support_primes() == [5, 7]
+        assert finite_set([5], {"3": 1.0}).radius_places() == []
+
+
 class TestInequalitySuite:
     def test_simple_config(self):
         cfg = pair_config([1, 2, 3], ["1/5", "2/5", "3/5"])
@@ -352,12 +396,36 @@ class TestSmoothedSetBound:
         argv = ["energy", "arch", "--lambda-a", "2", "--lambda-b", "3", "--samples", "500"]
         assert cli.main(argv) == 0 and json.loads(capsys.readouterr().out)["level"] == 5
 
+    def test_radius_at_two_leaves_the_log_term(self):
+        quad = ["inf", "0", "1", "2"]
+        at_two = pair_with_smoothed_set(quad, finite_set([5], {"2": 0.5}), arch_samples=ARCH_N)
+        at_seven = pair_with_smoothed_set(quad, finite_set([5], {"7": 0.5}), arch_samples=ARCH_N)
+        assert at_two["log_term"] == 0.0
+        assert at_seven["log_term"] == math.log(2.0) / 2.0
+
     def test_branch_point_propagates(self):
         with pytest.raises(BranchPointCenter):
             pair_with_smoothed_set(
                 ["inf", "0", "1", "1/9"], finite_set([1], {"3": 0.5}),
                 arch_samples=ARCH_N,
             )
+
+
+class TestRandomInputs:
+    @pytest.mark.parametrize("height", [1, 0, -3])
+    def test_height_below_two_rejected(self, height):
+        # height 1 has only the rationals +-1: no side of three distinct entries
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="at least 2"):
+            adelic.random_pair_config(rng, height)
+        with pytest.raises(ValueError, match="at least 2"):
+            random_quadruple(rng, height)
+
+    def test_height_two_returns(self):
+        rng = np.random.default_rng(0)
+        cfg = adelic.random_pair_config(rng, 2)
+        assert all(places.affine_height(x) <= math.log(2) for x in cfg.entries)
+        assert len(set(random_quadruple(rng, 2).points)) == 4
 
 
 class TestScans:

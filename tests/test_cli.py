@@ -127,6 +127,26 @@ class TestBasicCommands:
         code, out, _ = run(["suite", *flags, "--seed", "7"], capsys)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["places", "valuation", "--x", "0", "--p", "3"], '{"valuation": "inf"}'),
+            (["places", "affine-height", "--coords", '["1/2","3"]'],
+             '{"affine_height": 1.791759469228055}'),  # log 6
+            (["tree", "length", "--x", '{"center":"0","log_radius":0.0}',
+              "--y", '{"center":"1/5","log_radius":-1.0}', "--place", "5"],
+             '{"path_length": 4.218875824868201}'),  # 2 log 5 + 1
+            (["tree", "classify", "--ia", GAUSS_SEG, "--ib", FAR_SEG, "--place", "5"],
+             '{"config": {"d_ab": 1.0, "la": 1.0, "la1": 1.0, "la2": 0.0, "lb": 1.0, '
+             '"lb1": 0.0, "lb2": 1.0, "variant": "disjoint"}}'),
+            (["places", "submax", "--values", "[3, 2.5, -1]"], '{"submax": 2.5}'),
+        ],
+        ids=["valuation", "affine-height", "tree-length", "tree-classify", "submax"],
+    )
+    def test_pinned_json(self, argv, expected, capsys):
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and out == expected + "\n"
+
 
 class TestErrorsAndDeterminism:
     def test_degenerate_config_exit_one(self, capsys):
@@ -252,6 +272,54 @@ class TestErrorsAndDeterminism:
         argv = [sys.executable, "-m", "arakelov.cli", "adelic", op, "--count", "2", "--height", "0"]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2 and json.loads(proc.stdout)["error"] == "UsageError"
+
+    @pytest.mark.parametrize("op", ["suite", "gap-scan"])
+    def test_height_one_exits_two(self, op):
+        # height 1 has only the rationals +-1, too few for a side; a subprocess
+        # keeps a hang from stalling the suite
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        argv = [sys.executable, "-m", "arakelov.cli", "adelic", op, "--count", "2", "--height", "1"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout) == {
+            "error": "UsageError", "message": "--height: invalid value 1 (must be at least 2)",
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["places", "height", "--coords", '"12"'],
+            ["places", "affine-height", "--coords", '"12"'],
+            ["places", "height", "--coords", '{"a": 1, "b": 2}'],
+            ["places", "submax", "--values", '["x", "y"]'],
+            ["places", "submax", "--values", "[true, false]"],
+            ["places", "submax", "--values", "[1, true]"],
+            ["places", "submax", "--values", '{"a": 1, "b": 2}'],
+            ["places", "submax", "--values", '"12"'],
+        ],
+        ids=["height-string", "affine-height-string", "height-object", "submax-strings",
+             "submax-bools", "submax-number-and-bool", "submax-object", "submax-string"],
+    )
+    def test_non_array_json_exits_two(self, argv, capsys):
+        code, out, _ = run(argv, capsys)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"] == "UsageError" and "expected a JSON array" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["adelic", "suite", "--count=-1"], "--count: invalid value -1 (must be at least 0)"),
+            (["energy", "arch", "--lambda-a", "2", "--lambda-b", "3", "--samples", "99"],
+             "--samples: invalid value 99 (must lie in [100, 10000000])"),
+            (["energy", "ua", "--ia", GAUSS_SEG, "--ib", GAUSS_SEG, "--place", "5",
+              "--oracle-n", "1"], "--oracle-n: invalid value 1 (must lie in [2, 1000000])"),
+        ],
+        ids=["count", "samples", "oracle-n"],
+    )
+    def test_range_errors_say_the_range(self, argv, message, capsys):
+        code, out, _ = run(argv, capsys)
+        assert code == 2 and json.loads(out)["message"] == message
 
     def test_large_prime_exits_one(self):
         # trial division stops at 10^6; a subprocess keeps a slow factorization from stalling the suite

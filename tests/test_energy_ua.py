@@ -218,7 +218,7 @@ class TestOracle:
     @staticmethod
     def assert_discretize_bitwise(mu, n, v):
         # per-atom tree.point_on_path is the oracle of the grouped atoms
-        groups = energy_ua._discretize(mu, n, v)
+        groups = energy_ua._discretize(mu, n)
         pts = atom_points(mu, n, v)
         assert [c for c, r, _ in groups for _ in r] == [pt.center for pt in pts]
         got = np.concatenate([r for _, r, _ in groups])
@@ -381,6 +381,10 @@ class TestLocalDiscrepancy:
     def test_zero_radius(self):
         assert local_discrepancy(["inf", "0", "1", "1/9"], 5, 0.0, V3) == 0.0
 
+    def test_negative_radius_rejected(self):
+        with pytest.raises(BadRadii):
+            local_discrepancy(["inf", "0", "1", "1/9"], 5, -1.0, V3)
+
     def test_oracle_agreement(self):
         # discretized double-sum oracle against the exact potential route
         from arakelov.energy_ua import _discretize
@@ -391,7 +395,7 @@ class TestLocalDiscrepancy:
             if u == 1:
                 continue  # branch point, rejected below
             mu = equilibrium_measure_ua(quad, V3)
-            groups = _discretize(mu, 4000, V3)
+            groups = _discretize(mu, 4000)
             z1 = tree.type1(u)
             z2 = tree.TreePoint(u, math.log(r))
             acc = sum(

@@ -43,6 +43,7 @@ class TestLogAbs:
     def test_trivial_place(self):
         assert places.log_abs(7, places.TRIVIAL) == 0.0
         assert places.log_abs(0, places.TRIVIAL) == -math.inf
+        assert str(places.TRIVIAL) == "v_0"
 
     def test_flow_scaling(self):
         v = places.Place("archimedean", None, 0.5)

@@ -136,6 +136,34 @@ class TestSegments:
         seg = tree.segment_between(tree.eta(0, -1.0), tree.eta(1, -1.0), V5)
         assert seg.length == pytest.approx(2.0, abs=1e-15)
 
+    def test_arcs_meet_at_the_join(self):
+        x, y = tree.eta(0, 0.0), tree.eta("1/5", -1.0)
+        seg = tree.segment_between(x, y, V5)
+        top = math.log(5)
+        assert seg.top == top
+        assert seg.arcs == [(Fraction(0), 0.0, top), (Fraction(1, 5), -1.0, top)]
+        # concentric: the upper end is the join and carries no arc
+        assert tree.segment_between(tree.eta(0, 0.0), tree.eta(0, 2.0), V5).arcs == [
+            (Fraction(0), 0.0, 2.0)
+        ]
+        assert tree.segment_between(tree.GAUSS, tree.GAUSS, V5).arcs == []
+        # within the point tolerance the segment snaps to a point and has no arcs
+        assert tree.segment_between(x, tree.eta(0, 1e-12), V5).arcs == []
+
+    def test_top_and_length_match_the_kernel_bitwise(self):
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            v = places.finite(int(rng.choice([3, 5, 7])))
+            x, y = random_point(rng, v, 3.0), random_point(rng, v, 3.0)
+            seg = tree.segment_between(x, y, v)
+            k = tree.hsia_log_kernel(x, y, v)
+            assert seg.top == k
+            if not seg.is_singleton:
+                assert seg.length == tree.path_length(x, y, v)
+                assert seg.arcs == [
+                    (p.center, p.log_radius, k) for p in (x, y) if k - p.log_radius > 0
+                ]
+
 
 class TestClassifyPair:
     def test_aligned_disjoint_facing_endpoints(self):

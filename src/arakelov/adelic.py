@@ -36,7 +36,7 @@ from .lattes import (
     equilibrium_measure_ua,
     local_discrepancy,
     positive_tolerance,
-    torsion_images,
+    torsion_image_arrays,
 )
 from .places import (
     ARCH,
@@ -618,28 +618,25 @@ def bft_scan(side_a, side_b, level: int, tol: float = 1e-7) -> dict:
     Points are matched by euclidean distance <= tol; a collision audit
     reports the minimum pairwise gap inside each set, the numeric evidence
     that the exactly distinct images stay apart as floats; both go through
-    one ``PointIndex`` per set.  Matched points keep the ``torsion_images``
-    order, finite ones by (real, imag) and infinity last.  A ``tol`` outside
-    (0, 2^1022) raises ``ValueError``.
+    one ``PointIndex`` per set, built on the sorted arrays of
+    ``torsion_image_arrays``, whose neighbour gaps bound the audit's search.
+    Matched points keep that order, finite ones by (real, imag) and infinity
+    last.  A ``tol`` outside (0, 2^1022) raises ``ValueError``.
     """
     positive_tolerance(tol)
-    set_a = torsion_images(side_a, level)
-    set_b = torsion_images(side_b, level)
-    finite_a = [p for p, _ in set_a if p is not INFINITY]
-    finite_b = [p for p, _ in set_b if p is not INFINITY]
+    finite_a, _, inf_a = torsion_image_arrays(side_a, level)
+    finite_b, _, inf_b = torsion_image_arrays(side_b, level)
     index_a, index_b = PointIndex(finite_a), PointIndex(finite_b)
-    matched = [finite_a[i] for i in index_a.near(index_b, tol)]
-    if len(finite_a) < len(set_a) and len(finite_b) < len(set_b):
-        matched.append(INFINITY)
+    matched = finite_a[index_a.near(index_b, tol)].view(float).reshape(-1, 2).tolist()
+    if inf_a and inf_b:
+        matched.append("inf")
     return {
         "level": level,
         "tol": tol,
         "count": len(matched),
-        "size_a": len(set_a),
-        "size_b": len(set_b),
+        "size_a": len(finite_a) + (inf_a > 0),
+        "size_b": len(finite_b) + (inf_b > 0),
         "min_gap_a": index_a.min_gap(),
         "min_gap_b": index_b.min_gap(),
-        "matched": [
-            "inf" if p is INFINITY else [p.real, p.imag] for p in matched
-        ],
+        "matched": matched,
     }

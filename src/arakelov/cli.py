@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -84,7 +85,7 @@ def _in_range(lo: int, hi: float = math.inf):
     return check
 
 
-_COUNT = _in_range(0)  # --count and the seed
+_NONNEGATIVE = _in_range(0)  # --count, --level and the seed
 _HEIGHT = _in_range(2)  # height 1 has only the rationals +-1
 _SAMPLES = _in_range(100, 10**7)
 _ORACLE_N = _in_range(2, 10**6)
@@ -94,9 +95,9 @@ def _seed(args) -> int:
     """ARAKELOV_SEED when it is set, else --seed: a nonnegative integer."""
     env = os.environ.get("ARAKELOV_SEED")
     if env is None:
-        return _parsed(args, "seed", _COUNT)
+        return _parsed(args, "seed", _NONNEGATIVE)
     try:
-        return _COUNT(int(env))
+        return _NONNEGATIVE(int(env))
     except ValueError as exc:
         raise UsageError(f"ARAKELOV_SEED: invalid value {env!r} ({exc})") from None
 
@@ -185,11 +186,11 @@ def _cmd_lattes(args) -> dict:
             "length_units_of_log_p": lattes.lattes_segment_length_units(quad, v),
         }
     if args.op == "torsion":
-        pts = lattes.torsion_images(
-            _parsed(args, "lam", places.parse_p1_point, "--lambda"), int(args.level)
-        )
+        lam = _parsed(args, "lam", places.parse_p1_point, "--lambda")
+        level = _parsed(args, "level", _NONNEGATIVE)
+        pts = lattes.torsion_images(lam, level)
         return {
-            "level": int(args.level),
+            "level": level,
             "points": [
                 {"point": "inf" if p is places.INFINITY else [p.real, p.imag], "mult": m}
                 for p, m in pts
@@ -215,7 +216,7 @@ def _cmd_adelic(args) -> dict:
         return adelic.global_energy(cfg, arch_samples=n).to_json()
     if args.op == "gap-scan":
         return adelic.gap_scan(
-            count=_parsed(args, "count", _COUNT),
+            count=_parsed(args, "count", _NONNEGATIVE),
             seed=seed,
             height=_parsed(args, "height", _HEIGHT),
             arch_samples=_parsed(args, "arch_samples", _SAMPLES),
@@ -223,9 +224,10 @@ def _cmd_adelic(args) -> dict:
     if args.op == "bft":
         a = _parsed(args, "lambda_a", places.parse_p1_point)
         b = _parsed(args, "lambda_b", places.parse_p1_point)
+        level = _parsed(args, "level", _NONNEGATIVE)
         tol = _parsed(args, "tol", lattes.positive_tolerance)
-        return adelic.bft_scan(a, b, int(args.level), tol=tol)
-    count = _parsed(args, "count", _COUNT)  # op == "suite"
+        return adelic.bft_scan(a, b, level, tol=tol)
+    count = _parsed(args, "count", _NONNEGATIVE)  # op == "suite"
     return adelic.suite_scan(count=count, seed=seed, height=_parsed(args, "height", _HEIGHT))
 
 
@@ -321,6 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = functools.cache(build_parser)  # one parser per process; parse_args leaves it as it was
+
+
 def _result_text(result: dict) -> str:
     """The result as JSON; an infinite or NaN float has no JSON form and is an error."""
     try:
@@ -351,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     started = time.time()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         result = args.func(args)
         text = _result_text(result)
     except ArakelovError as exc:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadBoundParameters, BadRadii, NotAbuttable
+from .errors import BadBoundParameters, BadRadii, NotAbuttable, PlaceMismatch
 from .places import NEG_INF, Place, parse_rational
 from .tree import (
     Disjoint,
@@ -134,6 +134,13 @@ def segment_potential(mu: SegmentMeasure, z: TreePoint, v: Place) -> float:
 # raw pairings (mu, nu) = - double integral of log kappa
 
 
+def _check_place(v: Place, *measures: SegmentMeasure | Atoms) -> None:
+    """``PlaceMismatch`` unless each segment measure lives over v, the place its
+    arcs were cut at; an atom list carries no place and is not checked."""
+    if any(isinstance(m, SegmentMeasure) and m.support.place != v for m in measures):
+        raise PlaceMismatch("a segment measure pairs only over the place of its segment")
+
+
 def _as_atoms(mu: SegmentMeasure | Atoms) -> Atoms | None:
     if isinstance(mu, SegmentMeasure):
         if mu.support.is_singleton:
@@ -147,8 +154,10 @@ def pair_raw(mu: SegmentMeasure | Atoms, nu: SegmentMeasure | Atoms, v: Place) -
 
     Atom lists follow the off-diagonal convention: a pair of coincident
     type-1 atoms (kernel -inf) is left out, every other pair is summed; the
-    kernel is finite on type-2/3 atoms, including coincident ones.
+    kernel is finite on type-2/3 atoms, including coincident ones.  A segment
+    measure over a place other than v raises ``PlaceMismatch``.
     """
+    _check_place(v, mu, nu)
     atoms_mu = _as_atoms(mu)
     atoms_nu = _as_atoms(nu)
     if atoms_mu is not None and atoms_nu is not None:
@@ -305,8 +314,10 @@ def energy_oracle(ia: SegmentMeasure, ib: SegmentMeasure, v: Place, n: int = 200
     type-2/3 points) runs against the signed product measure.  The atoms are
     grouped by center; between two groups at log distance D the kernel is
     max(r_i, r_j, D), so each block is a sorted prefix sum (`_block_sum`).
-    Deterministic; O(n log n); error O((total length)^3 / n^2).
+    Deterministic; O(n log n); error O((total length)^3 / n^2).  A segment
+    over a place other than v raises ``PlaceMismatch``.
     """
+    _check_place(v, ia, ib)
     if n < 2:
         raise ValueError("oracle needs n >= 2")
     groups: dict[Fraction, tuple[np.ndarray, np.ndarray]] = {}

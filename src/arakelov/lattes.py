@@ -286,7 +286,7 @@ class PointIndex:
     def __init__(self, points):
         from scipy.spatial import KDTree  # here, so that `import arakelov` does not load it
 
-        self.z = np.asarray(points, dtype=complex)
+        self.z = np.ascontiguousarray(points, dtype=complex)
         self.tree = KDTree(self.z.view(float).reshape(-1, 2))
 
     def near(self, other: "PointIndex", r: float) -> np.ndarray:
@@ -298,13 +298,15 @@ class PointIndex:
     def min_gap(self) -> float:
         """The minimum of np.abs(p - q) over pairs of distinct indices; inf below two points.
 
-        The max-norm nearest neighbours give an upper bound on it, and every
-        pair within that bound is a candidate.
+        The gap between any two points bounds it from above, so the smallest
+        gap between neighbours in index order is a bound in any order, and
+        every pair within that bound is a candidate.  The bound is tight when
+        the points are sorted by (real, imag), as ``torsion_image_arrays``
+        returns them.
         """
         if len(self.z) < 2:
             return math.inf
-        nearest = self.tree.query(self.tree.data, k=2, p=math.inf)[1][:, 1]
-        bound = np.abs(self.z - self.z[nearest]).min()
+        bound = np.abs(np.diff(self.z)).min()
         pairs = self.tree.query_pairs(bound, p=math.inf, output_type="ndarray")
         return float(np.abs(self.z[pairs[:, 0]] - self.z[pairs[:, 1]]).min())
 
@@ -324,20 +326,21 @@ def adjugate_lift(mat, w):
     return d * w - b, a - c * w
 
 
-def torsion_images(side, level: int) -> list[tuple[complex | object, int]]:
+def torsion_image_arrays(side, level: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Images of the 2^(level+1)-torsion: the branch points of a side and the
     pullbacks through its normalizing map M of L^{-level}(infinity).
 
-    Returns the distinct complex points with multiplicities (total
-    4^(level+1)), finite ones sorted by (real, imag) and infinity last.  The
-    branch points have multiplicity 1; level 1 adds the six critical points
-    +-sqrt(lam), 1 +- sqrt(1 - lam), lam +- sqrt(lam^2 - lam), double roots of
-    L = 0, 1, lam; each further level adds the four simple preimages of every
-    point the level before added, with multiplicity 2.  L sends the critical
-    values 0, 1, lam to infinity, so no point below a critical point is
-    critical or repeated, and the points are built distinct with no merge.
-    The side is read by ``as_side``: its branch points are exactly its own,
-    and every other point is pulled back through adj(M).
+    Returns the distinct finite points sorted by (real, imag), their
+    multiplicities, and the multiplicity of infinity (0 when it is no image);
+    the total is 4^(level+1).  The branch points have multiplicity 1; level 1
+    adds the six critical points +-sqrt(lam), 1 +- sqrt(1 - lam),
+    lam +- sqrt(lam^2 - lam), double roots of L = 0, 1, lam; each further
+    level adds the four simple preimages of every point the level before
+    added, with multiplicity 2.  L sends the critical values 0, 1, lam to
+    infinity, so no point below a critical point is critical or repeated, and
+    the points are built distinct with no merge.  The side is read by
+    ``as_side``: its branch points are exactly its own, and every other point
+    is pulled back through adj(M).
     """
     if level < 0 or level > TORSION_LEVEL_CAP:
         raise LevelTooLarge(f"level must lie in [0, {TORSION_LEVEL_CAP}]")
@@ -359,8 +362,14 @@ def torsion_images(side, level: int) -> list[tuple[complex | object, int]]:
     points = np.concatenate([branch, w])
     mults = np.repeat([1, 2], [len(branch), len(w)])
     order = np.lexsort((points.imag, points.real))
-    out = list(zip(points[order].tolist(), mults[order].tolist()))
-    inf_mult = 4 - len(branch) + 2 * (below - len(w))
+    return points[order], mults[order], 4 - len(branch) + 2 * (below - len(w))
+
+
+def torsion_images(side, level: int) -> list[tuple[complex | object, int]]:
+    """``torsion_image_arrays`` as one list of (point, multiplicity): the
+    finite points as complex numbers, then infinity when it is an image."""
+    points, mults, inf_mult = torsion_image_arrays(side, level)
+    out = list(zip(points.tolist(), mults.tolist()))
     if inf_mult:
         out.append((INFINITY, inf_mult))
     return out

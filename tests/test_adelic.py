@@ -32,7 +32,7 @@ from arakelov.adelic import (
 from arakelov.energy_arch import lattes_sq_energy_arch
 from arakelov.energy_ua import pair_raw
 from arakelov.errors import BadRadii, BranchPointCenter, DegenerateConfig, EmptyF
-from arakelov.lattes import PointIndex, torsion_images
+from arakelov.lattes import PointIndex, torsion_image_arrays, torsion_images
 from arakelov.suite import random_quadruple
 
 ARCH_N = 2500
@@ -561,3 +561,38 @@ class TestPointIndexOracles:
 
     def test_min_gap_below_two_points(self):
         assert PointIndex([]).min_gap() == PointIndex([1j]).min_gap() == math.inf
+
+
+class TestMinGapBound:
+    """``min_gap`` bounds its search by the smallest gap between neighbours in
+    index order: loose on unsorted points, but the minimum stays exact."""
+
+    @pytest.mark.parametrize("lam", [2, 3, 5])
+    def test_shuffled_level_five_images(self, lam):
+        pts = torsion_image_arrays(lam, 5)[0]
+        want = min_gap_rows(pts)
+        assert PointIndex(pts).min_gap() == want
+        rng = np.random.default_rng(lam)
+        for _ in range(3):
+            assert PointIndex(rng.permutation(pts)).min_gap() == want
+
+    @pytest.mark.parametrize("level", range(6))
+    def test_random_quadruple_sides(self, level):
+        rng = np.random.default_rng(100 + level)
+        for _ in range(4):
+            pts = torsion_image_arrays(random_quadruple(rng, 12), level)[0]
+            assert PointIndex(pts).min_gap() == min_gap_rows(pts)
+
+    @pytest.mark.parametrize(
+        "points, want",
+        [
+            ([0, 3 + 4j], 5.0),
+            ([2j, 2j], 0.0),
+            ([7.0, 0.0, 2.5, 1.0, -3.0], 1.0),
+            ([1 + 2j, 4 + 1j, 1 - 2j, 1 + 0.5j, 1 - 0.5j], 1.0),
+            ([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], 2.0),
+        ],
+        ids=["two-points", "coincident", "real-line", "conjugates", "square"],
+    )
+    def test_small_sets(self, points, want):
+        assert PointIndex(points).min_gap() == min_gap_rows(points) == want

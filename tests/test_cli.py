@@ -314,12 +314,28 @@ class TestErrorsAndDeterminism:
              "--samples: invalid value 99 (must lie in [100, 10000000])"),
             (["energy", "ua", "--ia", GAUSS_SEG, "--ib", GAUSS_SEG, "--place", "5",
               "--oracle-n", "1"], "--oracle-n: invalid value 1 (must lie in [2, 1000000])"),
+            (["lattes", "torsion", "--lambda", "2", "--level", "-1"],
+             "--level: invalid value -1 (must be at least 0)"),
+            (["adelic", "bft", "--lambda-a", "2", "--lambda-b", "3", "--level", "-2"],
+             "--level: invalid value -2 (must be at least 0)"),
         ],
-        ids=["count", "samples", "oracle-n"],
+        ids=["count", "samples", "oracle-n", "torsion-level", "bft-level"],
     )
     def test_range_errors_say_the_range(self, argv, message, capsys):
         code, out, _ = run(argv, capsys)
         assert code == 2 and json.loads(out)["message"] == message
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lattes", "torsion", "--lambda", "2", "--level", "6"],
+            ["adelic", "bft", "--lambda-a", "2", "--lambda-b", "3", "--level", "6"],
+        ],
+        ids=["torsion", "bft"],
+    )
+    def test_level_above_cap_exits_one(self, argv, capsys):
+        code, out, _ = run(argv, capsys)
+        assert code == 1 and json.loads(out)["error"] == "LevelTooLarge"
 
     def test_large_prime_exits_one(self):
         # trial division stops at 10^6; a subprocess keeps a slow factorization from stalling the suite
@@ -402,6 +418,29 @@ class TestErrorsAndDeterminism:
         )
         assert code == 0 and out == ""
         assert abs(json.loads(target.read_text())["residual"]) <= 1e-12
+
+    def test_back_to_back_runs_match_fresh_processes(self, capsys, tmp_path):
+        # main reuses one parser per process: a subcommand's --out must not
+        # carry over to the next command
+        target = tmp_path / "bft.json"
+        commands = [
+            ["adelic", "bft", "--lambda-a", "2", "--lambda-b", "3", "--level", "1",
+             "--out", str(target)],
+            ["places", "logabs", "--x", "1/9", "--place", "3"],
+        ]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        fresh = []
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "arakelov.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            fresh.append((proc.returncode, proc.stdout, target.read_text()))
+        target.unlink()
+        reused = []
+        for argv in commands:
+            code, out, _ = run(argv, capsys)
+            reused.append((code, out, target.read_text()))
+        assert reused == fresh
+        assert fresh[0][:2] == (0, "") and json.loads(fresh[1][1])["log_abs"] > 0
 
     def test_manifest_on_stderr(self, capsys):
         _, _, err = run(["places", "logabs", "--x", "2", "--place", "3"], capsys)

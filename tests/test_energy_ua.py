@@ -13,6 +13,7 @@ from arakelov.energy_ua import (
     energy_union_check,
     lower_bound_report,
     mutual_energy_raw,
+    pair_raw,
     segment_measure,
     sigma_potential,
 )
@@ -21,6 +22,7 @@ from arakelov.errors import (
     BadRadii,
     BranchPointCenter,
     NotAbuttable,
+    PlaceMismatch,
     ResidueCharTwo,
 )
 from arakelov.lattes import local_discrepancy
@@ -270,6 +272,26 @@ class TestOracle:
         ia = seg_measure(tree.eta(0, 0.0), tree.eta(0, 1.0))
         with pytest.raises(ValueError):
             energy_oracle(ia, ia, V5, n=1)
+
+
+class TestPlaceCheck:
+    # two segments cut at p = 5; the arcs come from their place, the kernel from v
+    IA = seg_measure(tree.eta(0, 0.0), tree.eta(0, 1.0))
+    IB = seg_measure(tree.eta(1, -1.0), tree.eta(1, 1.0))
+
+    @pytest.mark.parametrize("route", [pair_raw, mutual_energy_raw, energy_closed_form, energy_oracle])
+    def test_segments_pair_only_at_their_place(self, route):
+        assert math.isfinite(route(self.IA, self.IB, V5))
+        with pytest.raises(PlaceMismatch):
+            route(self.IA, self.IB, V3)
+
+    def test_either_side_is_checked(self):
+        atoms = [(tree.eta(0, 0.5), 1.0)]
+        for mu, nu in ((self.IA, atoms), (atoms, self.IA)):
+            assert math.isfinite(pair_raw(mu, nu, V5))
+            with pytest.raises(PlaceMismatch):
+                pair_raw(mu, nu, V3)
+        assert math.isfinite(pair_raw(atoms, atoms, V3))  # atom lists carry no place
 
 
 class TestUnionRecursion:

@@ -617,11 +617,12 @@ def bft_scan(side_a, side_b, level: int, tol: float = 1e-7) -> dict:
 
     Points are matched by euclidean distance <= tol; a collision audit
     reports the minimum pairwise gap inside each set, the numeric evidence
-    that the exactly distinct images stay apart as floats; both go through
-    one ``PointIndex`` per set, built on the sorted arrays of
-    ``torsion_image_arrays``, whose neighbour gaps bound the audit's search.
-    Matched points keep that order, finite ones by (real, imag) and infinity
-    last.  A ``tol`` outside (0, 2^1022) raises ``ValueError``.
+    that the exactly distinct images stay apart as floats.  Both go through
+    one ``PointIndex`` per set, a sweep over real parts within tol for the
+    match and within the smallest neighbour gap for the audit.  Matched
+    points keep the order of ``torsion_image_arrays``, finite ones by
+    (real, imag) and infinity last.  A ``tol`` outside (0, 2^1022) raises
+    ``ValueError``.
     """
     positive_tolerance(tol)
     finite_a, _, inf_a = torsion_image_arrays(side_a, level)

@@ -276,44 +276,76 @@ def lattes_preimages_array(w: np.ndarray, lam: complex) -> np.ndarray:
     return np.concatenate([u, lam / u, (u - lam) / (u - 1.0), lam * (u - 1.0) / (u - lam)])
 
 
-class PointIndex:
-    """A KD-tree over finite complex points, searched in the max norm.
+_WIDEN = 1.0 + 2.0**-50
 
-    A max-norm search within r finds every pair with ``abs(p - q) <= r`` and
-    squares nothing, so any float r is safe; a euclidean test decides each pair.
+
+class PointIndex:
+    """Finite complex points, sorted once by real part and searched by a sweep.
+
+    A search within r looks up, for each query point b, the window
+    [fl(b.real - rs), fl(b.real + rs)] of sorted real parts with
+    rs = fl(r (1 + 2^-50)), drops the candidates a with |fl(a.imag - b.imag)|
+    > r (the max-norm box), and lets the euclidean test np.abs(a - b) <= r
+    decide each pair.  Neither step loses a pair that test accepts.  np.abs
+    of a complex difference is at least the modulus of each computed part, so
+    the box keeps the pair, and for the exact real difference x,
+    |fl(x)| <= r.  When fl(x) is normal this gives
+    |x| <= r / (1 - 2^-53) <= r (1 + 2^-52) <= rs; when it is subnormal the
+    subtraction was exact and |x| <= r <= rs.  Rounding is monotone, so
+    b.real - rs <= a.real <= b.real + rs gives
+    fl(b.real - rs) <= a.real <= fl(b.real + rs).  The naive window
+    [fl(b.real - r), fl(b.real + r)] does lose such pairs, and so does one
+    widened by two steps of ``np.nextafter``.  ``positive_tolerance`` keeps r
+    below 2^1022, so rs is finite; a window end that overflows is an
+    infinity, which still brackets every point.
     """
 
     def __init__(self, points):
-        from scipy.spatial import KDTree  # here, so that `import arakelov` does not load it
+        self.z = np.asarray(points, dtype=complex)
+        self.order = np.argsort(self.z.real, kind="stable")
+        self.sorted = self.z[self.order]
+        self.real = np.ascontiguousarray(self.sorted.real)
 
-        self.z = np.ascontiguousarray(points, dtype=complex)
-        self.tree = KDTree(self.z.view(float).reshape(-1, 2))
+    def _window(self, q: np.ndarray, lo: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (k, m) of a query q[k] and a sorted position m >= lo[k]
+        inside its real-part window within r and with |imag difference| <= r."""
+        hi = np.searchsorted(self.real, q.real + r * _WIDEN, side="right")
+        counts = np.maximum(hi - lo, 0)
+        k = np.repeat(np.arange(len(q)), counts)
+        m = np.arange(counts.sum()) + np.repeat(lo + counts - np.cumsum(counts), counts)
+        box = np.abs(self.sorted.imag[m] - q.imag[k]) <= r
+        return k[box], m[box]
 
     def near(self, other: "PointIndex", r: float) -> np.ndarray:
-        """The sorted indices of the points p with np.abs(q - p) <= r for some q of ``other``."""
-        found = self.tree.sparse_distance_matrix(other.tree, r, p=math.inf, output_type="ndarray")
-        i, j = found["i"], found["j"]
-        return np.unique(i[np.abs(other.z[j] - self.z[i]) <= r])
+        """The sorted indices, in the caller's order, of the points p with
+        np.abs(q - p) <= r for some q of ``other``."""
+        lo = np.searchsorted(self.real, other.z.real - r * _WIDEN, side="left")
+        k, m = self._window(other.z, lo, r)
+        return np.unique(self.order[m[np.abs(other.z[k] - self.sorted[m]) <= r]])
 
     def min_gap(self) -> float:
         """The minimum of np.abs(p - q) over pairs of distinct indices; inf below two points.
 
         The gap between any two points bounds it from above, so the smallest
         gap between neighbours in index order is a bound in any order, and
-        every pair within that bound is a candidate.  The bound is tight when
-        the points are sorted by (real, imag), as ``torsion_image_arrays``
-        returns them.
+        the sweep within that bound over forward windows (later sorted
+        positions only) finds every pair that attains the minimum; np.abs of
+        a difference does not depend on its sign.  The bound is tight when the
+        points are sorted by (real, imag), as ``torsion_image_arrays`` returns
+        them.
         """
-        if len(self.z) < 2:
+        n = len(self.z)
+        if n < 2:
             return math.inf
         bound = np.abs(np.diff(self.z)).min()
-        pairs = self.tree.query_pairs(bound, p=math.inf, output_type="ndarray")
-        return float(np.abs(self.z[pairs[:, 0]] - self.z[pairs[:, 1]]).min())
+        k, m = self._window(self.sorted, np.arange(1, n + 1), bound)
+        return float(np.abs(self.sorted[m] - self.sorted[k]).min())
 
 
 def positive_tolerance(tol: float) -> float:
     """``tol`` if 0 < tol < 2^1022, else ``ValueError``: the input contract of the
-    match tolerance (the ``PointIndex`` search takes any positive float)."""
+    match tolerance, and the cap that keeps the ``PointIndex`` sweep's
+    widened radius finite."""
     if not 0.0 < tol < 2.0**1022:
         raise ValueError(f"a tolerance must lie in (0, 2^1022), not {tol!r}")
     return tol

@@ -596,3 +596,76 @@ class TestMinGapBound:
     )
     def test_small_sets(self, points, want):
         assert PointIndex(points).min_gap() == min_gap_rows(points) == want
+
+
+class TestSweepWindow:
+    """The real-part sweep of ``PointIndex`` against the all-pairs oracles,
+    where a window or box that rounds the wrong way would lose a pair."""
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (3.6303831267854576e-08, -6.369616873214543e-08),
+            (1.8672976079972758e-08, -8.132702392002724e-08),
+            (8.72444227222784e-09, -9.127555772777216e-08),
+        ],
+    )
+    def test_rounding_boundary_pairs(self, x, y):
+        r = 1e-7
+        a, b = complex(x, 0), complex(y, 0)
+        assert np.abs(b - a) <= r and x > y + r  # the naive window end rounds below x
+        assert PointIndex([a]).near(PointIndex([b]), r).tolist() == [0]
+        assert PointIndex([b]).near(PointIndex([a]), r).tolist() == [0]
+
+    @staticmethod
+    def check_against_oracles(pts_a, pts_b, tol):
+        hits = PointIndex(pts_a).near(PointIndex(pts_b), tol)
+        assert hits.dtype.kind == "i" and list(hits) == sorted(set(hits))
+        assert [pts_a[i] for i in hits] == match_all_pairs(pts_a, pts_b, tol)
+        assert PointIndex(pts_a).min_gap() == min_gap_rows(pts_a)
+
+    def test_one_vertical_column(self):
+        column = [0.5 + 0.01j * k for k in range(50)]
+        off = [0.5 + 1e-8 + 0.2j, 0.4999999 + 0.37j, 0.51 + 0.3j, -1 + 0.25j]
+        pts = column + off
+        self.check_against_oracles(pts, [0.5 + 0.005j, 0.5 + 0.37j, 0.51 + 0.3j], 0.006)
+        self.check_against_oracles(pts, off, 1e-7)
+        assert PointIndex(pts).min_gap() == min_gap_rows(pts) == pytest.approx(1e-8)
+        rng = np.random.default_rng(3)
+        shuffled = list(rng.permutation(pts))
+        self.check_against_oracles(shuffled, column[::7], 1e-7)
+
+    def test_duplicates_and_signed_zero(self):
+        pts = [0.0 + 1j, -0.0 + 1j, 0.0 - 1j, 2 + 0j, 2 + 0j, -0.0 + 0j, 1e-300 + 0j]
+        self.check_against_oracles(pts, [-0.0 + 1j, 2 + 0j], 1e-7)
+        self.check_against_oracles(pts, [0.0 + 0j], 5e-324)
+        assert PointIndex(pts).min_gap() == 0.0
+        assert PointIndex([-0.0 + 0j, 0.0 + 0j]).min_gap() == 0.0
+
+    def test_empty_index(self):
+        hits = PointIndex([1j, 2]).near(PointIndex([]), 1e-7)
+        assert hits.dtype.kind == "i" and hits.size == 0
+        assert PointIndex([]).near(PointIndex([1j, 2]), 1e-7).size == 0
+
+    def test_shuffled_input_returns_caller_order(self):
+        pts_a = torsion_image_arrays(2, 3)[0]
+        pts_b = torsion_image_arrays(3, 3)[0]
+        want = set(pts_a[PointIndex(pts_a).near(PointIndex(pts_b), 1e-7)])
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            perm_a, perm_b = rng.permutation(pts_a), rng.permutation(pts_b)
+            hits = PointIndex(perm_a).near(PointIndex(perm_b), 1e-7)
+            assert list(hits) == sorted(hits)
+            assert set(perm_a[hits]) == want
+            assert list(perm_a[hits]) == match_all_pairs(list(perm_a), list(perm_b), 1e-7)
+
+    def test_largest_tolerance_matches_every_point(self):
+        tol = np.nextafter(2.0**1022, 0)
+        assert lattes.positive_tolerance(tol) == tol
+        index_a, index_b = (PointIndex(torsion_image_arrays(lam, 1)[0]) for lam in (2, 3))
+        ends = index_b.real + tol * lattes._WIDEN, index_b.real - tol * lattes._WIDEN
+        assert all(np.isfinite(end).all() for end in ends)
+        hits = index_a.near(index_b, tol)
+        assert list(hits) == list(range(len(index_a.z)))
+        rep = bft_scan(2, 3, 1, tol=tol)
+        assert rep["count"] == rep["size_a"]

@@ -486,9 +486,12 @@ def test_import_leaves_scipy_submodules_unloaded():
     [
         "import arakelov; arakelov.torsion_images(2, 5)",
         "import arakelov.cli; arakelov.cli.main('lattes torsion --lambda 2 --level 5'.split())",
+        "import arakelov; arakelov.bft_scan(2, 3, 5)",
+        "import arakelov.cli; arakelov.cli.main("
+        "'adelic bft --lambda-a 2 --lambda-b 3 --level 5'.split())",
     ],
-    ids=["library", "cli"],
+    ids=["library", "cli", "bft-library", "bft-cli"],
 )
 def test_torsion_run_leaves_scipy_submodules_unloaded(statement):
-    # the torsion images need no KD-tree; only bft_scan's PointIndex does
+    # neither the torsion images nor bft_scan's PointIndex sweep uses scipy
     assert loaded_scipy_submodules(statement) == "[]"

@@ -3,9 +3,10 @@
 The raw pairing is (m1, m2) = - double integral of log|z - w|; the squared
 pairing <m1, m2> = (1/2)(m1 - m2, m1 - m2) is assembled from raw pairings
 with the off-diagonal convention for cloud self-energies.  Circle/Dirac
-combinations have closed forms (Jensen); genuinely overlapping circles fall
-back to a single angular quadrature; clouds go through one tiled O(n^2) sum
-of log distances.
+combinations have closed forms (Jensen); two crossing circles take a constant
+on the arc of one inside the other's disk and a fixed 48-node Gauss-Legendre
+rule on the rest, where the potential is analytic; clouds go through one tiled
+O(n^2) sum of log distances.  Everything here needs numpy only.
 
 A Lattes equilibrium measure has closed-form potential and self-energy in the
 escape rate G of a homogeneous lift: it pairs with Diracs exactly and with
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import CoincidentAtoms, NonConvergentRoots, QuadratureFailure, SingularPair
+from .errors import CoincidentAtoms, NonConvergentRoots, SingularPair
 from .lattes import (
     adjugate_lift,
     lattes_preimages,
@@ -42,7 +43,7 @@ _ESCAPE_STEPS = 24  # the series tail is below 4^-24 max |log||F(u)||| over unit
 _START = 0.3 + 0.7j  # base point of the preimage grids and the sampler; no branch value
 _GRID_LEVEL_CAP = 7  # the finest grid has 4^7 = 16384 points
 _CIRCLE_NODES = 4096  # equally spaced nodes of the circle-vs-Lattes quadrature
-_CIRCLE_QUAD_TOL = 1e-8  # absolute and relative target of the crossing-circle quadrature
+_ARC_NODES = 48  # Gauss-Legendre nodes on the outer arc of two crossing circles
 _BURN_IN = 64  # sampler steps discarded before the first kept point
 
 
@@ -143,6 +144,7 @@ class LattesMeasure:
 
 
 ArchMeasure = DiracAt | Circle | Cloud | LattesMeasure
+_TYPE_ORDER = {DiracAt: 0, Circle: 1, Cloud: 2, LattesMeasure: 3}  # pair_energy_arch's m1 <= m2
 
 UNIT_CIRCLE = Circle(0j, 1.0)
 
@@ -152,8 +154,21 @@ def circle_potential(c: complex, r: float, z: complex) -> float:
     return math.log(max(abs(z - c), r))
 
 
+@cache
+def _arc_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built on the first crossing pair."""
+    return np.polynomial.legendre.leggauss(_ARC_NODES)
+
+
 def _circle_circle_mean(c1: complex, r1: float, c2: complex, r2: float) -> float:
-    """Mean of log|z - w| over two circles; closed forms when they do not cross."""
+    """Mean of log|z - w| over two circles; closed forms when they do not cross.
+
+    Crossing circles, r1 >= r2: circle 2 meets disk 1 in the arc |phi| < phi*,
+    phi = 0 towards c1, cos phi* = (d^2 + r2^2 - r1^2)/(2 d r2).  The potential
+    of circle 1 is log r1 on that arc and (1/2) log((d - r2)^2 + 4 d r2 sin^2(phi/2))
+    on the rest, analytic there, so a fixed Gauss-Legendre rule on [phi*, pi]
+    reaches rounding level.
+    """
     d = abs(c1 - c2)
     # integrate over the circle whose potential plateau is wider
     if r1 < r2:
@@ -162,22 +177,13 @@ def _circle_circle_mean(c1: complex, r1: float, c2: complex, r2: float) -> float
         return math.log(d)
     if d + r2 <= r1:
         return math.log(r1)
-
-    from scipy.integrate import quad  # here, so that `import arakelov` does not load it
-
-    def f(phi: float) -> float:
-        dist2 = d * d + r2 * r2 - 2.0 * d * r2 * math.cos(phi)
-        return math.log(max(math.sqrt(max(dist2, 0.0)), r1))
-
-    pts = []
     cos_star = (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2)
-    if -1.0 < cos_star < 1.0:
-        pts.append(math.acos(cos_star))
-    tol = _CIRCLE_QUAD_TOL
-    val, err = quad(f, 0.0, math.pi, points=pts or None, limit=200, epsabs=tol, epsrel=tol)
-    if not math.isfinite(val) or err > 10 * tol:
-        raise QuadratureFailure(f"circle pairing quadrature error {err:.2e}")
-    return val / math.pi
+    phi_star = math.acos(min(1.0, max(-1.0, cos_star)))
+    nodes, weights = _arc_rule()
+    half = 0.5 * (math.pi - phi_star)
+    sin_half = np.sin(0.5 * (phi_star + half * (nodes + 1.0)))
+    logs = np.log((d - r2) ** 2 + 4.0 * d * r2 * sin_half * sin_half)
+    return (phi_star * math.log(r1) + 0.5 * half * float(weights @ logs)) / math.pi
 
 
 def _log_dist_sum(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
@@ -233,17 +239,19 @@ def arch_self_energy(m: ArchMeasure) -> float:
 def pair_energy_arch(m1: ArchMeasure, m2: ArchMeasure) -> float:
     """The raw pairing (m1, m2) = - mean of log|z - w|.
 
-    Closed forms: Dirac/Dirac, Dirac/circle (log max(|x-c|, r)), concentric or
-    non-crossing circles; crossing circles by angular quadrature to 1e-8;
-    clouds by plain means (self-pairs via the off-diagonal convention when the
-    same cloud object is passed twice).  A Lattes measure pairs through its
+    The arguments are first put in the type order Dirac < circle < cloud <
+    Lattes, so the pairing is symmetric.  Closed forms: Dirac/Dirac,
+    Dirac/circle (log max(|x-c|, r)), concentric or non-crossing circles;
+    crossing circles by the arc rule of ``_circle_circle_mean``; clouds by
+    plain means (self-pairs via the off-diagonal convention when the same
+    cloud object is passed twice).  A Lattes measure pairs through its
     potential, with a circle by the mean over ``_CIRCLE_NODES`` equally spaced
     nodes; two pair as (I_a + I_b)/2 - <mu_a, mu_b> (``lattes_pairing``).
     """
     if m1 is m2:
         return arch_self_energy(m1)
-    if isinstance(m1, LattesMeasure) and not isinstance(m2, LattesMeasure):
-        return pair_energy_arch(m2, m1)
+    if _TYPE_ORDER[type(m1)] > _TYPE_ORDER[type(m2)]:
+        m1, m2 = m2, m1
     if isinstance(m2, LattesMeasure):
         if isinstance(m1, LattesMeasure):
             return 0.5 * (m1.self_energy + m2.self_energy) - lattes_pairing(m1, m2)[0]
@@ -251,10 +259,6 @@ def pair_energy_arch(m1: ArchMeasure, m2: ArchMeasure) -> float:
             roots = np.exp(2j * math.pi / _CIRCLE_NODES * np.arange(_CIRCLE_NODES))
             return -float(m2.potential(m1.center + m1.radius * roots).mean())
         return -float(m2.potential(m1.c if isinstance(m1, DiracAt) else m1.points).mean())
-    if isinstance(m1, Cloud) and not isinstance(m2, Cloud):
-        return pair_energy_arch(m2, m1)
-    if isinstance(m1, Circle) and isinstance(m2, DiracAt):
-        return pair_energy_arch(m2, m1)
 
     if isinstance(m1, DiracAt):
         if isinstance(m2, DiracAt):

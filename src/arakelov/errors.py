@@ -73,10 +73,6 @@ class SingularPair(ArakelovError):
     code = "SingularPair"
 
 
-class QuadratureFailure(ArakelovError):
-    code = "QuadratureFailure"
-
-
 class NonConvergentRoots(ArakelovError):
     code = "NonConvergentRoots"
 

@@ -128,9 +128,6 @@ class MobiusMap:
             return INFINITY
         return (self.a * t + self.b) / den
 
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
-
     @property
     def is_identity(self) -> bool:
         return self.b == 0 and self.c == 0 and self.a == self.d

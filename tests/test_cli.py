@@ -454,21 +454,21 @@ class TestErrorsAndDeterminism:
             "PlaceMismatch", "BadRadii", "NotAbuttable", "BadBoundParameters",
             "ResidueCharTwo", "BranchPointCenter", "DegenerateQuadruple",
             "DegenerateConfig", "LevelTooLarge", "EmptyF", "SingularPair",
-            "QuadratureFailure", "NonConvergentRoots", "CoincidentAtoms", "NonFiniteResult",
+            "NonConvergentRoots", "CoincidentAtoms", "NonFiniteResult",
             "FactorizationTooLarge",
         }
         assert expected <= set(ERROR_CODES)
 
 
 def loaded_scipy_submodules(statement):
-    """The scipy.spatial and scipy.integrate modules loaded after ``statement``
-    runs in a fresh interpreter, its own output discarded."""
+    """The modules named scipy or scipy.* loaded after ``statement`` runs in a
+    fresh interpreter, its own output discarded."""
     code = (
         "import contextlib, io, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()), \\\n"
         "        contextlib.redirect_stderr(io.StringIO()):\n"
         f"    {statement}\n"
-        "print(sorted(m for m in ('scipy.spatial', 'scipy.integrate') if m in sys.modules))"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
@@ -479,6 +479,16 @@ def loaded_scipy_submodules(statement):
 
 def test_import_leaves_scipy_submodules_unloaded():
     assert loaded_scipy_submodules("import arakelov.cli") == "[]"
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # the crossing-circle Gauss-Legendre rule is built on the first crossing pair
+    code = "import sys, arakelov.cli; print('numpy.polynomial' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(
@@ -494,4 +504,18 @@ def test_import_leaves_scipy_submodules_unloaded():
 )
 def test_torsion_run_leaves_scipy_submodules_unloaded(statement):
     # neither the torsion images nor bft_scan's PointIndex sweep uses scipy
+    assert loaded_scipy_submodules(statement) == "[]"
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import arakelov; arakelov.pair_with_smoothed_set([1, 3, 9, 'inf'], "
+        "arakelov.finite_set(['1/2', 4, -6], {'inf': 3.0, '5': 0.2}))",
+        "import arakelov.cli; arakelov.cli.main(['suite', '--quick'])",
+    ],
+    ids=["smoothed-set", "suite-cli"],
+)
+def test_arch_routes_leave_scipy_unloaded(statement):
+    # crossing circles take a numpy Gauss-Legendre rule, not scipy.integrate
     assert loaded_scipy_submodules(statement) == "[]"

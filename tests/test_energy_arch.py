@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from arakelov.energy_arch import (
 )
 from arakelov.errors import CoincidentAtoms, DegenerateQuadruple, SingularPair
 from arakelov.lattes import (
+    MobiusMap,
     as_quadruple,
     lattes_preimages_array,
     legendre_lattes_eval,
@@ -45,12 +47,28 @@ def quadrature_circle_pair(c1, r1, c2, r2):
     return -(val / (2 * math.pi))
 
 
+def mp_circle_pair(d, r1, r2):
+    """-(mean of log|z - w|) over |z| = r1 and |w - d| = r2 at 40 digits, the
+    angular integral over circle 2 split at the end phi* of its arc inside the
+    larger disk (test oracle)."""
+    with mpmath.workdps(40):
+        d, r1, r2 = (mpmath.mpf(x) for x in (d, r1, r2))
+        r1, r2 = max(r1, r2), min(r1, r2)
+        cos_star = (d * d + r2 * r2 - r1 * r1) / (2 * d * r2)
+        phi_star = mpmath.acos(min(1, max(-1, cos_star)))
+        outside = mpmath.quad(
+            lambda phi: mpmath.log(d * d + r2 * r2 - 2 * d * r2 * mpmath.cos(phi)) / 2,
+            [phi_star, mpmath.pi],
+        )
+        return float(-(phi_star * mpmath.log(r1) + outside) / mpmath.pi)
+
+
 def pulled_back_cloud(quad, n, seed):
     """Equilibrium cloud of a quadruple: a Legendre sample pulled back through the
     inverse normalizing map, points sent to infinity dropped (test oracle)."""
     lam, mob = normalize_to_legendre(quad)
     w = sample_lattes_equilibrium(lam, n, seed=seed).points
-    inv = mob.inverse()
+    inv = MobiusMap(mob.d, -mob.b, -mob.c, mob.a)
     a, b, c, d = (complex(x) for x in (inv.a, inv.b, inv.c, inv.d))
     den = c * w + d
     good = den != 0
@@ -117,11 +135,58 @@ class TestClosedForms:
             worst = max(worst, abs(got - ref))
         assert worst <= 1e-6
 
+    @pytest.mark.parametrize(
+        "d, r1, r2",
+        [
+            (2536.7380019799134, 1299.9707583770567, 1236.767243602857),
+            (0.006516451017874147, 0.003248661200828854, 0.0032739053861517236),
+            (math.nextafter(1.75, 0.0), 1.0, 0.75),  # external tangency
+            (math.nextafter(0.9, math.inf), 1.0, 0.1),  # internal tangency
+            (math.nextafter(1.0 + 1e-6, 0.0), 1.0, 1e-6),
+            (math.nextafter(1.0 - 3e-6, math.inf), 1.0, 3e-6),
+            (math.nextafter(1e6 + 1.0, 0.0), 1e6, 1.0),
+            (math.nextafter(1e6 - 1.0, math.inf), 1.0, 1e6),
+            (1.0, 1.0, 1e-6),
+            (1e6, 1.0, 1e6),
+            (0.3, 1e-6, 0.3),
+        ],
+    )
+    def test_crossing_circles_against_mpmath(self, d, r1, r2):
+        got = pair_energy_arch(Circle(0j, r1), Circle(complex(d), r2))
+        ref = mp_circle_pair(d, r1, r2)
+        assert abs(got - ref) <= 2e-15 * max(1.0, abs(ref))
+
     def test_singular_pair(self):
         with pytest.raises(SingularPair):
             pair_energy_arch(DiracAt(1j), DiracAt(1j))
         with pytest.raises(SingularPair):
             arch_self_energy(DiracAt(1j))
+
+
+class TestDispatchSymmetry:
+    def test_pair_energy_arch_is_symmetric(self):
+        rng = np.random.default_rng(58)
+        unit, equal, smaller = Circle(0j, 1.0), Circle(1.2 + 0.3j, 1.0), Circle(-0.4 - 0.9j, 0.6)
+        for other in (equal, smaller):  # both cross the unit circle
+            assert abs(other.radius - 1.0) < abs(other.center) < other.radius + 1.0
+        measures = [
+            DiracAt(0.25 + 0.5j),
+            DiracAt(-1.5 + 0.1j),
+            unit,
+            equal,
+            smaller,
+            Cloud(rng.normal(size=300) + 1j * rng.normal(size=300)),
+            Cloud(1.0 + rng.normal(size=500) + 1j * rng.normal(size=500)),
+            LattesMeasure(2, n=256),
+            LattesMeasure((Fraction(-2), Fraction(1, 2), Fraction(3), INFINITY), n=256),
+        ]
+        for a, b in itertools.combinations(measures, 2):
+            ab, ba = pair_energy_arch(a, b), pair_energy_arch(b, a)
+            if isinstance(a, Cloud) and isinstance(b, Cloud):
+                # the tile sums of _log_dist_sum run in another order
+                assert ba == pytest.approx(ab, rel=1e-13)
+            else:
+                assert ba.hex() == ab.hex(), (a, b)
 
 
 class TestCloudEnergy:

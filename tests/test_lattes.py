@@ -10,6 +10,7 @@ from arakelov import lattes, places, suite, tree
 from arakelov.energy_arch import sample_lattes_equilibrium
 from arakelov.errors import DegenerateQuadruple, LevelTooLarge, ResidueCharTwo
 from arakelov.lattes import (
+    MobiusMap,
     Quadruple,
     as_quadruple,
     cross_ratio,
@@ -248,7 +249,7 @@ class TestNormalization:
         for _ in range(50):
             quad = random_quadruple(rng, 15)
             lam, mob = normalize_to_legendre(quad)
-            inv = mob.inverse()
+            inv = MobiusMap(mob.d, -mob.b, -mob.c, mob.a)
             images = [inv.apply(t) for t in (INFINITY, Fraction(0), Fraction(1), lam)]
             assert tuple(images) == quad.points
 
@@ -365,7 +366,7 @@ def torsion_oracle(source, max_level, tol=1e-9):
     each point pulled back through the inverse Moebius map and merged again."""
     lam, mobius = lattes.normalize_to_legendre(source)
     lamc = complex(lam)
-    inv = mobius.inverse()
+    inv = MobiusMap(mobius.d, -mobius.b, -mobius.c, mobius.a)
 
     def preimages(w):
         return [0j, 1 + 0j, lamc, INFINITY] if w is INFINITY else lattes_preimages(w, lamc)

@@ -140,8 +140,11 @@ class TestBasicCommands:
              '{"config": {"d_ab": 1.0, "la": 1.0, "la1": 1.0, "la2": 0.0, "lb": 1.0, '
              '"lb1": 0.0, "lb2": 1.0, "variant": "disjoint"}}'),
             (["places", "submax", "--values", "[3, 2.5, -1]"], '{"submax": 2.5}'),
+            (["energy", "arch", "--lambda-a", "2", "--lambda-b", "3"],
+             '{"energy": 0.022117449945200124, "level": 7, "quad_err": 2.1191950941301663e-07, '
+             '"samples": 20000, "tolerance": 0.021213203435596423}'),  # level 7, two threads
         ],
-        ids=["valuation", "affine-height", "tree-length", "tree-classify", "submax"],
+        ids=["valuation", "affine-height", "tree-length", "tree-classify", "submax", "energy-arch"],
     )
     def test_pinned_json(self, argv, expected, capsys):
         code, out, _ = run(argv, capsys)
@@ -481,14 +484,24 @@ def test_import_leaves_scipy_submodules_unloaded():
     assert loaded_scipy_submodules("import arakelov.cli") == "[]"
 
 
-def test_import_leaves_numpy_polynomial_unloaded():
-    # the crossing-circle Gauss-Legendre rule is built on the first crossing pair
-    code = "import sys, arakelov.cli; print('numpy.polynomial' in sys.modules)"
+def loaded_by_cli_import(module):
+    """Whether ``import arakelov.cli`` in a fresh interpreter loads ``module``."""
+    code = f"import sys, arakelov.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # the crossing-circle Gauss-Legendre rule is built on the first crossing pair
+    assert not loaded_by_cli_import("numpy.polynomial")
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # the worker thread of a level-7 Lattes pairing is made in the call
+    assert not loaded_by_cli_import("concurrent.futures")
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -33,6 +34,10 @@ from arakelov.lattes import (
     normalize_to_legendre,
 )
 from arakelov.places import INFINITY
+
+
+class Boom(Exception):
+    """Raised by a patched escape_rate to trace an error across threads."""
 
 
 def quadrature_circle_pair(c1, r1, c2, r2):
@@ -493,6 +498,16 @@ class TestLattesEnergy:
         energy, quad_err = lattes_sq_energy_arch([1, 2, 3, "inf"], [2, 1, "inf", 3], 2000)
         assert abs(energy) <= 1e-12 and quad_err <= 1e-12
 
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            (2, 3, (0.022117449945200124, 2.1191950941301663e-07)),
+            ([1, 3, 9, "inf"], (-2, "1/2", 2, "inf"), (0.18359324955614137, 3.790672228609626e-07)),
+        ],
+    )
+    def test_level_seven_pinned(self, a, b, expected):
+        assert lattes_sq_energy_arch(a, b, 20000) == expected
+
     @pytest.mark.parametrize("n, level", [(1, 2), (16, 2), (17, 3), (100, 4), (1500, 6),
                                           (4096, 6), (4097, 7), (20000, 7), (10**7, 7)])
     def test_grid_level(self, n, level):
@@ -610,6 +625,47 @@ class TestLattesMeasure:
         lattes_pairing(a, b)
         # per side: one point for its own grids, then the partner on levels 4 and 5
         assert a.level == b.level == 5 and sizes == [1, 4**4, 4**5] * 2
+
+    @staticmethod
+    def _record_series_calls(monkeypatch, fail_lam=None):
+        """Patch escape_rate to log (size, thread) per call; with ``fail_lam``,
+        a call for that parameter on more than one point raises ``Boom``."""
+        calls = []
+
+        def recording(lam, x, y):
+            size = np.broadcast(x, y).size
+            calls.append((size, threading.get_ident()))
+            if complex(lam) == fail_lam and size > 1:
+                raise Boom(threading.get_ident())
+            return escape_rate(lam, x, y)
+
+        monkeypatch.setattr(energy_arch, "escape_rate", recording)
+        return calls
+
+    def test_level_seven_runs_the_halves_on_two_threads(self, monkeypatch):
+        calls = self._record_series_calls(monkeypatch)
+        a, b = LattesMeasure(2, 20000), LattesMeasure([1, 3, 9, "inf"], 20000)
+        threads = threading.active_count()
+        lattes_pairing(a, b)
+        assert threading.active_count() == threads
+        assert a.level == b.level == 7
+        assert sorted(size for size, _ in calls) == sorted([1, 4**6, 4**7] * 2)
+        partner = {ident for size, ident in calls if size > 1}
+        assert len(partner) == 2 and threading.get_ident() in partner
+
+    def test_level_five_stays_on_the_calling_thread(self, monkeypatch):
+        calls = self._record_series_calls(monkeypatch)
+        lattes_pairing(LattesMeasure(2, 500), LattesMeasure([1, 3, 9, "inf"], 500))
+        assert len(calls) == 6 and {ident for _, ident in calls} == {threading.get_ident()}
+
+    def test_error_in_the_worker_half_reaches_the_caller(self, monkeypatch):
+        # the partner series of lambda = 2 runs only in the half of mu_b
+        self._record_series_calls(monkeypatch, fail_lam=2)
+        threads = threading.active_count()
+        with pytest.raises(Boom) as raised:
+            lattes_pairing(LattesMeasure(2, 20000), LattesMeasure(3, 20000))
+        assert raised.value.args[0] != threading.get_ident()
+        assert threading.active_count() == threads
 
     def test_grid_is_the_iterated_preimage_set(self):
         # level 2 of mu_2: the 16 points t with L(L(t)) = w_0, each distinct

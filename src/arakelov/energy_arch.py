@@ -24,6 +24,7 @@ The backward-orbit sampler and the cloud sums are the tests' oracle.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -51,7 +52,8 @@ _BURN_IN = 64  # sampler steps discarded before the first kept point
 # two escape_rate calls one after the other, then on two threads (numpy drops
 # the GIL in its ufuncs), on 2 cores: 4,096 points 2.63 ms, then 3.02 ms (GIL
 # handoffs cost more than they save); 16,384 points 11.5 ms, then 7.35 ms;
-# 65,536 points 60.2 ms, then 30.9 ms
+# 65,536 points 60.2 ms, then 30.9 ms.  The CPU count is not read: pinned to
+# one CPU, a level-7 pairing took 16.9-18.1 ms on two threads, 17.3-18.4 on one
 _THREAD_MIN_POINTS = 4**7
 
 
@@ -382,12 +384,25 @@ def lattes_pairing(mu_a: LattesMeasure, mu_b: LattesMeasure) -> tuple[float, flo
     reaches the caller.  The result is the same bit for bit.
     """
     if 4 ** min(mu_a.level, mu_b.level) >= _THREAD_MIN_POINTS:
-        from concurrent.futures import ThreadPoolExecutor
+        # a bare thread: an executor's concurrent.futures and logging imports
+        # would add 3 ms to the first call of a process
+        half_b = []
 
-        with ThreadPoolExecutor(1) as pool:
-            half_b = pool.submit(_side_means, mu_b, mu_a)
+        def run_half_b() -> None:
+            try:
+                half_b.append(_side_means(mu_b, mu_a))
+            except BaseException as exc:  # raised again in the caller
+                half_b.append(exc)
+
+        worker = threading.Thread(target=run_half_b)
+        worker.start()
+        try:
             means_a = _side_means(mu_a, mu_b)
-            means_b = half_b.result()
+        finally:
+            worker.join()
+        (means_b,) = half_b
+        if isinstance(means_b, BaseException):
+            raise means_b
     else:
         means_a, means_b = _side_means(mu_a, mu_b), _side_means(mu_b, mu_a)
     (coarse_a, fine_a), (coarse_b, fine_b) = means_a, means_b

@@ -484,9 +484,16 @@ def test_import_leaves_scipy_submodules_unloaded():
     assert loaded_scipy_submodules("import arakelov.cli") == "[]"
 
 
-def loaded_by_cli_import(module):
-    """Whether ``import arakelov.cli`` in a fresh interpreter loads ``module``."""
-    code = f"import sys, arakelov.cli; print({module!r} in sys.modules)"
+def loaded_after(statement, module):
+    """Whether ``statement``, run in a fresh interpreter with its output
+    discarded, loads ``module``."""
+    code = (
+        "import contextlib, io, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    {statement}\n"
+        f"print({module!r} in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -496,12 +503,17 @@ def loaded_by_cli_import(module):
 
 def test_import_leaves_numpy_polynomial_unloaded():
     # the crossing-circle Gauss-Legendre rule is built on the first crossing pair
-    assert not loaded_by_cli_import("numpy.polynomial")
+    assert not loaded_after("import arakelov.cli", "numpy.polynomial")
 
 
-def test_import_leaves_concurrent_futures_unloaded():
-    # the worker thread of a level-7 Lattes pairing is made in the call
-    assert not loaded_by_cli_import("concurrent.futures")
+def test_level_seven_run_leaves_concurrent_futures_unloaded():
+    # the worker of a level-7 Lattes pairing is a bare thread: concurrent.futures
+    # and the logging it loads would cost 3 ms in a one-shot process
+    statement = (
+        "import arakelov.cli; "
+        "arakelov.cli.main('energy arch --lambda-a 2 --lambda-b 3'.split())"
+    )
+    assert not loaded_after(statement, "concurrent.futures")
 
 
 @pytest.mark.parametrize(

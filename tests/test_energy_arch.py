@@ -658,13 +658,16 @@ class TestLattesMeasure:
         lattes_pairing(LattesMeasure(2, 500), LattesMeasure([1, 3, 9, "inf"], 500))
         assert len(calls) == 6 and {ident for _, ident in calls} == {threading.get_ident()}
 
-    def test_error_in_the_worker_half_reaches_the_caller(self, monkeypatch):
-        # the partner series of lambda = 2 runs only in the half of mu_b
-        self._record_series_calls(monkeypatch, fail_lam=2)
+    @pytest.mark.parametrize("fail_lam, in_worker", [(2, True), (3, False)])
+    def test_error_in_either_half_reaches_the_caller(self, monkeypatch, fail_lam, in_worker):
+        # the partner series of lambda = 2 runs only in the half of mu_b, on the
+        # worker, and that of lambda = 3 only in the caller's half; either way
+        # the worker has ended when the error reaches the caller
+        self._record_series_calls(monkeypatch, fail_lam=fail_lam)
         threads = threading.active_count()
         with pytest.raises(Boom) as raised:
             lattes_pairing(LattesMeasure(2, 20000), LattesMeasure(3, 20000))
-        assert raised.value.args[0] != threading.get_ident()
+        assert (raised.value.args[0] != threading.get_ident()) == in_worker
         assert threading.active_count() == threads
 
     def test_grid_is_the_iterated_preimage_set(self):

@@ -254,7 +254,7 @@ class FiniteSet:
             if key != "inf" and not (canonical and is_prime(int(key))):
                 raise BadRadii(f"a radius key is 'inf' or a prime, not {key!r}")
             if not r > 0:
-                raise EmptyF(f"radius at {key} must be positive")
+                raise BadRadii(f"radius at {key} must be positive")
 
     def radius_at(self, v: Place) -> float:
         key = "inf" if v.is_archimedean else str(v.p)

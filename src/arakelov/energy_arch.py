@@ -87,7 +87,8 @@ class LattesMeasure:
     ``side`` is resolved once by ``normalize_to_legendre`` into lambda and the
     normalizing matrix M (the identity for a parameter); G(v) = G_lambda(M v)
     is the escape rate of the lift.  ``n`` sets the level k = min(7, max(2,
-    ceil(log_4 n))) of the preimage grids of ``lattes_pairing``.
+    ceil(log_4 n))) of the preimage grids of ``lattes_pairing``.  The measure
+    keeps no grids: a pairing builds them and frees them when it returns.
     """
 
     def __init__(self, side, n: int = 4000):
@@ -120,8 +121,7 @@ class LattesMeasure:
         lam = self.lam
         return -math.log(abs(4.0 * lam * (lam - 1.0))) / 3.0 - self._log_det + 2.0 * self._g_inf
 
-    @cached_property
-    def _grid_levels(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], np.ndarray], ...]:
+    def grid_levels(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], np.ndarray], ...]:
         """adj(M)(w, 1) and G there, for w over L^-(k-1)(w_0) and L^-k(w_0).
 
         M pulls mu_lambda back to this measure, and adj(M) does so without
@@ -129,7 +129,8 @@ class LattesMeasure:
         recursion G_lambda(u, 1) = (G_lambda(L u, 1) + log|4u(u - 1)(u - lambda)|)/4,
         since F(u, 1) = 4u(u - 1)(u - lambda) (L u, 1); M adj(M) = det M adds
         log|det M|.  The preimages of w[i] sit at i, n + i, 2n + i and 3n + i,
-        so their parent values are ``np.tile(g, 4)``.
+        so their parent values are ``np.tile(g, 4)``.  Built afresh at every
+        call and kept nowhere; the series ``escape(*grid)`` is the oracle of G.
         """
         lam = self.lam
         w = np.array([_START])
@@ -140,17 +141,6 @@ class LattesMeasure:
             g = 0.25 * (np.tile(g, 4) + np.log(np.abs(4.0 * w * (w - 1.0) * (w - lam))))
             levels = [levels[-1], (w, g)]
         return tuple((adjugate_lift(self.mat, w), g + self._log_det) for w, g in levels)
-
-    @property
-    def grids(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """adj(M)(w, 1) over L^-(k-1)(w_0) and L^-k(w_0), the grids of ``lattes_pairing``."""
-        return tuple(v for v, _ in self._grid_levels)
-
-    @property
-    def grid_escapes(self) -> tuple[np.ndarray, np.ndarray]:
-        """G on the two grids of ``grids``, by the preimage recursion, shared by every
-        partner of ``lattes_pairing``; the series ``escape(*grid)`` is its oracle."""
-        return tuple(g for _, g in self._grid_levels)
 
 
 ArchMeasure = DiracAt | Circle | Cloud | LattesMeasure
@@ -362,11 +352,12 @@ def escape_rate(lam, x, y) -> np.ndarray:
 
 def _side_means(own: LattesMeasure, partner: LattesMeasure) -> tuple[float, float]:
     """Means of G_own - G_partner over own's coarse and fine grids: one half of
-    ``lattes_pairing``.  It builds only own's grids and reads only the
-    partner's lambda and matrix, so the two halves can run at once."""
+    ``lattes_pairing``.  It builds own's grids, which go when it returns, and
+    reads only the partner's lambda and matrix, so the two halves can run at
+    once."""
     return tuple(
         float((g - partner.escape(x, y)).mean())
-        for (x, y), g in zip(own.grids, own.grid_escapes)
+        for (x, y), g in own.grid_levels()
     )
 
 
@@ -378,7 +369,8 @@ def lattes_pairing(mu_a: LattesMeasure, mu_b: LattesMeasure) -> tuple[float, flo
     one half per measure (``_side_means``): with m_j its mean over the
     level-j grid, J = (4 m_k - m_{k-1})/3, with error |m_k - m_{k-1}|; the
     error reported is the mean of the two.  The sum commutes, so the result
-    is symmetric.  When both fine grids have ``_THREAD_MIN_POINTS`` points,
+    is symmetric.  Each call builds both measures' grids and frees them when
+    it returns.  When both fine grids have ``_THREAD_MIN_POINTS`` points,
     the half of mu_b runs on one worker thread while the caller runs that of
     mu_a; the thread ends with the call, and an error in either half
     reaches the caller.  The result is the same bit for bit.

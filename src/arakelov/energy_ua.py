@@ -85,9 +85,7 @@ def sigma_potential(alpha: Fraction | int | str, r: float, s: float, z: TreePoin
 
 
 def _sigma_integral(lo: float, hi: float, c: float, a: float, b: float) -> float:
-    """Exact integral of x -> sigma-branch(lo, hi, max(x, c)) over [a, b]."""
-    if b <= a:
-        return 0.0
+    """Exact integral of x -> sigma-branch(lo, hi, max(x, c)) over [a, b]; 0 if b <= a."""
     total = 0.0
     # constant part where x <= c
     cut = min(b, c)

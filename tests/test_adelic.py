@@ -367,6 +367,11 @@ class TestSmoothedSetBound:
         with pytest.raises(BadRadii):
             finite_set([5], {key: 0.5})
 
+    @pytest.mark.parametrize("radius", [0, -1.0])
+    def test_non_positive_radius_rejected(self, radius):
+        with pytest.raises(BadRadii, match="positive"):
+            finite_set([5], {"3": radius})
+
     def test_pinned_json_three_point_set(self):
         fs = finite_set(["1/2", 4, -6], {"inf": 3.0, "5": 0.2})
         rep = pair_with_smoothed_set([1, 3, 9, "inf"], fs)

@@ -393,6 +393,13 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert json.loads(out, parse_constant=refuse_constant)["error"] == "NonFiniteResult"
 
+    def test_unknown_chart_exit_one(self, capsys):
+        x = json.dumps({"chart": "polar", "center": "1", "log_radius": 0.0})
+        y = json.dumps({"chart": "direct", "center": "0", "log_radius": 0.0})
+        code, out, _ = run(["tree", "kernel", "--x", x, "--y", y, "--place", "5"], capsys)
+        assert code == 1
+        assert json.loads(out) == {"error": "ChartMismatch", "message": "unknown chart 'polar'"}
+
     def test_byte_identical_reruns(self, capsys):
         args = ["adelic", "bft", "--lambda-a", "2", "--lambda-b", "3", "--level", "2"]
         _, out1, _ = run(args, capsys)

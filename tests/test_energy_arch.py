@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -425,7 +426,7 @@ class TestEscapeRate:
         # nothing survives; the lifts of lam = 10^80 and 10^100 overflow if
         # squared too
         mu = LattesMeasure(side, 1500)
-        x, y = (t[::64] for t in mu.grids[1])
+        x, y = (t[::64] for t in mu.grid_levels()[1][0])
         m0, m1, m2, m3 = mu.mat
         vectors = list(zip(m0 * x + m1 * y, m2 * x + m3 * y))
         vectors += [(0.0, 1.0), (1.0, 0.0), (1e200 * np.exp(0.3j), 1.0)]
@@ -595,11 +596,23 @@ class TestLattesMeasure:
             return lattes_preimages_array(w, lam)
 
         monkeypatch.setattr(energy_arch, "lattes_preimages_array", counting)
-        a, b = LattesMeasure(2, 500), LattesMeasure([1, 3, 9, "inf"], 500)
+        a, b, c = LattesMeasure(2, 500), LattesMeasure([1, 3, 9, "inf"], 500), LattesMeasure(3, 500)
         assert pair_energy_arch(a, b) == pair_energy_arch(b, a)
-        pair_energy_arch(a, LattesMeasure(3, 500))
-        # level 5: five preimage steps per grid, one grid per measure
-        assert a.level == b.level == 5 and len(calls) == 3 * 5
+        pair_energy_arch(a, c)
+        # level 5: five preimage steps per measure per pairing; a measure keeps
+        # no grids, so a is built again for each of its three pairings
+        assert a.level == b.level == c.level == 5
+        assert Counter(calls) == {a.lam: 3 * 5, b.lam: 2 * 5, c.lam: 5}
+
+    @pytest.mark.parametrize("n", [500, 20000])
+    def test_pairing_leaves_no_arrays_on_the_measures(self, n):
+        # level 5 on one thread, level 7 on two; arrays nested in tuples count
+        def holds_array(v):
+            return isinstance(v, np.ndarray) or isinstance(v, tuple) and any(map(holds_array, v))
+
+        a, b = LattesMeasure(2, n), LattesMeasure([1, 3, 9, "inf"], n)
+        lattes_pairing(a, b)
+        assert not any(holds_array(v) for mu in (a, b) for v in vars(mu).values())
 
     @pytest.mark.parametrize("n", [16, 1500, 20000])
     @pytest.mark.parametrize(
@@ -610,7 +623,7 @@ class TestLattesMeasure:
     def test_grid_escapes_follow_the_series(self, side, n):
         # the preimage recursion against the series on the same grids
         mu = LattesMeasure(side, n)
-        for grid, g in zip(mu.grids, mu.grid_escapes):
+        for grid, g in mu.grid_levels():
             assert np.abs(g - mu.escape(*grid)).max() <= 1e-9
 
     def test_pairing_runs_the_series_on_partner_grids_only(self, monkeypatch):
@@ -672,7 +685,7 @@ class TestLattesMeasure:
 
     def test_grid_is_the_iterated_preimage_set(self):
         # level 2 of mu_2: the 16 points t with L(L(t)) = w_0, each distinct
-        (_, _), (x, y) = LattesMeasure(2, 16).grids
+        _, ((x, y), _) = LattesMeasure(2, 16).grid_levels()
         assert len(x) == 16 and np.all(y == 1.0)
         for t in x:
             back = legendre_lattes_eval(Fraction(2), legendre_lattes_eval(Fraction(2), complex(t)))

@@ -105,7 +105,7 @@ def test_lattes_potential_is_the_grid_mean(side, u):
     # level-7 grid, 4^7 points equidistributed for the measure; G(1, 0) is 0
     # for a Legendre parameter, so quadruples are what test that constant
     mu = LattesMeasure(side, 4**7)
-    _, (x, y) = mu.grids
+    _, ((x, y), _) = mu.grid_levels()
     assert abs(float(np.log(np.abs(u - x / y)).mean()) - float(mu.potential(u))) <= 1e-3
 
 
@@ -117,7 +117,7 @@ def test_lattes_self_energy_is_the_grid_energy(lam):
     # which is added back.  Over all 509 parameters of height <= 20 the
     # residual is at most 1.5e-5; the bound is twice that.
     mu = LattesMeasure(lam, 4**5)
-    coarse, fine = (arch_self_energy(Cloud(x / y)) for x, y in mu.grids)
+    coarse, fine = (arch_self_energy(Cloud(x / y)) for (x, y), _ in mu.grid_levels())
     richardson = (4.0 * fine - coarse) / 3.0 + math.log(4.0) / (6.0 * 4**4)
     assert abs(mu.self_energy - richardson) <= 3.0e-5
 

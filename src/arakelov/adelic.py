@@ -48,6 +48,7 @@ from .places import (
     format_rational,
     is_prime,
     log_abs,
+    log_abs_diff,
     parse_rational,
     place_to_json,
     projective_height,
@@ -496,7 +497,7 @@ def inequality_suite(cfg: PairConfig) -> dict:
                     continue
                 best = max(best, abs(logs[i] - logs[j]))
                 if u[i] != u[j]:
-                    best = max(best, abs(log_abs(u[i] - u[j], v) - logs[j]))
+                    best = max(best, abs(log_abs_diff(u[i], u[j], v) - logs[j]))
         h_f1 += best
         sum_term += max(abs(x - logs[3]) for x in logs)
         h_f2 += max(0.0, submax([logs[i] - logs[j] for i in range(3) for j in range(3, 6)]))

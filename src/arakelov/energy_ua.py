@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadBoundParameters, BadRadii, NotAbuttable, PlaceMismatch
-from .places import NEG_INF, Place, parse_rational
+from .places import NEG_INF, Place, log_abs_diff, parse_rational
 from .tree import (
     Disjoint,
     Meeting,
@@ -179,7 +179,7 @@ def pair_raw(mu: SegmentMeasure | Atoms, nu: SegmentMeasure | Atoms, v: Place) -
     total = 0.0
     for ca, lo_a, hi_a in mu.support.arcs:
         for cb, lo_b, hi_b in nu.support.arcs:
-            c = hsia_log_kernel(type1(ca), type1(cb), v)  # log|ca - cb|, -inf if equal
+            c = log_abs_diff(ca, cb, v)  # -inf if equal
             total += _sigma_integral(lo_a, hi_a, c, lo_b, hi_b)
     return -total / (mu.support.length * nu.support.length)
 
@@ -329,7 +329,7 @@ def energy_oracle(ia: SegmentMeasure, ib: SegmentMeasure, v: Place, n: int = 200
         ri, wi = groups[ci]
         for cj in centers[i:]:
             rj, wj = groups[cj]
-            log_d = NEG_INF if ci == cj else hsia_log_kernel(type1(ci), type1(cj), v)
+            log_d = log_abs_diff(ci, cj, v)  # -inf on the diagonal
             block = _block_sum(np.maximum(ri, log_d), wi, np.maximum(rj, log_d), wj)
             total += block if ci == cj else 2.0 * block
     return -0.5 * total

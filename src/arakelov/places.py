@@ -144,6 +144,32 @@ def log_abs(x: Fraction | int, v: Place) -> float:
     return v.epsilon * (math.log(abs(x.numerator)) - math.log(x.denominator))
 
 
+def log_abs_diff(a: Fraction | int, b: Fraction | int, v: Place) -> float:
+    """``log_abs(a - b, v)``, at a finite place with no ``Fraction`` built.
+
+    v_p(a - b) = v_p(a_n b_d - b_n a_d) - v_p(a_d b_d) holds for any
+    representation of a - b, so the four integers give the valuation without
+    the gcd that normalizes a ``Fraction``; the float is ``log_abs``'s own
+    expression, so the two agree bit for bit.  The archimedean log reads the
+    reduced fraction, and the other places go through ``log_abs``.
+    """
+    if not v.is_finite:
+        return log_abs(a - b, v)
+    num = a.numerator * b.denominator - b.numerator * a.denominator
+    if num == 0:
+        return NEG_INF
+    p = v.p
+    val = 0
+    while num % p == 0:
+        num //= p
+        val += 1
+    den = a.denominator * b.denominator
+    while den % p == 0:
+        den //= p
+        val -= 1
+    return v.epsilon * (-val * math.log(p))
+
+
 def support_primes(xs: Iterable[Fraction | int]) -> list[int]:
     """Sorted primes dividing some numerator or denominator of the inputs."""
     ps: set[int] = set()

@@ -10,7 +10,8 @@ is a separate sentinel.  Points handed in through the inverted chart
     eta_{alpha,r} with r >= |alpha|  ->  eta_{0, 1/r}
 
 All radii live on a log scale and are scaled by the place's flow exponent
-epsilon, because center distances go through ``log_abs``.
+epsilon, because center distances go through ``log_abs_diff``, which reads
+log|alpha - beta| from the four integers of the two centers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ChartMismatch, PlaceMismatch, Type1Endpoint
-from .places import INFINITY, NEG_INF, P1Point, Place, format_rational, log_abs, parse_rational
+from .places import (
+    INF,
+    INFINITY,
+    NEG_INF,
+    P1Point,
+    Place,
+    format_rational,
+    log_abs,
+    log_abs_diff,
+    parse_rational,
+)
 
 EQ_TOL = 1e-9  # point identity tolerance on the log-radius scale
 
@@ -58,14 +69,13 @@ def type1(center: P1Point | int | str) -> TreePoint:
     return TreePoint(parse_rational(center), NEG_INF)
 
 
-def _require_affine(x: TreePoint) -> None:
-    if x.at_infinity:
-        raise ChartMismatch("the point at infinity has no direct-chart representation")
-
-
 def join(x: TreePoint, y: TreePoint, v: Place) -> TreePoint:
     """The smallest point above both, eta_{alpha, max(r, s, |alpha-beta|)}."""
-    k = hsia_log_kernel(x, y, v)
+    return _joined(x, y, hsia_log_kernel(x, y, v))
+
+
+def _joined(x: TreePoint, y: TreePoint, k: float) -> TreePoint:
+    """join(x, y) from its log radius k: centered at the end of larger radius, x on ties."""
     base = x if x.log_radius >= y.log_radius else y
     return TreePoint(base.center, k)
 
@@ -78,9 +88,9 @@ def hsia_log_kernel(x: TreePoint, y: TreePoint, v: Place) -> float:
     """
     if not v.is_finite:
         raise PlaceMismatch("tree operations need a finite place")
-    _require_affine(x)
-    _require_affine(y)
-    return max(x.log_radius, y.log_radius, log_abs(x.center - y.center, v))
+    if x.at_infinity or y.at_infinity:
+        raise ChartMismatch("the point at infinity has no direct-chart representation")
+    return max(x.log_radius, y.log_radius, log_abs_diff(x.center, y.center, v))
 
 
 def points_equal(x: TreePoint, y: TreePoint, v: Place) -> bool:
@@ -90,7 +100,7 @@ def points_equal(x: TreePoint, y: TreePoint, v: Place) -> bool:
         return x.is_type1 and y.is_type1 and x.center == y.center
     return (
         abs(x.log_radius - y.log_radius) <= EQ_TOL
-        and log_abs(x.center - y.center, v) <= x.log_radius + EQ_TOL
+        and log_abs_diff(x.center, y.center, v) <= x.log_radius + EQ_TOL
     )
 
 
@@ -114,14 +124,18 @@ def median(x: TreePoint, y: TreePoint, z: TreePoint, v: Place) -> TreePoint:
 
     Accepts the point at infinity (the median then is the join of the other
     two); the result is always an affine point when at most one argument is
-    infinite.
+    infinite.  Otherwise it is the lowest of the three pairwise joins, the
+    first in the order (x, y), (x, z), (y, z) on ties.
     """
     affine = [p for p in (x, y, z) if not p.at_infinity]
     if len(affine) == 2:
         return join(*affine, v)
     if len(affine) < 2:
         return POINT_AT_INFINITY
-    return min((join(x, y, v), join(x, z, v), join(y, z, v)), key=lambda p: p.log_radius)
+    kxy, kxz, kyz = hsia_log_kernel(x, y, v), hsia_log_kernel(x, z, v), hsia_log_kernel(y, z, v)
+    if kxy <= kxz and kxy <= kyz:
+        return _joined(x, y, kxy)
+    return _joined(x, z, kxz) if kxz <= kyz else _joined(y, z, kyz)
 
 
 @dataclass(frozen=True)
@@ -296,6 +310,8 @@ def tree_point_from_json(obj: dict, v: Place | None = None) -> TreePoint:
     chart = obj.get("chart", "direct")
     center = parse_rational(obj["center"])
     log_radius = NEG_INF if obj.get("type1") else float(obj["log_radius"])
+    if not log_radius < INF:  # -inf is a type-1 point; NaN and +inf are no point
+        raise ValueError(f"log_radius must be finite or -inf, not {log_radius!r}")
     if chart == "direct":
         return TreePoint(center, log_radius)
     if chart == "inverted":

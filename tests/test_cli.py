@@ -254,6 +254,16 @@ class TestErrorsAndDeterminism:
             ["places", "logabs", "--x", "1/9", "--place", "3", "--epsilon", "0"],
             ["places", "logabs", "--x", "1/9", "--epsilon", "0"],
             ["places", "logabs", "--x", "1/9", "--place", "trivial", "--epsilon=-5"],
+            ["tree", "kernel", "--x", '{"center":"1","log_radius":0}',
+             "--y", '{"center":"2","log_radius":NaN}', "--place", "3"],
+            ["tree", "kernel", "--x", '{"center":"2","log_radius":NaN}',
+             "--y", '{"center":"1","log_radius":0}', "--place", "3"],
+            ["tree", "join", "--x", '{"center":"1","log_radius":0}',
+             "--y", '{"center":"2","log_radius":NaN}', "--place", "3"],
+            ["tree", "join", "--x", '{"center":"1","log_radius":0}',
+             "--y", '{"center":"2","log_radius":Infinity}', "--place", "3"],
+            ["tree", "kernel", "--x", '{"center":"1","log_radius":1e400}',
+             "--y", '{"center":"0","log_radius":0}', "--place", "5"],
         ],
     )
     def test_bad_argument_exit_two_with_json(self, argv, capsys):
@@ -387,8 +397,8 @@ class TestErrorsAndDeterminism:
         assert outs[0] == outs[1] and json.loads(outs[0])["level"] == 7
 
     def test_non_finite_result_exit_one(self, capsys):
-        x = json.dumps({"chart": "direct", "center": "1", "log_radius": 1e400})
-        y = json.dumps({"chart": "direct", "center": "0", "log_radius": 0.0})
+        # the kernel of two equal type-1 points is -inf
+        x = y = json.dumps({"chart": "direct", "center": "1", "type1": True})
         code, out, _ = run(["tree", "kernel", "--x", x, "--y", y, "--place", "5"], capsys)
         assert code == 1
         assert json.loads(out, parse_constant=refuse_constant)["error"] == "NonFiniteResult"

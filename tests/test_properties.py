@@ -38,7 +38,7 @@ from arakelov.lattes import (
     legendre_lattes_eval,
     torsion_images,
 )
-from arakelov.places import INFINITY, finite
+from arakelov.places import ARCH, INFINITY, TRIVIAL, finite, log_abs, log_abs_diff
 from arakelov.tree import (
     TreePoint,
     classify_pair,
@@ -152,6 +152,26 @@ def test_torsion_images_are_distinct(side, level):
     finite = [p for p, _ in pts if p is not INFINITY]
     assert PointIndex(finite).min_gap() > 0
     assert [p for p, _ in pts[: len(finite)]] == sorted(finite, key=lambda p: (p.real, p.imag))
+
+
+BIG = 10**30
+big_rationals = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+all_places = st.one_of(
+    st.builds(finite, st.sampled_from([2, 3, 5, 7, 101]), st.sampled_from([1.0, 0.5, 2.0, 1 / 3])),
+    st.just(TRIVIAL),
+    st.just(ARCH),
+)
+
+
+@settings(PROPERTY, max_examples=400)
+@given(big_rationals, big_rationals, st.integers(-12, 12), st.integers(-12, 12), all_places)
+def test_log_abs_diff_is_log_abs_of_the_difference(a, c, i, j, v):
+    # b - a = c p^j, a carries p^i: the differences cancel up to a forced p-power
+    q = v.p or 3
+    a *= Fraction(q) ** i
+    b = a + c * Fraction(q) ** j
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert log_abs_diff(x, y, v).hex() == log_abs(x - y, v).hex()
 
 
 @st.composite
@@ -276,6 +296,14 @@ FUZZ_ARGV = [
     ["places", "logabs", "--x", "1/9", "--place", "3", "--epsilon", "0"],
     ["places", "logabs", "--x", "1/9", "--epsilon", "0"],
     ["places", "logabs", "--x", "1/9", "--place", "trivial", "--epsilon=-5"],
+    ["tree", "kernel", "--x", '{"center":"1","log_radius":0}',
+     "--y", '{"center":"2","log_radius":NaN}', "--place", "3"],
+    ["tree", "kernel", "--x", '{"center":"2","log_radius":NaN}',
+     "--y", '{"center":"1","log_radius":0}', "--place", "3"],
+    ["tree", "join", "--x", '{"center":"1","log_radius":0}',
+     "--y", '{"center":"2","log_radius":NaN}', "--place", "3"],
+    ["tree", "join", "--x", '{"center":"1","log_radius":0}',
+     "--y", '{"center":"2","log_radius":Infinity}', "--place", "3"],
 ]
 
 

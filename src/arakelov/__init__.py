@@ -45,7 +45,7 @@ from .energy_ua import (
 from .lattes import (
     MobiusMap,
     Quadruple,
-    as_quadruple,
+    as_side,
     cross_ratio,
     equilibrium_measure_ua,
     lattes_segment,

@@ -32,7 +32,7 @@ from .errors import BadRadii, DegenerateConfig, EmptyF
 from .lattes import (
     PointIndex,
     Quadruple,
-    as_quadruple,
+    as_side,
     equilibrium_measure_ua,
     local_discrepancy,
     positive_tolerance,
@@ -107,6 +107,8 @@ def pair_config(a, b) -> PairConfig:
 
 
 def pair_config_from_json(obj: dict) -> PairConfig:
+    if not all(isinstance(obj[k], list) for k in ("a", "b")):
+        raise TypeError("a pair config's a and b are JSON arrays")
     return pair_config(obj["a"], obj["b"])
 
 
@@ -120,13 +122,12 @@ def relevant_places(cfg: PairConfig) -> list[Place]:
 
     Guaranteed superset of the finite places with nonzero local energy.
     """
-    return _relevant_places(cfg.quadruple_a(), cfg.quadruple_b())
+    return _report_places(LattesFamily(cfg.quadruple_a()), LattesFamily(cfg.quadruple_b()))
 
 
-def _relevant_places(quad_a: Quadruple, quad_b: Quadruple) -> list[Place]:
-    primes = set(difference_primes(quad_a.finite_points()))
-    primes |= set(difference_primes(quad_b.finite_points())) | {2}
-    return [ARCH] + [finite(p) for p in sorted(primes)]
+def _report_places(fa: LattesFamily, fb: LattesFamily) -> list[Place]:
+    """ARCH, the excluded place 2, then the odd primes of ``_family_places``."""
+    return [ARCH, finite(2)] + _family_places(fa, fb)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +151,6 @@ class PlaceEntry:
 @dataclass
 class AdelicEnergyReport:
     entries: list[PlaceEntry]
-    arch_estimate: float
     arch_tol: float
     quad_err: float
     total: float
@@ -176,7 +176,7 @@ def local_pair_energy(quad_a: Quadruple, quad_b: Quadruple, v: Place) -> float:
 
 
 def pair_energy_global(quad_a, quad_b, arch_samples: int = 4000) -> AdelicEnergyReport:
-    """<L_a, L_b> as a sum of local terms over the relevant places.
+    """<L_a, L_b> of two sides' ``LattesFamily``s: local terms over the relevant places.
 
     Finite odd places are exact closed forms; the place 2 is reported as
     excluded; the archimedean entry is the torus-grid quadrature of
@@ -184,23 +184,18 @@ def pair_energy_global(quad_a, quad_b, arch_samples: int = 4000) -> AdelicEnergy
     quadrature error estimate ``quad_err``.  The total is therefore a lower
     bound up to the archimedean tolerance (local terms are nonnegative).
     """
-    quad_a, quad_b = as_quadruple(quad_a), as_quadruple(quad_b)
-    relevant = _relevant_places(quad_a, quad_b)
-    entries: list[PlaceEntry] = []
+    fa, fb = LattesFamily(quad_a, arch_samples), LattesFamily(quad_b, arch_samples)
+    relevant = _report_places(fa, fb)
+    entries = [PlaceEntry(relevant[1], None, False, "excluded: residue characteristic 2")]
     total = 0.0
-    for v in relevant[1:]:
-        if v.p == 2:
-            entries.append(PlaceEntry(v, None, False, "excluded: residue characteristic 2"))
-            continue
-        e = local_pair_energy(quad_a, quad_b, v)
+    for v in relevant[2:]:
+        e = local_pair_energy(fa.quad, fb.quad, v)
         entries.append(PlaceEntry(v, e, True))
         total += e
-    mu_a = LattesMeasure(quad_a, arch_samples)
-    arch, quad_err = lattes_pairing(mu_a, LattesMeasure(quad_b, arch_samples))
-    arch_tol = arch_tolerance(arch_samples)
-    entries.append(PlaceEntry(ARCH, arch, False, f"torus grid, level {mu_a.level}"))
+    arch, quad_err = lattes_pairing(fa.mu, fb.mu)
+    entries.append(PlaceEntry(ARCH, arch, False, f"torus grid, level {fa.mu.level}"))
     total += arch
-    return AdelicEnergyReport(entries, arch, arch_tol, quad_err, total, relevant=relevant)
+    return AdelicEnergyReport(entries, fa.arch_tol, quad_err, total, relevant=relevant)
 
 
 def global_energy(
@@ -217,14 +212,14 @@ def global_energy(
 
 
 class LattesFamily:
-    """Equilibrium measures of the Lattes map of a quadruple; 2-adic term skipped.
-    ``seed`` changes no output: nothing is sampled."""
+    """Equilibrium measures of the Lattes map of a side (``as_side``); 2-adic
+    term skipped.  ``seed`` changes no output: nothing is sampled."""
 
     label = "lattes"
     skip_two = True
 
     def __init__(self, quad, arch_samples: int = 4000, seed: int = 0):
-        self.quad = as_quadruple(quad)
+        self.quad = as_side(quad)
         self.mu = LattesMeasure(self.quad, arch_samples)
         self.arch_tol = arch_tolerance(arch_samples)
 
@@ -396,7 +391,6 @@ def pair_with_smoothed_set(quad, fs: FiniteSet, arch_samples: int = 4000) -> dic
     lhs = <mu_P, m_{F,r}>; rhs = h_{mu_P}(F) + sum_w sum_{u in F} I(P_w, u, r_w)
     + (1/(2 #F)) sum_w log(1/r_w).  The 2-adic place is skipped on both sides.
     """
-    quad = as_quadruple(quad)
     fam = LattesFamily(quad, arch_samples=arch_samples)
     smoothed = SmoothedSetFamily(fs)
     lhs = family_sq_energy(fam, smoothed)
@@ -407,7 +401,7 @@ def pair_with_smoothed_set(quad, fs: FiniteSet, arch_samples: int = 4000) -> dic
     for v in places:
         r = fs.radius_at(v)
         for u in fs.points:
-            discrepancy += local_discrepancy(quad, u, r, v)
+            discrepancy += local_discrepancy(fam.quad, u, r, v)
     r_inf = fs.radius_at(ARCH)
     for u in fs.points:
         discrepancy += abs(

@@ -178,7 +178,7 @@ def _cmd_energy_arch(args) -> dict:
 def _cmd_lattes(args) -> dict:
     if args.op == "segment":
         v = _parse_place(args)
-        quad = _parsed(args, "gamma", _json(lattes.as_quadruple))
+        quad = _parsed(args, "gamma", _json(lambda g: lattes.as_side(_array(g))))
         seg = lattes.lattes_segment(quad, v)
         return {
             "segment": tree.segment_to_json(seg),

@@ -24,7 +24,6 @@ from .errors import BadBoundParameters, BadRadii, NotAbuttable, PlaceMismatch
 from .places import NEG_INF, Place, log_abs_diff, parse_rational
 from .tree import (
     Disjoint,
-    Meeting,
     PairConfiguration,
     Segment,
     TreePoint,

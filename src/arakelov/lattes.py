@@ -56,19 +56,15 @@ class Quadruple:
         return "(" + ", ".join(format_p1_point(p) for p in self.points) + ")"
 
 
-def as_quadruple(points) -> Quadruple:
-    if isinstance(points, Quadruple):
-        return points
-    return Quadruple(tuple(parse_p1_point(p) for p in points))
-
-
 def as_side(side) -> Quadruple:
     """A side of a Lattes system: a quadruple (a ``Quadruple``, tuple or list) or
     a Legendre parameter lam, which is the quadruple (infinity, 0, 1, lam), so
     lam in {0, 1, infinity} raises ``DegenerateQuadruple``."""
-    if not isinstance(side, (Quadruple, tuple, list)):
+    if isinstance(side, Quadruple):
+        return side
+    if not isinstance(side, (tuple, list)):
         side = (INFINITY, 0, 1, side)
-    return as_quadruple(side)
+    return Quadruple(tuple(parse_p1_point(p) for p in side))
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +159,8 @@ def legendre_parameter(side) -> Fraction:
 
 
 def lattes_segment(gamma, v: Place) -> Segment:
-    """The core of the tree spanned by the four branch points: Lebesgue measure
-    on it is the equilibrium measure at an odd finite place.
+    """The core of the tree spanned by a side's four branch points: Lebesgue
+    measure on it is the equilibrium measure at an odd finite place.
 
     A tree with four leaves has at most two branch points, and the medians
     med(g0, g3, g1), med(g0, g3, g2) are both of them unless the split is
@@ -173,7 +169,7 @@ def lattes_segment(gamma, v: Place) -> Segment:
     """
     if not v.is_finite or v.p == 2:
         raise ResidueCharTwo("the equilibrium segment needs an odd finite place")
-    g0, g1, g2, g3 = (type1(p) for p in as_quadruple(gamma).points)
+    g0, g1, g2, g3 = (type1(p) for p in as_side(gamma).points)
     a, b = median(g0, g3, g1, v), median(g0, g3, g2, v)
     if points_equal(a, b, v):
         c, d = median(g0, g2, g1, v), median(g0, g2, g3, v)
@@ -184,7 +180,7 @@ def lattes_segment(gamma, v: Place) -> Segment:
 
 def lattes_segment_length_units(gamma, v: Place) -> int:
     """ell(I_gamma) as an exact integer multiple of epsilon * log p."""
-    beta, _ = normalize_to_legendre(as_quadruple(gamma))
+    beta, _ = normalize_to_legendre(gamma)
     return max(-padic_valuation(x, v.p) for x in cross_ratio_orbit(beta))
 
 
@@ -194,12 +190,12 @@ def equilibrium_measure_ua(gamma, v: Place) -> SegmentMeasure:
 
 
 def local_discrepancy(points, u: Fraction | int | str, r: float, v: Place) -> float:
-    """I(P, u, r) = |(mu_P, delta_u - chi_{u,r})| at a finite place, p != 2.
+    """I(P, u, r) = |(mu_P, delta_u - chi_{u,r})| for a side P at a finite place, p != 2.
 
     Evaluated exactly through the segment potential.  r = 0 gives 0 by the
     convention eta_{u,0} = u; u must avoid the branch points of P.
     """
-    quad = as_quadruple(points)
+    quad = as_side(points)
     mu = equilibrium_measure_ua(quad, v)  # the odd-place guard, before u and r
     u = parse_rational(u)
     if u in quad.finite_points():

@@ -111,11 +111,7 @@ def padic_valuation(x: Fraction | int, p: int) -> int | float:
     """v_p(x) with v_p(0) = +inf.  Additive: v_p(ab) = v_p(a) + v_p(b)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _valuation(Fraction(x), p)
-
-
-def _valuation(x: Fraction, p: int) -> int | float:
-    """``padic_valuation`` for a p already known to be prime."""
+    x = Fraction(x)
     if x == 0:
         return INF
     v = 0
@@ -131,15 +127,15 @@ def _valuation(x: Fraction, p: int) -> int | float:
 
 
 def log_abs(x: Fraction | int, v: Place) -> float:
-    """epsilon * log|x|_v, with -inf at x = 0 for non-trivial places."""
+    """epsilon * log|x|_v, with -inf at x = 0; ``log_abs_diff(x, 0, v)`` at a
+    finite place."""
     x = Fraction(x)
-    if v.kind == "trivial":
-        return NEG_INF if x == 0 else 0.0
     if x == 0:
         return NEG_INF
+    if v.kind == "trivial":
+        return 0.0
     if v.is_finite:
-        val = _valuation(x, v.p)  # Place has validated its prime
-        return v.epsilon * (-val * math.log(v.p))
+        return log_abs_diff(x, 0, v)
     # archimedean; keep huge numerators safe by splitting the log
     return v.epsilon * (math.log(abs(x.numerator)) - math.log(x.denominator))
 
@@ -149,9 +145,9 @@ def log_abs_diff(a: Fraction | int, b: Fraction | int, v: Place) -> float:
 
     v_p(a - b) = v_p(a_n b_d - b_n a_d) - v_p(a_d b_d) holds for any
     representation of a - b, so the four integers give the valuation without
-    the gcd that normalizes a ``Fraction``; the float is ``log_abs``'s own
-    expression, so the two agree bit for bit.  The archimedean log reads the
-    reduced fraction, and the other places go through ``log_abs``.
+    the gcd that normalizes a ``Fraction``; ``log_abs`` at a finite place is
+    ``log_abs_diff(x, 0, v)``.  The archimedean log reads the reduced
+    fraction, and the other places go through ``log_abs``.
     """
     if not v.is_finite:
         return log_abs(a - b, v)

@@ -43,6 +43,10 @@ class TreePoint:
     log_radius: float = NEG_INF
     at_infinity: bool = False
 
+    def __post_init__(self) -> None:
+        if not self.log_radius < INF:  # -inf is a type-1 point; NaN and +inf are no point
+            raise ValueError(f"log_radius must be finite or -inf, not {self.log_radius!r}")
+
     @property
     def is_type1(self) -> bool:
         return self.at_infinity or self.log_radius == NEG_INF
@@ -305,13 +309,13 @@ def tree_point_to_json(x: TreePoint) -> dict:
 
 
 def tree_point_from_json(obj: dict, v: Place | None = None) -> TreePoint:
+    if not isinstance(obj, dict):
+        raise TypeError("a tree point is a JSON object")
     if obj.get("point_at_infinity"):
         return POINT_AT_INFINITY
     chart = obj.get("chart", "direct")
     center = parse_rational(obj["center"])
     log_radius = NEG_INF if obj.get("type1") else float(obj["log_radius"])
-    if not log_radius < INF:  # -inf is a type-1 point; NaN and +inf are no point
-        raise ValueError(f"log_radius must be finite or -inf, not {log_radius!r}")
     if chart == "direct":
         return TreePoint(center, log_radius)
     if chart == "inverted":
@@ -326,5 +330,8 @@ def segment_to_json(seg: Segment) -> dict:
 
 
 def segment_from_json(obj: dict, v: Place) -> Segment:
-    a, b = (tree_point_from_json(e, v) for e in obj["endpoints"])
+    ends = obj["endpoints"]
+    if not isinstance(ends, list) or len(ends) != 2:
+        raise TypeError("a segment's endpoints are a JSON array of two points")
+    a, b = (tree_point_from_json(e, v) for e in ends)
     return segment_between(a, b, v)

@@ -52,6 +52,14 @@ class TestPairConfig:
         with pytest.raises(DegenerateConfig):
             pair_config([1, 1, 2], [1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "obj", [{"a": "123", "b": "456"}, {"a": {"1": 0, "2": 0, "3": 0}, "b": [4, 5, 6]}], ids=repr
+    )
+    def test_json_sides_are_arrays(self, obj):
+        # a string or an object would be read by its characters or its keys
+        with pytest.raises(TypeError, match="arrays"):
+            adelic.pair_config_from_json(obj)
+
 
 class TestRelevantPlaces:
     def test_example_config(self):
@@ -103,14 +111,14 @@ class TestGlobalEnergy:
         fin1 = sum(e.energy for e in r1.entries if e.energy is not None and e.place.is_finite)
         fin2 = sum(e.energy for e in r2.entries if e.energy is not None and e.place.is_finite)
         assert fin1 == pytest.approx(fin2, abs=1e-10)
-        assert r1.arch_estimate == pytest.approx(r2.arch_estimate, abs=1e-9)
+        assert r1.entries[-1].energy == pytest.approx(r2.entries[-1].energy, abs=1e-9)
         assert h_ab(cfg) == pytest.approx(h_ab(scaled), abs=1e-12)
 
     def test_arch_entry_is_escape_rate_estimate(self):
         cfg = pair_config([1, 2, 3], ["1/5", "2/5", "3/5"])
         rep = global_energy(cfg, arch_samples=1500, seed=9, burn_in=48)
         energy, _ = lattes_sq_energy_arch(cfg.quadruple_a(), cfg.quadruple_b(), 1500)
-        assert rep.arch_estimate == energy
+        assert rep.entries[-1].energy == energy
         assert rep.entries[-1].note == "torus grid, level 6"
 
     def test_epsilon_flow_scales_local_energy(self):

@@ -264,6 +264,13 @@ class TestErrorsAndDeterminism:
              "--y", '{"center":"2","log_radius":Infinity}', "--place", "3"],
             ["tree", "kernel", "--x", '{"center":"1","log_radius":1e400}',
              "--y", '{"center":"0","log_radius":0}', "--place", "5"],
+            ["tree", "kernel", "--x", "[1,2]", "--y", '{"center":"1","log_radius":0}',
+             "--place", "3"],
+            ["tree", "join", "--x", '"s"', "--y", '"t"', "--place", "3"],
+            ["tree", "classify", "--ia", '{"endpoints":"ab"}', "--ib", '{"endpoints":"ab"}',
+             "--place", "3"],
+            ["lattes", "segment", "--gamma", '"1234"', "--place", "3"],
+            ["adelic", "energy", "--config-json", '{"a":"123","b":"456"}'],
         ],
     )
     def test_bad_argument_exit_two_with_json(self, argv, capsys):

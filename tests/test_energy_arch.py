@@ -29,7 +29,7 @@ from arakelov.energy_arch import (
 from arakelov.errors import CoincidentAtoms, DegenerateQuadruple, SingularPair
 from arakelov.lattes import (
     MobiusMap,
-    as_quadruple,
+    as_side,
     lattes_preimages_array,
     legendre_lattes_eval,
     normalize_to_legendre,
@@ -461,7 +461,7 @@ class TestLattesEnergy:
     @staticmethod
     def _cloud(side, n, seed):
         if isinstance(side, list):
-            return pulled_back_cloud(as_quadruple(side), n, seed)
+            return pulled_back_cloud(as_side(side), n, seed)
         return sample_lattes_equilibrium(Fraction(side), n, seed=seed)
 
     @pytest.fixture(scope="class", params=range(len(PANEL)))

@@ -12,7 +12,7 @@ from arakelov.errors import DegenerateQuadruple, LevelTooLarge, ResidueCharTwo
 from arakelov.lattes import (
     MobiusMap,
     Quadruple,
-    as_quadruple,
+    as_side,
     cross_ratio,
     cross_ratio_orbit,
     equilibrium_measure_ua,
@@ -105,7 +105,7 @@ class TestLattesSegment:
             assert abs(seg.length - units * math.log(p)) <= 1e-9
 
     def test_flow_scales_length(self):
-        quad = as_quadruple(["inf", "0", "1", "1/9"])
+        quad = as_side(["inf", "0", "1", "1/9"])
         base = lattes_segment(quad, V3).length
         scaled = lattes_segment(quad, places.finite(3, 0.5)).length
         assert scaled == pytest.approx(0.5 * base, abs=1e-12)
@@ -131,7 +131,7 @@ PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 def pairing_oracle(gamma, v):
     """The former route: cut the geodesics of each pairing with each other and
     keep the last nonempty cut; every nonempty cut is the same segment."""
-    leaves = [tree.type1(p) for p in as_quadruple(gamma).points]
+    leaves = [tree.type1(p) for p in as_side(gamma).points]
     found = None
     for (i, j), (k, l) in PAIRINGS:
         m1 = tree.median(leaves[i], leaves[j], leaves[k], v)

@@ -31,7 +31,7 @@ from arakelov.energy_ua import (
 )
 from arakelov.lattes import (
     PointIndex,
-    as_quadruple,
+    as_side,
     lattes_preimages,
     lattes_preimages_array,
     lattes_segment,
@@ -249,7 +249,7 @@ def test_union_recursion(pair, t):
 @given(quadruples, quadruples, st.sampled_from([3, 5, 7, 11, 13]), st.floats(0.05, 20))
 def test_flow_scales_segments_and_energies(a, b, p, eps):
     # every local quantity at finite(p, eps) is eps times its eps = 1 value
-    qa, qb = as_quadruple(a), as_quadruple(b)
+    qa, qb = as_side(a), as_side(b)
     v1, ve = finite(p), finite(p, eps)
     assert close(lattes_segment(qa, ve).length, eps * lattes_segment(qa, v1).length)
     assert close(local_pair_energy(qa, qb, ve), eps * local_pair_energy(qa, qb, v1))
@@ -304,6 +304,12 @@ FUZZ_ARGV = [
      "--y", '{"center":"2","log_radius":NaN}', "--place", "3"],
     ["tree", "join", "--x", '{"center":"1","log_radius":0}',
      "--y", '{"center":"2","log_radius":Infinity}', "--place", "3"],
+    ["tree", "kernel", "--x", "[1,2]", "--y", '{"center":"1","log_radius":0}', "--place", "3"],
+    ["tree", "join", "--x", '"s"', "--y", '"t"', "--place", "3"],
+    ["tree", "classify", "--ia", '{"endpoints":"ab"}', "--ib", '{"endpoints":"ab"}',
+     "--place", "3"],
+    ["lattes", "segment", "--gamma", '"1234"', "--place", "3"],
+    ["adelic", "energy", "--config-json", '{"a":"123","b":"456"}'],
 ]
 
 

@@ -318,3 +318,30 @@ class TestJson:
         seg = tree.segment_between(tree.eta(0, 0.0), tree.eta(1, -1.0), V5)
         back = tree.segment_from_json(tree.segment_to_json(seg), V5)
         assert back.length == pytest.approx(seg.length, abs=1e-15)
+
+    @pytest.mark.parametrize("obj", [[1, 2], "s", 3], ids=repr)
+    def test_point_is_an_object(self, obj):
+        with pytest.raises(TypeError, match="object"):
+            tree.tree_point_from_json(obj, V5)
+
+    @pytest.mark.parametrize(
+        "ends", ["ab", [{"center": "0", "log_radius": 0.0}], {"a": 1, "b": 2}], ids=repr
+    )
+    def test_segment_endpoints_are_an_array_of_two(self, ends):
+        with pytest.raises(TypeError, match="array of two"):
+            tree.segment_from_json({"endpoints": ends}, V5)
+
+
+class TestLogRadiusRule:
+    # eta, TreePoint and the JSON reader share one rule: a log radius is
+    # finite or -inf (a type-1 point)
+    @pytest.mark.parametrize("log_radius", [math.nan, math.inf], ids=repr)
+    def test_nan_and_plus_inf_rejected(self, log_radius):
+        with pytest.raises(ValueError, match="log_radius"):
+            tree.eta(2, log_radius)
+        with pytest.raises(ValueError, match="log_radius"):
+            tree.TreePoint(Fraction(1), log_radius)
+
+    def test_minus_inf_is_type1(self):
+        assert tree.TreePoint(Fraction(1), -math.inf) == tree.type1(1)
+        assert tree.eta(1, -math.inf).is_type1

@@ -249,8 +249,8 @@ class FiniteSet:
             canonical = isinstance(key, str) and key.isdecimal() and key == str(int(key))
             if key != "inf" and not (canonical and is_prime(int(key))):
                 raise BadRadii(f"a radius key is 'inf' or a prime, not {key!r}")
-            if not r > 0:
-                raise BadRadii(f"radius at {key} must be positive")
+            if not 0 < r < math.inf:
+                raise BadRadii(f"radius at {key} must be finite and positive")
 
     def radius_at(self, v: Place) -> float:
         key = "inf" if v.is_archimedean else str(v.p)

@@ -15,9 +15,11 @@ circles by quadrature.  Two Lattes measures pair by Petsche-Szpiro-Tucker:
 over the 4^k iterated preimages of one point, a uniform grid on the torus
 C/Lambda (trapezoidal rule), with one Richardson step from level k - 1.  A
 measure's G on its own grids follows from G at that one point by the preimage
-recursion, one log per point and level; only the partner's G runs the series.
-The two integrals share no data: on level-7 grids the second runs on a worker
-thread made for the call, since numpy releases the GIL in the series' ufuncs.
+recursion, one log per point and level.  Each integral makes one series call,
+with one lambda per point: own's G at that point and the partner's G on both
+grids, since each call has a fixed cost of some 0.2 ms.  The two integrals
+share no data: on level-7 grids the second runs on a worker thread made for
+the call, since numpy releases the GIL in the series' ufuncs.
 The backward-orbit sampler and the cloud sums are the tests' oracle.
 """
 
@@ -48,12 +50,13 @@ _GRID_LEVEL_CAP = 7  # the finest grid has 4^7 = 16384 points
 _CIRCLE_NODES = 4096  # equally spaced nodes of the circle-vs-Lattes quadrature
 _ARC_NODES = 48  # Gauss-Legendre nodes on the outer arc of two crossing circles
 _BURN_IN = 64  # sampler steps discarded before the first kept point
-# fine-grid size from which the two halves of lattes_pairing run on two threads;
-# two escape_rate calls one after the other, then on two threads (numpy drops
-# the GIL in its ufuncs), on 2 cores: 4,096 points 2.63 ms, then 3.02 ms (GIL
-# handoffs cost more than they save); 16,384 points 11.5 ms, then 7.35 ms;
-# 65,536 points 60.2 ms, then 30.9 ms.  The CPU count is not read: pinned to
-# one CPU, a level-7 pairing took 16.9-18.1 ms on two threads, 17.3-18.4 on one
+# fine-grid size from which the two halves of lattes_pairing run on two threads
+# (numpy drops the GIL in its ufuncs); a pairing of lambda = 2 and 3, its halves
+# one after the other, then on two threads, on 2 cores: level 6 (4,096 points)
+# 4.15-4.33 ms, then 4.19-4.23 ms (too little to pay for a thread); level 7
+# (16,384 points) 16.4-17.5 ms, then 10.3-10.4 ms.  The CPU count is not read:
+# pinned to one CPU, a level-7 pairing took 17.7-17.9 ms on two threads and
+# 16.7-16.9 ms on one
 _THREAD_MIN_POINTS = 4**7
 
 
@@ -97,10 +100,14 @@ class LattesMeasure:
         self.level = min(_GRID_LEVEL_CAP, max(2, ((n - 1).bit_length() + 1) // 2))
         self.mat = tuple(map(complex, (mob.a, mob.b, mob.c, mob.d)))
 
+    def lift(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """M v for vectors v = (x, y)."""
+        m0, m1, m2, m3 = self.mat
+        return m0 * x + m1 * y, m2 * x + m3 * y
+
     def escape(self, x, y) -> np.ndarray:
         """G(v) = G_lambda(M v) on arrays of vectors v = (x, y)."""
-        m0, m1, m2, m3 = self.mat
-        return escape_rate(self.lam, m0 * x + m1 * y, m2 * x + m3 * y)
+        return escape_rate(self.lam, *self.lift(x, y))
 
     @cached_property
     def _g_inf(self) -> float:
@@ -121,26 +128,39 @@ class LattesMeasure:
         lam = self.lam
         return -math.log(abs(4.0 * lam * (lam - 1.0))) / 3.0 - self._log_det + 2.0 * self._g_inf
 
+    def _walk(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """L^-(k-1)(w_0) and L^-k(w_0), and log|4u(u - 1)(u - lambda)| on every
+        level 1..k.  The preimages of w[i] sit at i, n + i, 2n + i and 3n + i."""
+        lam = self.lam
+        w, logs = np.array([_START]), []
+        for _ in range(self.level):
+            coarse, w = w, lattes_preimages_array(w, lam)
+            logs.append(np.log(np.abs(4.0 * w * (w - 1.0) * (w - lam))))
+        return coarse, w, logs
+
+    def _grid_escapes(self, g0: np.ndarray, logs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """G on the two finest levels of ``_walk`` from g0 = G_lambda(w_0, 1).
+
+        G_lambda(u, 1) = (G_lambda(L u, 1) + log|4u(u - 1)(u - lambda)|)/4,
+        since F(u, 1) = 4u(u - 1)(u - lambda) (L u, 1), and the parent values
+        of a level are ``np.tile(g, 4)``; M adj(M) = det M adds log|det M|.
+        """
+        coarse = g = g0
+        for log in logs:
+            coarse, g = g, 0.25 * (np.tile(g, 4) + log)
+        return coarse + self._log_det, g + self._log_det
+
     def grid_levels(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], np.ndarray], ...]:
         """adj(M)(w, 1) and G there, for w over L^-(k-1)(w_0) and L^-k(w_0).
 
         M pulls mu_lambda back to this measure, and adj(M) does so without
         dividing or dropping points.  G comes from G_lambda(w_0, 1) by the
-        recursion G_lambda(u, 1) = (G_lambda(L u, 1) + log|4u(u - 1)(u - lambda)|)/4,
-        since F(u, 1) = 4u(u - 1)(u - lambda) (L u, 1); M adj(M) = det M adds
-        log|det M|.  The preimages of w[i] sit at i, n + i, 2n + i and 3n + i,
-        so their parent values are ``np.tile(g, 4)``.  Built afresh at every
-        call and kept nowhere; the series ``escape(*grid)`` is the oracle of G.
+        preimage recursion (``_grid_escapes``).  Built afresh at every call
+        and kept nowhere; the series ``escape(*grid)`` is the oracle of G.
         """
-        lam = self.lam
-        w = np.array([_START])
-        g = escape_rate(lam, w, 1.0)
-        levels = [(w, g)]
-        for _ in range(self.level):
-            w = lattes_preimages_array(w, lam)
-            g = 0.25 * (np.tile(g, 4) + np.log(np.abs(4.0 * w * (w - 1.0) * (w - lam))))
-            levels = [levels[-1], (w, g)]
-        return tuple((adjugate_lift(self.mat, w), g + self._log_det) for w, g in levels)
+        coarse, fine, logs = self._walk()
+        g = self._grid_escapes(escape_rate(self.lam, np.array([_START]), 1.0), logs)
+        return tuple((adjugate_lift(self.mat, w), gw) for w, gw in zip((coarse, fine), g))
 
 
 ArchMeasure = DiracAt | Circle | Cloud | LattesMeasure
@@ -320,10 +340,11 @@ def escape_rate(lam, x, y) -> np.ndarray:
     u_{k+1} = F(u_k)/||F(u_k)||, summed over a fixed ``_ESCAPE_STEPS`` terms.
     A step scales by the real reciprocal of the norm and takes the norm as the
     modulus of |x| + i|y|, which, like ``hypot``, squares nothing and so never
-    overflows.  G(F(v)) = 4 G(v) and G(c v) = G(v) + log|c|.
+    overflows.  G(F(v)) = 4 G(v) and G(c v) = G(v) + log|c|.  ``lam`` is one
+    parameter or an array of them, one per vector: every element goes through
+    the same ufuncs, so a vector's G does not depend on the others.
     """
-    lamc = complex(lam)
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+    lamc, x, y = np.broadcast_arrays(*(np.asarray(a, dtype=complex) for a in (lam, x, y)))
     norm = np.hypot(np.abs(x), np.abs(y))
     g = np.log(norm)
     # the steps run in place in these buffers: fresh temporaries at every step
@@ -352,13 +373,28 @@ def escape_rate(lam, x, y) -> np.ndarray:
 
 def _side_means(own: LattesMeasure, partner: LattesMeasure) -> tuple[float, float]:
     """Means of G_own - G_partner over own's coarse and fine grids: one half of
-    ``lattes_pairing``.  It builds own's grids, which go when it returns, and
-    reads only the partner's lambda and matrix, so the two halves can run at
-    once."""
-    return tuple(
-        float((g - partner.escape(x, y)).mean())
-        for (x, y), g in own.grid_levels()
-    )
+    ``lattes_pairing``.
+
+    One series call covers own's G at w_0, from which the preimage recursion
+    gives own's G on its grids, and the partner's G on both grids: the
+    vectors (w_0, 1), then partner.lift(adj(M_own)(w, 1)) over the coarse and
+    the fine grid, with lambda_own for the first and lambda_partner for the
+    rest.  It reads only the partner's lambda and matrix, so the two halves
+    can run at once; own's grids go when it returns.
+    """
+    coarse, fine, logs = own._walk()
+    nc = len(coarse)
+    x = np.empty(1 + nc + len(fine), dtype=complex)
+    y = np.empty_like(x)
+    x[0], y[0] = _START, 1.0
+    for part, w in ((slice(1, 1 + nc), coarse), (slice(1 + nc, None), fine)):
+        x[part], y[part] = partner.lift(*adjugate_lift(own.mat, w))
+    del coarse, fine, w
+    lam = np.full(len(x), partner.lam)
+    lam[0] = own.lam
+    g = escape_rate(lam, x, y)
+    g_coarse, g_fine = own._grid_escapes(g[:1], logs)
+    return float((g_coarse - g[1 : 1 + nc]).mean()), float((g_fine - g[1 + nc :]).mean())
 
 
 def lattes_pairing(mu_a: LattesMeasure, mu_b: LattesMeasure) -> tuple[float, float]:

@@ -380,6 +380,14 @@ class TestSmoothedSetBound:
         with pytest.raises(BadRadii, match="positive"):
             finite_set([5], {"3": radius})
 
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    @pytest.mark.parametrize("key", ["3", "inf"])
+    def test_non_finite_radius_rejected(self, key, radius):
+        # an infinite radius used to pass, then failed in the pairing: in the
+        # TreePoint check at 3 and with a math domain error at infinity
+        with pytest.raises(BadRadii, match="finite and positive"):
+            finite_set([5], {key: radius})
+
     def test_pinned_json_three_point_set(self):
         fs = finite_set(["1/2", 4, -6], {"inf": 3.0, "5": 0.2})
         rep = pair_with_smoothed_set([1, 3, 9, "inf"], fs)

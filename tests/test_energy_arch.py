@@ -509,6 +509,23 @@ class TestLattesEnergy:
     def test_level_seven_pinned(self, a, b, expected):
         assert lattes_sq_energy_arch(a, b, 20000) == expected
 
+    # the pairs above at n = 16, 100, 500 and 1500: levels 2, 4, 5 and 6, on one thread
+    @pytest.mark.parametrize(
+        "a, b, n, expected",
+        [
+            (2, 3, 16, (0.02372023330218649, 0.01646006561784584)),
+            (2, 3, 100, (0.02212929825727089, 0.00011301489271586806)),
+            (2, 3, 500, (0.02211555895554565, 2.3152650120566998e-05)),
+            (2, 3, 1500, (0.022117774492607864, 2.0461554385009517e-06)),
+            ([1, 3, 9, "inf"], (-2, "1/2", 2, "inf"), 16, (0.18519492054107933, 0.03787055362148717)),
+            ([1, 3, 9, "inf"], (-2, "1/2", 2, "inf"), 100, (0.18379426740593405, 0.0005341668950379908)),
+            ([1, 3, 9, "inf"], (-2, "1/2", 2, "inf"), 500, (0.18358513860087575, 2.3304880034297204e-05)),
+            ([1, 3, 9, "inf"], (-2, "1/2", 2, "inf"), 1500, (0.18359403767406673, 7.439711072504407e-06)),
+        ],
+    )
+    def test_levels_below_seven_pinned(self, a, b, n, expected):
+        assert lattes_sq_energy_arch(a, b, n) == expected
+
     @pytest.mark.parametrize("n, level", [(1, 2), (16, 2), (17, 3), (100, 4), (1500, 6),
                                           (4096, 6), (4097, 7), (20000, 7), (10**7, 7)])
     def test_grid_level(self, n, level):
@@ -627,28 +644,35 @@ class TestLattesMeasure:
             assert np.abs(g - mu.escape(*grid)).max() <= 1e-9
 
     def test_pairing_runs_the_series_on_partner_grids_only(self, monkeypatch):
-        sizes = []
+        calls = []
 
-        def counting(lam, x, y):
-            sizes.append(np.broadcast(x, y).size)
+        def recording(lam, x, y):
+            lam, x, y = np.broadcast_arrays(*(np.asarray(t, dtype=complex) for t in (lam, x, y)))
+            calls.append((lam.copy(), x[0], y[0]))
             return escape_rate(lam, x, y)
 
-        monkeypatch.setattr(energy_arch, "escape_rate", counting)
+        monkeypatch.setattr(energy_arch, "escape_rate", recording)
         a, b = LattesMeasure(2, 500), LattesMeasure([1, 3, 9, "inf"], 500)
         lattes_pairing(a, b)
-        # per side: one point for its own grids, then the partner on levels 4 and 5
-        assert a.level == b.level == 5 and sizes == [1, 4**4, 4**5] * 2
+        # one call per half: own's lambda at (w_0, 1), for own's grids, then the
+        # partner's lambda on the 4^4 + 4^5 points of own's levels 4 and 5
+        assert a.level == b.level == 5 and a.lam != b.lam
+        assert [len(lam) for lam, _, _ in calls] == [1 + 4**4 + 4**5] * 2
+        for (lam, x0, y0), own, partner in zip(calls, (a, b), (b, a)):
+            assert (lam[0], x0, y0) == (own.lam, 0.3 + 0.7j, 1.0)
+            assert (lam[1:] == partner.lam).all()
 
     @staticmethod
     def _record_series_calls(monkeypatch, fail_lam=None):
         """Patch escape_rate to log (size, thread) per call; with ``fail_lam``,
-        a call for that parameter on more than one point raises ``Boom``."""
+        a call whose partner lambda, the last element, is ``fail_lam`` raises
+        ``Boom``."""
         calls = []
 
         def recording(lam, x, y):
-            size = np.broadcast(x, y).size
+            size = np.broadcast(lam, x, y).size
             calls.append((size, threading.get_ident()))
-            if complex(lam) == fail_lam and size > 1:
+            if np.asarray(lam).ravel()[-1] == fail_lam:
                 raise Boom(threading.get_ident())
             return escape_rate(lam, x, y)
 
@@ -662,20 +686,20 @@ class TestLattesMeasure:
         lattes_pairing(a, b)
         assert threading.active_count() == threads
         assert a.level == b.level == 7
-        assert sorted(size for size, _ in calls) == sorted([1, 4**6, 4**7] * 2)
-        partner = {ident for size, ident in calls if size > 1}
-        assert len(partner) == 2 and threading.get_ident() in partner
+        assert [size for size, _ in calls] == [1 + 4**6 + 4**7] * 2
+        idents = {ident for _, ident in calls}
+        assert len(idents) == 2 and threading.get_ident() in idents
 
     def test_level_five_stays_on_the_calling_thread(self, monkeypatch):
         calls = self._record_series_calls(monkeypatch)
         lattes_pairing(LattesMeasure(2, 500), LattesMeasure([1, 3, 9, "inf"], 500))
-        assert len(calls) == 6 and {ident for _, ident in calls} == {threading.get_ident()}
+        assert calls == [(1 + 4**4 + 4**5, threading.get_ident())] * 2
 
     @pytest.mark.parametrize("fail_lam, in_worker", [(2, True), (3, False)])
     def test_error_in_either_half_reaches_the_caller(self, monkeypatch, fail_lam, in_worker):
-        # the partner series of lambda = 2 runs only in the half of mu_b, on the
-        # worker, and that of lambda = 3 only in the caller's half; either way
-        # the worker has ended when the error reaches the caller
+        # lambda = 2 is the partner only in the half of mu_b, on the worker,
+        # and lambda = 3 only in the caller's half; either way the worker has
+        # ended when the error reaches the caller
         self._record_series_calls(monkeypatch, fail_lam=fail_lam)
         threads = threading.active_count()
         with pytest.raises(Boom) as raised:

@@ -91,6 +91,31 @@ def test_escape_rate_homogeneity(lam, x, y, c):
 
 
 @PROPERTY
+@given(st.integers(0, 2**32 - 1), quadruples)
+def test_escape_rate_lambda_per_point(seed, quad):
+    # one call over a shuffled mix of vectors for several parameters against
+    # one call per parameter, bit for bit; the quadruple's vectors are M v
+    rng = np.random.default_rng(seed)
+    mu = LattesMeasure(quad)
+    lams, xs, ys, expected = [], [], [], []
+    for lam in [2, Fraction(1, 9), -1000, 3 + 0.5j, mu.lam]:
+        n = int(rng.integers(1, 50))
+        x, y = (
+            (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.integers(-3, 4, n)
+            for _ in range(2)
+        )
+        if lam == mu.lam:
+            x, y = mu.lift(x, y)
+        lams.append(np.full(n, complex(lam)))
+        xs.append(x)
+        ys.append(y)
+        expected.append(escape_rate(lam, x, y))
+    order = rng.permutation(sum(map(len, lams)))
+    lam, x, y, expected = (np.concatenate(parts)[order] for parts in (lams, xs, ys, expected))
+    assert (escape_rate(lam, x, y).view(np.int64) == expected.view(np.int64)).all()
+
+
+@PROPERTY
 @given(sides, sides)
 def test_lattes_pairings_are_symmetric(a, b):
     mu_a, mu_b = LattesMeasure(a, 200), LattesMeasure(b, 200)

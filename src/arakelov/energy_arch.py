@@ -350,11 +350,14 @@ def escape_rate(lam, x, y) -> np.ndarray:
     # the steps run in place in these buffers: fresh temporaries at every step
     # cost page faults whenever the allocator gives large blocks back
     u, v, x2, xy, t = (np.empty(x.shape, dtype=complex) for _ in range(5))
-    scale, nb = np.empty(x.shape), np.empty(x.shape)
+    logs, nb = np.empty(x.shape), np.empty(x.shape)
+    # the scale as s + 0i, the operand that a cast of the real s would hand
+    # the complex multiply: kept in one buffer, so no step casts
+    sc = np.zeros(x.shape, dtype=complex)
     weight = 1.0
     for _ in range(_ESCAPE_STEPS):
-        np.reciprocal(norm, out=scale)
-        x, y = np.multiply(x, scale, out=u), np.multiply(y, scale, out=v)
+        np.reciprocal(norm, out=sc.real)
+        x, y = np.multiply(x, sc, out=u), np.multiply(y, sc, out=v)
         np.multiply(x, x, out=x2)
         np.multiply(lamc, np.multiply(y, y, out=t), out=t)
         np.multiply(x, y, out=xy)
@@ -367,7 +370,7 @@ def escape_rate(lam, x, y) -> np.ndarray:
         np.abs(y, out=xy.imag)
         norm = np.abs(xy, out=nb)
         weight *= 0.25
-        g += np.multiply(weight, np.log(norm, out=scale), out=scale)
+        g += np.multiply(weight, np.log(norm, out=logs), out=logs)
     return g
 
 

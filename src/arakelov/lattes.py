@@ -19,7 +19,14 @@ from fractions import Fraction
 import numpy as np
 
 from .energy_ua import SegmentMeasure, segment_measure, segment_potential
-from .errors import BadRadii, BranchPointCenter, DegenerateQuadruple, LevelTooLarge, ResidueCharTwo
+from .errors import (
+    BadRadii,
+    BranchPointCenter,
+    DegenerateQuadruple,
+    LevelTooLarge,
+    NonFiniteResult,
+    ResidueCharTwo,
+)
 from .places import (
     INFINITY,
     P1Point,
@@ -260,13 +267,30 @@ def lattes_preimages_array(w: np.ndarray, lam: complex) -> np.ndarray:
     of w[i] at i, n + i, 2n + i and 3n + i; the same halving formula and deck group.
     """
     w = np.asarray(w, dtype=complex)
+    n = len(w)
     r1, r2, r3 = np.sqrt(w), np.sqrt(w - 1.0), np.sqrt(w - lam)
     p12, p13, p23 = r1 * r2, r1 * r3, r2 * r3
-    signs = np.stack(
-        [w + p12 + p13 + p23, w - p12 - p13 + p23, w - p12 + p13 - p23, w + p12 - p13 - p23]
-    )
-    u = np.take_along_axis(signs, np.abs(signs).argmax(axis=0)[None], axis=0)[0]
-    return np.concatenate([u, lam / u, (u - lam) / (u - 1.0), lam * (u - 1.0) / (u - lam)])
+    plus, minus = w + p12, w - p12
+    # the four sign classes, each summed left to right as w +- p12 +- p13 +- p23
+    signs = np.empty((4, n), dtype=complex)
+    np.add(plus, p13, out=signs[0])
+    signs[0] += p23
+    np.subtract(minus, p13, out=signs[1])
+    signs[1] += p23
+    np.add(minus, p13, out=signs[2])
+    signs[2] -= p23
+    np.subtract(plus, p13, out=signs[3])
+    signs[3] -= p23
+    u = signs[np.abs(signs).argmax(axis=0), np.arange(n)]
+    um1, uml = u - 1.0, u - lam
+    out = np.empty(4 * n, dtype=complex)
+    out[:n] = u
+    np.divide(lam, u, out=out[n : 2 * n])
+    np.divide(uml, um1, out=out[2 * n : 3 * n])
+    # lam stays on the left: numpy's complex multiply can round lam * a and
+    # a * lam differently
+    np.divide(lam * um1, uml, out=out[3 * n :])
+    return out
 
 
 _WIDEN = 1.0 + 2.0**-50
@@ -366,6 +390,11 @@ def torsion_image_arrays(side, level: int) -> tuple[np.ndarray, np.ndarray, int]
     the points are built distinct with no merge.  The side is read by
     ``as_side``: its branch points are exactly its own, and every other point
     is pulled back through adj(M).
+
+    The sort is numpy's stable sort of complex values, lexicographic with the
+    float ``<``, so -0.0 and +0.0 tie and ties keep the build order.  A side
+    whose float lam makes some image infinite or NaN (lam = 1 + 10^-16 rounds
+    to the critical value 1) raises ``NonFiniteResult`` before the sort.
     """
     if level < 0 or level > TORSION_LEVEL_CAP:
         raise LevelTooLarge(f"level must lie in [0, {TORSION_LEVEL_CAP}]")
@@ -376,17 +405,23 @@ def torsion_image_arrays(side, level: int) -> tuple[np.ndarray, np.ndarray, int]
         centres = np.array([0, 1, lam], dtype=complex)
         radii = np.sqrt(np.array([lam, 1 - lam, lam * lam - lam], dtype=complex))
         added.append(np.concatenate([centres + radii, centres - radii]))
-    for _ in range(1, level):
-        added.append(lattes_preimages_array(added[-1], complex(lam)))
-    w = np.concatenate(added)
-    below = len(w)
+    # a side whose float lam is a critical value divides by zero on the way
+    # down; its non-finite points raise below, before the sort
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(1, level):
+            added.append(lattes_preimages_array(added[-1], complex(lam)))
+        w = np.concatenate(added)
+        below = len(w)
+        x, y = adjugate_lift(tuple(map(complex, (mobius.a, mobius.b, mobius.c, mobius.d))), w)
+        finite = y != 0  # a zero second coordinate is infinity
+        w = x[finite] / y[finite]
     branch = [complex(p) for p in quad.finite_points()]
-    x, y = adjugate_lift(tuple(map(complex, (mobius.a, mobius.b, mobius.c, mobius.d))), w)
-    finite = y != 0  # a zero second coordinate is infinity
-    w = x[finite] / y[finite]
     points = np.concatenate([branch, w])
+    bad = len(points) - np.count_nonzero(np.isfinite(points))
+    if bad:
+        raise NonFiniteResult(f"{bad} torsion images of {quad} at level {level} are not finite")
     mults = np.repeat([1, 2], [len(branch), len(w)])
-    order = np.lexsort((points.imag, points.real))
+    order = np.argsort(points, kind="stable")
     return points[order], mults[order], 4 - len(branch) + 2 * (below - len(w))
 
 

@@ -23,6 +23,8 @@ FAR_SEG = json.dumps(
     ]}
 )
 
+NEAR_ONE = "10000000000000001/10000000000000000"  # its float is the critical value 1
+
 
 def refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
@@ -408,6 +410,15 @@ class TestErrorsAndDeterminism:
         x = y = json.dumps({"chart": "direct", "center": "1", "type1": True})
         code, out, _ = run(["tree", "kernel", "--x", x, "--y", y, "--place", "5"], capsys)
         assert code == 1
+        assert json.loads(out, parse_constant=refuse_constant)["error"] == "NonFiniteResult"
+
+    @pytest.mark.parametrize("argv", [
+        ["adelic", "bft", "--lambda-a", NEAR_ONE, "--lambda-b", "2", "--level", "5"],
+        ["lattes", "torsion", "--lambda", NEAR_ONE, "--level", "5"],
+    ], ids=["adelic-bft", "lattes-torsion"])
+    def test_non_finite_torsion_images_exit_one(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and "Traceback" not in err
         assert json.loads(out, parse_constant=refuse_constant)["error"] == "NonFiniteResult"
 
     def test_unknown_chart_exit_one(self, capsys):

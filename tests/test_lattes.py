@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 from arakelov import lattes, places, suite, tree
-from arakelov.energy_arch import sample_lattes_equilibrium
-from arakelov.errors import DegenerateQuadruple, LevelTooLarge, ResidueCharTwo
+from arakelov.energy_arch import LattesMeasure, sample_lattes_equilibrium
+from arakelov.errors import DegenerateQuadruple, LevelTooLarge, NonFiniteResult, ResidueCharTwo
 from arakelov.lattes import (
     MobiusMap,
     Quadruple,
@@ -21,6 +22,7 @@ from arakelov.lattes import (
     lattes_segment_length_units,
     legendre_lattes_eval,
     normalize_to_legendre,
+    torsion_image_arrays,
     torsion_images,
 )
 from arakelov.places import INFINITY
@@ -284,6 +286,11 @@ class TestTorsionImages:
         with pytest.raises(LevelTooLarge):
             torsion_images(Fraction(2), 6)
 
+    def test_non_finite_images_raise(self):
+        # 1 + 10^-16 rounds to the critical value 1: most level-5 images are NaN
+        with pytest.raises(NonFiniteResult, match="1314 torsion images .* at level 5"):
+            torsion_images(Fraction(10**16 + 1, 10**16), 5)
+
     def test_quadruple_input_pulls_back(self):
         pts = torsion_images(["inf", "0", "1", "2"], 0)
         got = {("inf" if p is INFINITY else p) for p, _ in pts}
@@ -468,3 +475,36 @@ class TestPreimageRoute:
         pts = torsion_images(source, 5)
         assert sum(m for _, m in pts) == 4**6
         assert len(pts) == 2050
+
+
+# seven parameters and six seeded random quadruples; walks on four of them
+PIN_SIDES = [2, 3, 4, 5, -1, Fraction(1, 9), Fraction(35, 64)]
+_PIN_RNG = np.random.default_rng(11)
+PIN_SIDES += [random_quadruple(_PIN_RNG, 20) for _ in range(6)]
+
+
+class TestBitwisePins:
+    """sha256 of raw float bits, recorded before the complex sort and the
+    preallocated preimage kernel: both must leave every bit as it was."""
+
+    def test_torsion_image_arrays_pinned(self):
+        digest = hashlib.sha256()
+        for side in PIN_SIDES:
+            for level in range(6):
+                points, mults, inf_mult = torsion_image_arrays(side, level)
+                digest.update(points.view(np.int64).tobytes())
+                digest.update(mults.astype(np.int64).tobytes())
+                digest.update(repr(inf_mult).encode())
+        want = "ca8ed5f722ffceb9be92928ff749d696fba7944a4cbbb5c88da411e8d5ecaaa2"
+        assert digest.hexdigest() == want
+
+    def test_lattes_walk_pinned(self):
+        # levels 2, 6 and 7
+        digest = hashlib.sha256()
+        for side in PIN_SIDES[5:9]:
+            for n in (16, 1500, 20000):
+                coarse, fine, logs = LattesMeasure(side, n)._walk()
+                for a in (coarse, fine, *logs):
+                    digest.update(a.view(np.int64).tobytes())
+        want = "e5ecb2a93a4e7b4b3fbab6a2c86d7c6712725e445ed7d8e02b2e42d318db2119"
+        assert digest.hexdigest() == want

@@ -36,9 +36,11 @@ from arakelov.lattes import (
     lattes_preimages_array,
     lattes_segment,
     legendre_lattes_eval,
+    torsion_image_arrays,
     torsion_images,
 )
 from arakelov.places import ARCH, INFINITY, TRIVIAL, finite, log_abs, log_abs_diff
+from arakelov.suite import random_quadruple
 from arakelov.tree import (
     TreePoint,
     classify_pair,
@@ -177,6 +179,17 @@ def test_torsion_images_are_distinct(side, level):
     finite = [p for p, _ in pts if p is not INFINITY]
     assert PointIndex(finite).min_gap() > 0
     assert [p for p, _ in pts[: len(finite)]] == sorted(finite, key=lambda p: (p.real, p.imag))
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), lambdas, st.integers(0, 5))
+def test_torsion_image_order_is_lexsort_order(seed, lam, level):
+    # lexsort by (real, imag) is the oracle of the complex sort; a real lam
+    # gives conjugate pairs, so equal real parts exercise the imaginary key
+    for side in (random_quadruple(np.random.default_rng(seed), 20), lam):
+        p = torsion_image_arrays(side, level)[0]
+        assert (np.lexsort((p.imag, p.real)) == np.arange(len(p))).all()
+    assert level == 0 or (np.diff(p.real) == 0).any()  # lam's points tie
 
 
 BIG = 10**30
@@ -335,6 +348,8 @@ FUZZ_ARGV = [
      "--place", "3"],
     ["lattes", "segment", "--gamma", '"1234"', "--place", "3"],
     ["adelic", "energy", "--config-json", '{"a":"123","b":"456"}'],
+    ["adelic", "bft", "--lambda-a", "10000000000000001/10000000000000000", "--lambda-b", "2",
+     "--level", "5"],
 ]
 
 

@@ -294,6 +294,8 @@ def _block_sum(a: np.ndarray, wa: np.ndarray, b: np.ndarray, wb: np.ndarray) -> 
     """sum_ij wa_i wb_j max(a_i, b_j) by sorted prefix sums: O(n log n) time, O(n) memory.
 
     A pair counts as a_i when a_i >= b_j and as b_j when b_j > a_i: ties count once.
+    The oracle's off-diagonal blocks take this route; a block paired with itself
+    takes ``_self_block_sum``, which returns the same float from one sort.
     """
     sa, sb = np.argsort(a), np.argsort(b)
     cum_a = np.concatenate(([0.0], np.cumsum(wa[sa])))
@@ -303,6 +305,28 @@ def _block_sum(a: np.ndarray, wa: np.ndarray, b: np.ndarray, wb: np.ndarray) -> 
     return float(wa @ (a * b_below) + wb @ (b * a_below))
 
 
+def _self_block_sum(a: np.ndarray, w: np.ndarray) -> float:
+    """``_block_sum(a, w, a, w)`` bit for bit, from one sort and no binary search.
+
+    In the sorted copy a_s, a_i lies in a run of equal values (a run starts
+    where a_s[k] != a_s[k - 1], so -0.0 and 0.0 share one), and the run's end
+    and start are its ``searchsorted`` ranks with side="right" and side="left".
+    The ranks go back to input order through the sort permutation, and the
+    sum is the same expression in the same order as ``_block_sum``'s.
+    """
+    s = np.argsort(a)
+    a_s = a[s]
+    cum = np.concatenate(([0.0], np.cumsum(w[s])))
+    new = np.concatenate(([True], a_s[1:] != a_s[:-1]))
+    edges = np.append(np.flatnonzero(new), a.size)  # run r is a_s[edges[r - 1]:edges[r]]
+    at = cum[edges]  # the weight below each run, then the total
+    run = np.cumsum(new)
+    le, lt = np.empty(a.size), np.empty(a.size)
+    le[s] = at[run]  # weight of a_j <= a_i
+    lt[s] = at[run - 1]  # weight of a_j < a_i
+    return float(w @ (a * le) + w @ (a * lt))
+
+
 def energy_oracle(ia: SegmentMeasure, ib: SegmentMeasure, v: Place, n: int = 2000) -> float:
     """Independent estimate of <mu_a, mu_b> by a signed kernel double sum.
 
@@ -310,7 +334,9 @@ def energy_oracle(ia: SegmentMeasure, ib: SegmentMeasure, v: Place, n: int = 200
     the double sum of log kappa (diagonal included; the kernel is finite on
     type-2/3 points) runs against the signed product measure.  The atoms are
     grouped by center; between two groups at log distance D the kernel is
-    max(r_i, r_j, D), so each block is a sorted prefix sum (`_block_sum`).
+    max(r_i, r_j, D), so each block is a sorted prefix sum (`_block_sum`); a
+    group paired with itself (D = -inf) takes one sort and reads its ranks from
+    the runs of equal radii (`_self_block_sum`).
     Deterministic; O(n log n); error O((total length)^3 / n^2).  A segment
     over a place other than v raises ``PlaceMismatch``.
     """
@@ -326,11 +352,11 @@ def energy_oracle(ia: SegmentMeasure, ib: SegmentMeasure, v: Place, n: int = 200
     total = 0.0
     for i, ci in enumerate(centers):
         ri, wi = groups[ci]
-        for cj in centers[i:]:
+        total += _self_block_sum(ri, wi)
+        for cj in centers[i + 1:]:
             rj, wj = groups[cj]
-            log_d = log_abs_diff(ci, cj, v)  # -inf on the diagonal
-            block = _block_sum(np.maximum(ri, log_d), wi, np.maximum(rj, log_d), wj)
-            total += block if ci == cj else 2.0 * block
+            log_d = log_abs_diff(ci, cj, v)
+            total += 2.0 * _block_sum(np.maximum(ri, log_d), wi, np.maximum(rj, log_d), wj)
     return -0.5 * total
 
 
@@ -391,7 +417,8 @@ def lower_bound_report(
             raise BadBoundParameters("lam and rho must be supplied together")
         if not (0 <= lam <= max(la - lab, lb - lab) + BOUND_SLOP):
             raise BadBoundParameters("lam must lie in [0, max(la - lab, lb - lab)]")
-        if rho <= 0 or max(la, lb) > rho * lam + BOUND_SLOP:
-            raise BadBoundParameters("need max(la, lb) <= rho * lam with rho > 0")
+        # written so that a NaN fails: an infinite rho would make the bound a vacuous 0
+        if not (0 < rho < math.inf and max(la, lb) <= rho * lam + BOUND_SLOP):
+            raise BadBoundParameters("need max(la, lb) <= rho * lam with 0 < rho < inf")
         record("meeting_lam_rho", lam / (48.0 * rho * rho))
     return report

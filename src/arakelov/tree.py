@@ -35,7 +35,7 @@ from .places import (
 EQ_TOL = 1e-9  # point identity tolerance on the log-radius scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreePoint:
     """A point of the Berkovich line: eta_{center, exp(log_radius)} or infinity."""
 
@@ -129,20 +129,27 @@ def median(x: TreePoint, y: TreePoint, z: TreePoint, v: Place) -> TreePoint:
     Accepts the point at infinity (the median then is the join of the other
     two); the result is always an affine point when at most one argument is
     infinite.  Otherwise it is the lowest of the three pairwise joins, the
-    first in the order (x, y), (x, z), (y, z) on ties.
+    first in the order (x, y), (x, z), (y, z) on ties.  A median against a
+    segment's two ends is ``_segment_median``, which reads their kernel from
+    ``Segment.top``.
     """
     affine = [p for p in (x, y, z) if not p.at_infinity]
     if len(affine) == 2:
         return join(*affine, v)
     if len(affine) < 2:
         return POINT_AT_INFINITY
-    kxy, kxz, kyz = hsia_log_kernel(x, y, v), hsia_log_kernel(x, z, v), hsia_log_kernel(y, z, v)
+    return _median_given(x, y, z, hsia_log_kernel(x, y, v), v)
+
+
+def _median_given(x: TreePoint, y: TreePoint, z: TreePoint, kxy: float, v: Place) -> TreePoint:
+    """median(x, y, z) of three affine points, given kxy = hsia_log_kernel(x, y, v)."""
+    kxz, kyz = hsia_log_kernel(x, z, v), hsia_log_kernel(y, z, v)
     if kxy <= kxz and kxy <= kyz:
         return _joined(x, y, kxy)
     return _joined(x, z, kxz) if kxz <= kyz else _joined(y, z, kyz)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """A geodesic between two type-2/3 points, with its place, its cached
     length and the log radius ``top`` of join(a, b), where its two arcs meet."""
@@ -188,11 +195,20 @@ def point_on_path(x: TreePoint, y: TreePoint, v: Place, s: float) -> TreePoint:
     return TreePoint(y.center, y.log_radius + (total - s))
 
 
+def _segment_median(seg: Segment, z: TreePoint) -> TreePoint:
+    """median(seg.a, seg.b, z, seg.place), with the kernel of the ends read
+    from ``seg.top`` (the same float ``segment_between`` computed) instead of
+    computed again."""
+    if z.at_infinity:
+        return _joined(seg.a, seg.b, seg.top)
+    return _median_given(seg.a, seg.b, z, seg.top, seg.place)
+
+
 def point_on_segment(p: TreePoint, seg: Segment) -> bool:
-    return points_equal(median(seg.a, seg.b, p, seg.place), p, seg.place)
+    return points_equal(_segment_median(seg, p), p, seg.place)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disjoint:
     """Segments meeting in at most one point (touching counts as d_ab = 0).
 
@@ -213,7 +229,7 @@ class Disjoint:
     variant = "disjoint"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Meeting:
     """Segments whose intersection is a genuine segment of length l_ab.
 
@@ -242,14 +258,16 @@ def classify_pair(ia: Segment, ib: Segment, v: Place) -> PairConfiguration:
 
     Matches the two pictures of the segment-vs-segment calculus: in the
     meeting case the intersection [u, w] is cut out and the four outer pieces
-    are reported with the same-side pairing convention.
+    are reported with the same-side pairing convention.  Every median here is
+    taken against a segment's ends, so it reads their kernel from
+    ``Segment.top`` (``_segment_median``).
     """
     if ia.place != v or ib.place != v:
         raise PlaceMismatch("both segments must live over the classification place")
-    xa, ya = ia.a, ia.b
-    xb, yb = ib.a, ib.b
-    p1 = median(xa, ya, xb, v)
-    p2 = median(xa, ya, yb, v)
+    xa = ia.a
+    xb = ib.a
+    p1 = _segment_median(ia, xb)
+    p2 = _segment_median(ia, ib.b)
     la, lb = ia.length, ib.length
 
     if point_on_segment(p1, ib) and point_on_segment(p2, ib):
@@ -274,7 +292,7 @@ def classify_pair(ia: Segment, ib: Segment, v: Place) -> PairConfiguration:
 
     # genuinely disjoint: the projections collapse to single split points
     za = p1
-    zb = median(xb, yb, xa, v)
+    zb = _segment_median(ib, xa)
     d_ab = path_length(za, zb, v)
     la1 = path_length(xa, za, v)
     lb1 = path_length(xb, zb, v)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arakelov import energy_ua, places, suite, tree
@@ -254,6 +254,25 @@ class TestOracle:
         got = energy_ua._block_sum(a, wa, b, wb)
         assert abs(got - dense_block_sum(a, wa, b, wb)) <= 1e-12 * scale
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-4, 4), st.booleans(), st.floats(-1.0, 1.0)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example([(3, False, 0.5)])
+    @example([(2, False, 0.25)] * 9)
+    @example([(0, neg, (-1.0) ** k * (k + 1) / 8.0) for k, neg in enumerate([0, 1, 1, 0, 1, 0])])
+    def test_self_block_sum_is_block_sum_bitwise(self, xs):
+        # radii on a coarse grid, so that runs of ties are long, with -0.0
+        # and 0.0 mixed in; the weights are signed
+        a = np.array([math.copysign(k / 2.0, -1.0 if neg else 1.0) for k, neg, _ in xs])
+        w = np.array([wt for _, _, wt in xs])
+        got = energy_ua._self_block_sum(a, w)
+        assert got.hex() == energy_ua._block_sum(a, w, a.copy(), w).hex()
+
     def test_identical_exact_zero(self):
         ia = seg_measure(tree.eta(0, 0.0), tree.eta(0, 1.0))
         assert energy_oracle(ia, ia, V5, n=50) == pytest.approx(0.0, abs=1e-12)
@@ -374,6 +393,18 @@ class TestLowerBounds:
         dis = seg_measure(tree.eta(0, 5.0), tree.eta(0, 6.0))
         with pytest.raises(BadBoundParameters):
             lower_bound_report(ia, dis, V5, lam=1.0, rho=10.0)
+
+    @pytest.mark.parametrize(
+        "lam, rho", [(1.0, math.nan), (1.0, math.inf), (0.0, math.inf), (math.nan, 4.0)]
+    )
+    def test_non_finite_parameters(self, lam, rho):
+        # a NaN rho used to record a failing NaN bound, and an infinite rho a
+        # vacuous bound of 0 that held
+        ia = seg_measure(tree.eta(0, 0.0), tree.eta(0, 4.0))
+        ib = seg_measure(tree.eta(0, 1.0), tree.eta(0, 3.0))
+        assert lower_bound_report(ia, ib, V5, lam=1.0, rho=4.0)["all_hold"]
+        with pytest.raises(BadBoundParameters):
+            lower_bound_report(ia, ib, V5, lam=lam, rho=rho)
 
 
 class TestFlowScaling:

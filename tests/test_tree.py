@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -163,6 +165,43 @@ class TestSegments:
                 assert seg.arcs == [
                     (p.center, p.log_radius, k) for p in (x, y) if k - p.log_radius > 0
                 ]
+
+    def test_segment_median_is_median(self):
+        def exact(p):
+            return p.at_infinity, p.center, p.log_radius.hex()
+
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            v = places.finite(int(rng.choice([3, 5, 7])))
+            seg = tree.segment_between(random_point(rng, v, 3.0), random_point(rng, v, 3.0), v)
+            type2 = tree.TreePoint(random_rational(rng, 9), int(rng.integers(-3, 4)) * math.log(v.p))
+            on_seg = tree.point_on_path(seg.a, seg.b, v, float(rng.uniform()) * seg.length)
+            for z in (
+                tree.type1(random_rational(rng, 9)),
+                type2,
+                random_point(rng, v, 3.0),  # type 3: a radius off the value group
+                on_seg,
+                seg.a,
+                seg.b,
+                tree.POINT_AT_INFINITY,
+            ):
+                want = tree.median(seg.a, seg.b, z, v)
+                assert exact(tree._segment_median(seg, z)) == exact(want)
+                assert tree.point_on_segment(z, seg) == tree.points_equal(want, z, v)
+
+    def test_slotted_types(self):
+        seg = tree.segment_between(tree.eta(0, 0.0), tree.eta(0, 4.0), V5)
+        meeting = tree.classify_pair(
+            seg, tree.segment_between(tree.eta(0, 1.0), tree.eta(0, 3.0), V5), V5
+        )
+        disjoint = tree.classify_pair(
+            seg, tree.segment_between(tree.eta(1, -2.0), tree.eta(1, -1.0), V5), V5
+        )
+        assert (meeting.variant, disjoint.variant) == ("meeting", "disjoint")
+        for obj in (seg.a, seg, meeting, disjoint):
+            assert not hasattr(obj, "__dict__")
+        for back in (pickle.loads(pickle.dumps(seg)), copy.deepcopy(seg)):
+            assert back == seg and hash(back) == hash(seg)
 
 
 class TestClassifyPair:

@@ -43,6 +43,7 @@ from .places import (
     INFINITY,
     Place,
     affine_height,
+    as_complex,
     difference_primes,
     finite,
     format_rational,
@@ -50,6 +51,7 @@ from .places import (
     log_abs,
     log_abs_diff,
     parse_rational,
+    place_sum,
     place_to_json,
     projective_height,
     submax,
@@ -294,7 +296,7 @@ class SmoothedSetFamily:
 
     def arch_mixture(self) -> list[tuple[ArchMeasure, float]]:
         r = self.fs.radius_at(ARCH)
-        return [(Circle(complex(u), r), self.weight) for u in self.fs.points]
+        return [(Circle(as_complex(u), r), self.weight) for u in self.fs.points]
 
 
 class StandardFamily(SmoothedSetFamily):
@@ -316,7 +318,7 @@ class PointSetFamily(SmoothedSetFamily):
         return [(type1(u), self.weight) for u in self.fs.points]
 
     def arch_mixture(self) -> list[tuple[ArchMeasure, float]]:
-        return [(DiracAt(complex(u)), self.weight) for u in self.fs.points]
+        return [(DiracAt(as_complex(u)), self.weight) for u in self.fs.points]
 
 
 MeasureFamily = LattesFamily | SmoothedSetFamily
@@ -405,8 +407,8 @@ def pair_with_smoothed_set(quad, fs: FiniteSet, arch_samples: int = 4000) -> dic
     r_inf = fs.radius_at(ARCH)
     for u in fs.points:
         discrepancy += abs(
-            pair_energy_arch(DiracAt(complex(u)), fam.mu)
-            - pair_energy_arch(Circle(complex(u), r_inf), fam.mu)
+            pair_energy_arch(DiracAt(as_complex(u)), fam.mu)
+            - pair_energy_arch(Circle(as_complex(u), r_inf), fam.mu)
         )
 
     log_term = 0.0
@@ -452,20 +454,10 @@ def triangle_inequality_check(f1: MeasureFamily, f2: MeasureFamily, f3: MeasureF
 # the explicit-constant inequality suite
 
 
-def max_log_norm_sum(us) -> float:
-    """sum_v max_i |log|u_i|_v| over the places of Q (nonzero inputs)."""
-    xs = [parse_rational(u) for u in us]
-    total = max(abs(log_abs(x, ARCH)) for x in xs)
-    for p in support_primes(xs):
-        v = finite(p)
-        total += max(abs(log_abs(x, v)) for x in xs)
-    return total
-
-
 def height_log_norm_bound(us) -> dict:
     """The (n+1) height bound: sum_v max_i |log|u_i|_v| <= (n+1) h(u)."""
     xs = [parse_rational(u) for u in us]
-    lhs = max_log_norm_sum(xs)
+    lhs = place_sum(xs, support_primes(xs), lambda logs: max(map(abs, logs)))
     rhs = (len(xs) + 1) * affine_height(xs)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + 1e-9}
 

@@ -1,7 +1,8 @@
 """Command-line front door: JSON in, JSON out, stable error codes.
 
 Exit codes: 0 success, 1 domain error (degenerate input, residue
-characteristic 2, ...), 2 usage error.  All randomness is seeded; the
+characteristic 2, a rational beyond float range, ...), 2 usage error (an
+unwritable --out path among them).  All randomness is seeded; the
 environment variable ARAKELOV_SEED overrides --seed.  Results go to stdout
 (or --out) and are byte-identical across runs with the same inputs and seed;
 the run manifest (with wall time) goes to stderr on exit 0 and on exit 1.
@@ -152,10 +153,11 @@ def _cmd_energy_ua(args) -> dict:
     ia = energy_ua.segment_measure(_parsed(args, "ia", _json(tree.segment_from_json, v)))
     ib = energy_ua.segment_measure(_parsed(args, "ib", _json(tree.segment_from_json, v)))
     n = _parsed(args, "oracle_n", _ORACLE_N)
+    report = energy_ua.lower_bound_report(ia, ib, v)
     return {
-        "closed": energy_ua.energy_closed_form(ia, ib, v),
+        "closed": report["energy"],
         "config": _config_json(tree.classify_pair(ia.support, ib.support, v)),
-        "bounds": energy_ua.lower_bound_report(ia, ib, v)["bounds"],
+        "bounds": report["bounds"],
         "oracle": energy_ua.energy_oracle(ia, ib, v, n=n),
     }
 
@@ -334,6 +336,15 @@ def _result_text(result: dict) -> str:
         raise NonFiniteResult(f"the result is not finite: {exc}") from None
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write the result to ``--out``; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise UsageError(f"--out: cannot write {path!r} ({exc.strerror})") from None
+
+
 def _digest(args: argparse.Namespace) -> str:
     payload = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
     return hashlib.sha256(json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()
@@ -359,6 +370,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
         result = args.func(args)
         text = _result_text(result)
+        if args.out:
+            _write_out(args.out, text)
     except ArakelovError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True))
         _print_manifest(argv, args, started)
@@ -366,10 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(json.dumps({"error": "UsageError", "message": str(exc)}, sort_keys=True))
         return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    if not args.out:
         print(text)
     _print_manifest(argv, args, started)
     if args.command == "suite" and result.get("failed"):

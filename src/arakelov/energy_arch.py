@@ -32,7 +32,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import CoincidentAtoms, NonConvergentRoots, SingularPair
+from .errors import CoincidentAtoms, NonConvergentRoots, NonFiniteResult, SingularPair
 from .lattes import (
     adjugate_lift,
     lattes_preimages,
@@ -40,6 +40,7 @@ from .lattes import (
     legendre_parameter,
     normalize_to_legendre,
 )
+from .places import as_complex
 
 _TILE = 256
 _UPPER = np.triu(np.ones((_TILE, _TILE), dtype=bool), k=1)
@@ -96,9 +97,9 @@ class LattesMeasure:
 
     def __init__(self, side, n: int = 4000):
         lam, mob = normalize_to_legendre(side)
-        self.lam = complex(lam)
+        self.lam = as_complex(lam)
         self.level = min(_GRID_LEVEL_CAP, max(2, ((n - 1).bit_length() + 1) // 2))
-        self.mat = tuple(map(complex, (mob.a, mob.b, mob.c, mob.d)))
+        self.mat = tuple(map(as_complex, (mob.a, mob.b, mob.c, mob.d)))
 
     def lift(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """M v for vectors v = (x, y)."""
@@ -318,7 +319,7 @@ def sample_lattes_equilibrium(lam, n: int, seed: int = 0) -> Cloud:
     """
     if n < 100:
         raise ValueError("need n >= 100 samples")
-    lamc = complex(legendre_parameter(lam))
+    lamc = as_complex(legendre_parameter(lam))
     rng = np.random.default_rng(seed)
     t = _START
     out = np.empty(n, dtype=complex)
@@ -383,21 +384,27 @@ def _side_means(own: LattesMeasure, partner: LattesMeasure) -> tuple[float, floa
     vectors (w_0, 1), then partner.lift(adj(M_own)(w, 1)) over the coarse and
     the fine grid, with lambda_own for the first and lambda_partner for the
     rest.  It reads only the partner's lambda and matrix, so the two halves
-    can run at once; own's grids go when it returns.
+    can run at once; own's grids go when it returns.  A mean that is not
+    finite (a lambda at or near 0, 1 or infinity in floats) raises
+    ``NonFiniteResult``, with numpy's warnings on the way silenced.
     """
-    coarse, fine, logs = own._walk()
-    nc = len(coarse)
-    x = np.empty(1 + nc + len(fine), dtype=complex)
-    y = np.empty_like(x)
-    x[0], y[0] = _START, 1.0
-    for part, w in ((slice(1, 1 + nc), coarse), (slice(1 + nc, None), fine)):
-        x[part], y[part] = partner.lift(*adjugate_lift(own.mat, w))
-    del coarse, fine, w
-    lam = np.full(len(x), partner.lam)
-    lam[0] = own.lam
-    g = escape_rate(lam, x, y)
-    g_coarse, g_fine = own._grid_escapes(g[:1], logs)
-    return float((g_coarse - g[1 : 1 + nc]).mean()), float((g_fine - g[1 + nc :]).mean())
+    with np.errstate(all="ignore"):
+        coarse, fine, logs = own._walk()
+        nc = len(coarse)
+        x = np.empty(1 + nc + len(fine), dtype=complex)
+        y = np.empty_like(x)
+        x[0], y[0] = _START, 1.0
+        for part, w in ((slice(1, 1 + nc), coarse), (slice(1 + nc, None), fine)):
+            x[part], y[part] = partner.lift(*adjugate_lift(own.mat, w))
+        del coarse, fine, w
+        lam = np.full(len(x), partner.lam)
+        lam[0] = own.lam
+        g = escape_rate(lam, x, y)
+        g_coarse, g_fine = own._grid_escapes(g[:1], logs)
+        means = float((g_coarse - g[1 : 1 + nc]).mean()), float((g_fine - g[1 + nc :]).mean())
+    if not all(map(math.isfinite, means)):
+        raise NonFiniteResult(f"the pairing of lambda = {own.lam} and {partner.lam} is not finite")
+    return means
 
 
 def lattes_pairing(mu_a: LattesMeasure, mu_b: LattesMeasure) -> tuple[float, float]:

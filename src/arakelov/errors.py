@@ -88,7 +88,8 @@ class FactorizationTooLarge(ArakelovError):
 
 
 class NonFiniteResult(ArakelovError):
-    """A result holds an infinite or NaN float, which JSON cannot carry."""
+    """A result holds an infinite or NaN float, which JSON cannot carry, or an
+    input lies beyond float range where a computation needs it as a float."""
 
     code = "NonFiniteResult"
 

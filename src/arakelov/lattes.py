@@ -31,6 +31,7 @@ from .places import (
     INFINITY,
     P1Point,
     Place,
+    as_complex,
     format_p1_point,
     padic_valuation,
     parse_p1_point,
@@ -228,7 +229,7 @@ def legendre_lattes_eval(lam, t):
     """
     lam_p = legendre_parameter(lam)
     if isinstance(t, complex):
-        lam_p = complex(lam_p)
+        lam_p = as_complex(lam_p)
     else:
         t = parse_p1_point(t)
         if t is INFINITY:
@@ -394,28 +395,31 @@ def torsion_image_arrays(side, level: int) -> tuple[np.ndarray, np.ndarray, int]
     The sort is numpy's stable sort of complex values, lexicographic with the
     float ``<``, so -0.0 and +0.0 tie and ties keep the build order.  A side
     whose float lam makes some image infinite or NaN (lam = 1 + 10^-16 rounds
-    to the critical value 1) raises ``NonFiniteResult`` before the sort.
+    to the critical value 1) raises ``NonFiniteResult`` before the sort, and
+    so does one with a rational beyond float range (``as_complex``).
     """
     if level < 0 or level > TORSION_LEVEL_CAP:
         raise LevelTooLarge(f"level must lie in [0, {TORSION_LEVEL_CAP}]")
     quad = as_side(side)
     lam, mobius = normalize_to_legendre(quad)
+    lamc = as_complex(lam)
+    mat = tuple(map(as_complex, (mobius.a, mobius.b, mobius.c, mobius.d)))
+    branch = [as_complex(p) for p in quad.finite_points()]
     added = [np.empty(0, dtype=complex)]
     if level:
-        centres = np.array([0, 1, lam], dtype=complex)
-        radii = np.sqrt(np.array([lam, 1 - lam, lam * lam - lam], dtype=complex))
+        centres = np.array([0, 1, lamc])
+        radii = np.sqrt(np.array([lamc, as_complex(1 - lam), as_complex(lam * lam - lam)]))
         added.append(np.concatenate([centres + radii, centres - radii]))
     # a side whose float lam is a critical value divides by zero on the way
     # down; its non-finite points raise below, before the sort
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(1, level):
-            added.append(lattes_preimages_array(added[-1], complex(lam)))
+            added.append(lattes_preimages_array(added[-1], lamc))
         w = np.concatenate(added)
         below = len(w)
-        x, y = adjugate_lift(tuple(map(complex, (mobius.a, mobius.b, mobius.c, mobius.d))), w)
+        x, y = adjugate_lift(mat, w)
         finite = y != 0  # a zero second coordinate is infinity
         w = x[finite] / y[finite]
-    branch = [complex(p) for p in quad.finite_points()]
     points = np.concatenate([branch, w])
     bad = len(points) - np.count_nonzero(np.isfinite(points))
     if bad:

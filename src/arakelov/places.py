@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import AllZero, FactorizationTooLarge, TooFewValues, ZeroInput
+from .errors import AllZero, FactorizationTooLarge, NonFiniteResult, TooFewValues, ZeroInput
 
 INF = math.inf
 NEG_INF = -math.inf
@@ -166,6 +166,16 @@ def log_abs_diff(a: Fraction | int, b: Fraction | int, v: Place) -> float:
     return v.epsilon * (-val * math.log(p))
 
 
+def as_complex(x: Fraction | int) -> complex:
+    """complex(x); a rational beyond float range raises ``NonFiniteResult``."""
+    try:
+        return complex(x)
+    except OverflowError:
+        x = Fraction(x)
+        size = x.numerator.bit_length() - x.denominator.bit_length()
+        raise NonFiniteResult(f"a rational near 2^{size} lies beyond float range") from None
+
+
 def support_primes(xs: Iterable[Fraction | int]) -> list[int]:
     """Sorted primes dividing some numerator or denominator of the inputs."""
     ps: set[int] = set()
@@ -184,6 +194,14 @@ def difference_primes(points: Sequence[Fraction | int]) -> list[int]:
     return support_primes(pts + [x - y for i, x in enumerate(pts) for y in pts[i + 1 :]])
 
 
+def place_sum(xs: Sequence[Fraction], primes: Iterable[int], stat) -> float:
+    """sum_v stat([log|x|_v for x in xs]) over v = infinity, then each prime in order."""
+    total = 0.0
+    for v in [ARCH, *map(finite, primes)]:
+        total += stat([log_abs(x, v) for x in xs])  # not sum(): it compensates from 3.12 on
+    return total
+
+
 def product_formula_residual(x: Fraction | int) -> float:
     """Sum of log|x|_v over the archimedean place and all primes in the support.
 
@@ -193,10 +211,7 @@ def product_formula_residual(x: Fraction | int) -> float:
     x = Fraction(x)
     if x == 0:
         raise ZeroInput("product formula needs a nonzero rational")
-    total = log_abs(x, ARCH)
-    for p in support_primes([x]):
-        total += log_abs(x, finite(p))
-    return total
+    return place_sum([x], support_primes([x]), max)
 
 
 def projective_height(coords: Sequence[Fraction | int]) -> float:
@@ -208,11 +223,7 @@ def projective_height(coords: Sequence[Fraction | int]) -> float:
     nonzero = [x for x in xs if x != 0]
     if not nonzero:
         raise AllZero("projective height needs a nonzero coordinate")
-    total = max(log_abs(x, ARCH) for x in nonzero)
-    for p in support_primes(nonzero):
-        vp = finite(p)
-        total += max(log_abs(x, vp) for x in nonzero)
-    return total
+    return place_sum(nonzero, support_primes(nonzero), max)
 
 
 def affine_height(xs: Sequence[Fraction | int] | Fraction | int) -> float:

@@ -31,7 +31,7 @@ from arakelov.adelic import (
 )
 from arakelov.energy_arch import lattes_sq_energy_arch
 from arakelov.energy_ua import pair_raw
-from arakelov.errors import BadRadii, BranchPointCenter, DegenerateConfig, EmptyF
+from arakelov.errors import BadRadii, BranchPointCenter, DegenerateConfig, EmptyF, NonFiniteResult
 from arakelov.lattes import PointIndex, torsion_image_arrays, torsion_images
 from arakelov.suite import random_quadruple
 
@@ -187,6 +187,19 @@ class TestHRhoF:
     def test_repeated_point_rejected(self):
         with pytest.raises(EmptyF):
             h_rho_F(StandardFamily(), [2, 2])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda big: h_rho_F(StandardFamily(), [big]),
+            lambda big: family_sq_energy(SmoothedSetFamily(finite_set([big])), StandardFamily()),
+            lambda big: pair_with_smoothed_set([1, 2, 3, "inf"], finite_set([big]), 200),
+        ],
+        ids=["point-set", "smoothed-set", "smoothing-bound"],
+    )
+    def test_point_beyond_float_range_raises(self, call):
+        with pytest.raises(NonFiniteResult, match="beyond float range"):
+            call("1" + "0" * 400)
 
     # regression anchors; the tolerance covers the order of the pair sums
     @pytest.mark.parametrize(
@@ -458,6 +471,22 @@ class TestScans:
 
     def test_gap_scan_empty(self):
         assert gap_scan(count=0, seed=7)["empty"]
+
+    def test_gap_scan_raises_on_a_non_finite_pairing(self, monkeypatch):
+        # the middle configuration's float cross-ratio is the critical value 1
+        good = pair_config([1, 2, 3], [4, 5, 6])
+        bad = pair_config([2, Fraction(2) + Fraction(1, 10**15), 5], [4, 5, 6])
+        configs = iter([good, bad, good])
+        monkeypatch.setattr(adelic, "random_pair_config", lambda rng, height: next(configs))
+        with pytest.raises(NonFiniteResult, match="the pairing of lambda"):
+            gap_scan(count=3)
+
+    def test_suite_scan_records_each_failing_configuration(self, monkeypatch):
+        monkeypatch.setattr(adelic, "inequality_suite", lambda cfg: {"all_hold": False})
+        rep = adelic.suite_scan(count=3, seed=5, height=6)
+        rng = np.random.default_rng(5)
+        drawn = [adelic.random_pair_config(rng, 6).to_json() for _ in range(3)]
+        assert rep["failures"] == drawn and not rep["all_hold"]
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf, 1e308])
     def test_bft_tolerance_out_of_range_rejected(self, tol):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from arakelov import cli
+from arakelov import cli, suite
 from arakelov.errors import ERROR_CODES
 
 GAUSS_SEG = json.dumps(
@@ -115,6 +115,13 @@ class TestBasicCommands:
         code, out, _ = run(["suite", "--quick", "--seed", "7"], capsys)
         assert code == 0
         assert json.loads(out)["failed"] == 0
+
+    def test_suite_exit_one_when_a_check_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(suite, "product_formula_residual", lambda rng, count, height: 1.0)
+        code, out, _ = run(["suite", "--quick", "--seed", "7"], capsys)
+        payload = json.loads(out)
+        assert code == 1 and payload["failed"] == 1
+        assert [c["name"] for c in payload["checks"] if not c["ok"]] == ["product_formula_residual"]
 
     @pytest.mark.parametrize(
         "flags, digest",
@@ -421,6 +428,24 @@ class TestErrorsAndDeterminism:
         assert code == 1 and "Traceback" not in err
         assert json.loads(out, parse_constant=refuse_constant)["error"] == "NonFiniteResult"
 
+    BIG = "1" + "0" * 400  # 10^400, beyond float range
+
+    @pytest.mark.parametrize("argv", [
+        ["energy", "arch", "--lambda-a", BIG, "--lambda-b", "2"],
+        ["lattes", "torsion", "--lambda", BIG, "--level", "1"],
+        ["lattes", "torsion", "--lambda", "1" + "0" * 200, "--level", "2"],  # lam^2 - lam
+        ["adelic", "bft", "--lambda-a", BIG, "--lambda-b", "2", "--level", "1"],
+        ["adelic", "energy", "--config-json",
+         json.dumps({"a": [BIG, "2", "3"], "b": ["4", "5", "6"]})],
+        ["energy", "arch", "--lambda-a", "100000000000001/100000000000000", "--lambda-b", "2",
+         "--samples", "4000"],
+    ], ids=["energy-arch", "torsion-level-1", "torsion-level-2", "adelic-bft", "adelic-energy",
+            "nan-pairing"])
+    def test_beyond_float_range_exit_one(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and "Traceback" not in err
+        assert json.loads(out, parse_constant=refuse_constant)["error"] == "NonFiniteResult"
+
     def test_unknown_chart_exit_one(self, capsys):
         x = json.dumps({"chart": "polar", "center": "1", "log_radius": 0.0})
         y = json.dumps({"chart": "direct", "center": "0", "log_radius": 0.0})
@@ -456,6 +481,16 @@ class TestErrorsAndDeterminism:
         )
         assert code == 0 and out == ""
         assert abs(json.loads(target.read_text())["residual"]) <= 1e-12
+
+    @pytest.mark.parametrize("before", [True, False], ids=["out-first", "out-last"])
+    def test_unwritable_out_is_a_usage_error(self, before, capsys, tmp_path):
+        target = str(tmp_path / "missing" / "x.json")
+        command = ["places", "logabs", "--x", "1/9", "--place", "3"]
+        argv = ["--out", target, *command] if before else [*command, "--out", target]
+        code, out, _ = run(argv, capsys)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"] == "UsageError" and repr(target) in payload["message"]
 
     def test_back_to_back_runs_match_fresh_processes(self, capsys, tmp_path):
         # main reuses one parser per process: a subcommand's --out must not

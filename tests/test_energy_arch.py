@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -26,7 +27,13 @@ from arakelov.energy_arch import (
     sq_energy_arch,
     _log_dist_sum,
 )
-from arakelov.errors import CoincidentAtoms, DegenerateQuadruple, SingularPair
+from arakelov.errors import (
+    CoincidentAtoms,
+    DegenerateQuadruple,
+    NonConvergentRoots,
+    NonFiniteResult,
+    SingularPair,
+)
 from arakelov.lattes import (
     MobiusMap,
     as_side,
@@ -323,6 +330,11 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_lattes_equilibrium(Fraction(2), 10, seed=1)
 
+    def test_orbit_that_leaves_the_plane_raises(self):
+        # at lambda = 10^300 the preimage products overflow within the burn-in
+        with pytest.raises(NonConvergentRoots, match="left the finite plane"):
+            sample_lattes_equilibrium(Fraction(10**300), 100)
+
     def test_backward_orbit_support(self):
         # consecutive chain points satisfy L(t_{k+1}) = t_k up to solver error
         cloud = sample_lattes_equilibrium(Fraction(2), 1500, seed=3)
@@ -535,6 +547,25 @@ class TestLattesEnergy:
     def test_degenerate_parameter(self, lam):
         with pytest.raises(DegenerateQuadruple):
             lattes_sq_energy_arch(lam, 2, 200)
+
+    @pytest.mark.parametrize("lam", [Fraction(10**14 + 1, 10**14), Fraction(10**120),
+                                     Fraction(1, 10**200)], ids=["1+1e-14", "1e120", "1e-200"])
+    @pytest.mark.parametrize("n", [4000, 20000], ids=["level-6", "level-7"])
+    def test_non_finite_pairing_raises(self, lam, n):
+        # a lambda that is 0, 1 or infinity to the grid's floats pairs to NaN;
+        # pytest's error::RuntimeWarning filter would turn an escaped numpy
+        # warning into an error of its own, so catch_warnings checks both
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sides in ((lam, 2), (2, lam)):
+                with pytest.raises(NonFiniteResult, match="the pairing of lambda = ") as raised:
+                    lattes_sq_energy_arch(*sides, n)
+                message = str(raised.value)
+                assert str(complex(lam)) in message and "(2+0j)" in message
+
+    def test_lambda_beyond_float_range_raises(self):
+        with pytest.raises(NonFiniteResult, match="beyond float range"):
+            LattesMeasure(Fraction(10**400))
 
 
 class TestLattesMeasure:

@@ -326,6 +326,17 @@ class TestUnionRecursion:
         rng = np.random.default_rng(31)
         assert suite.union_recursion(rng, 100, span=3.0, split=(0.1, 0.9)) <= 1e-10
 
+    def test_singleton_segment_is_skipped(self, monkeypatch):
+        # two equal ends, drawn without touching the rng, go before the
+        # random draws: the result is that of the unpatched run
+        expected = suite.union_recursion(np.random.default_rng(31), 5, span=3.0, split=(0.1, 0.9))
+        draws = iter([tree.GAUSS, tree.GAUSS])
+        random_point = suite.random_point
+        monkeypatch.setattr(suite, "random_point",
+                            lambda rng, v, span: next(draws, None) or random_point(rng, v, span))
+        got = suite.union_recursion(np.random.default_rng(31), 5, span=3.0, split=(0.1, 0.9))
+        assert got == expected and next(draws, None) is None
+
     def test_snapped_piece_is_refused(self):
         # a piece 2.2e-10 long is snapped to a point and its weight would be
         # dropped: lhs - rhs was 1.46e-10 against the Gauss Dirac

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from arakelov import places, suite
-from arakelov.errors import AllZero, FactorizationTooLarge, TooFewValues, ZeroInput
+from arakelov.errors import AllZero, FactorizationTooLarge, NonFiniteResult, TooFewValues, ZeroInput
 from arakelov.suite import random_rational
 
 V3 = places.finite(3)
@@ -100,6 +100,46 @@ class TestProductFormula:
 
     def test_thousand_randoms(self):
         assert suite.product_formula_residual(np.random.default_rng(5), 1000, 500) <= 1e-12
+
+
+class TestPlaceSum:
+    def test_walks_infinity_then_the_primes_in_order(self):
+        seen = []
+
+        def stat(logs):
+            seen.append(logs)
+            return logs[0]
+
+        x, y = Fraction(12, 5), Fraction(7, 3)
+        total = places.place_sum([x, y], [5, 2, 3], stat)
+        order = [places.ARCH, places.finite(5), places.finite(2), places.finite(3)]
+        assert seen == [[places.log_abs(x, v), places.log_abs(y, v)] for v in order]
+        expected = 0.0
+        for logs in seen:
+            expected += logs[0]
+        assert total == expected
+
+    def test_no_primes_is_the_archimedean_term(self):
+        assert places.place_sum([Fraction(1, 3)], [], max) == -math.log(3)
+
+    def test_heights_read_it_with_max(self):
+        xs = [Fraction(4, 9), Fraction(-6), Fraction(10, 3)]
+        primes = places.support_primes(xs)
+        assert places.projective_height(xs) == places.place_sum(xs, primes, max)
+        x = Fraction(-35, 4)
+        assert places.product_formula_residual(x) == places.place_sum([x], [2, 5, 7], max)
+
+
+class TestAsComplex:
+    def test_in_range_matches_complex(self):
+        for x in (Fraction(1, 3), Fraction(-10**300), 7, Fraction(1, 10**400)):
+            assert places.as_complex(x) == complex(x)
+
+    @pytest.mark.parametrize("x", [Fraction(10**400), -(10**400), Fraction(10**400, 3)],
+                             ids=["fraction", "negative-int", "thirds"])
+    def test_beyond_float_range_raises(self, x):
+        with pytest.raises(NonFiniteResult, match=r"near 2\^13\d\d lies beyond float range"):
+            places.as_complex(x)
 
 
 class TestHeights:

@@ -350,6 +350,14 @@ FUZZ_ARGV = [
     ["adelic", "energy", "--config-json", '{"a":"123","b":"456"}'],
     ["adelic", "bft", "--lambda-a", "10000000000000001/10000000000000000", "--lambda-b", "2",
      "--level", "5"],
+    ["energy", "arch", "--lambda-a", "100000000000001/100000000000000", "--lambda-b", "2",
+     "--samples", "4000"],
+    ["energy", "arch", "--lambda-a", "1" + "0" * 400, "--lambda-b", "2"],
+    ["lattes", "torsion", "--lambda", "1" + "0" * 400, "--level", "1"],
+    ["lattes", "torsion", "--lambda", "1" + "0" * 200, "--level", "2"],
+    ["adelic", "bft", "--lambda-a", "1" + "0" * 400, "--lambda-b", "2", "--level", "1"],
+    ["adelic", "energy", "--config-json", json.dumps({"a": ["1" + "0" * 400, "2", "3"],
+                                                      "b": ["4", "5", "6"]})],
 ]
 
 

@@ -70,6 +70,27 @@ class TestJoin:
             tree.join(tree.GAUSS, tree.GAUSS, places.ARCH)
 
 
+class TestMedianAtInfinity:
+    @pytest.mark.parametrize("slots", [(0, 1), (0, 2), (1, 2), (0, 1, 2)])
+    def test_two_or_three_infinite_points_give_infinity(self, slots):
+        pts = [tree.eta(1, 0.5), tree.GAUSS, tree.eta("1/5", -1.0)]
+        for i in slots:
+            pts[i] = tree.POINT_AT_INFINITY
+        assert tree.median(*pts, V5) is tree.POINT_AT_INFINITY
+
+
+class TestRepr:
+    def test_points(self):
+        assert repr(tree.POINT_AT_INFINITY) == "TreePoint(inf)"
+        assert repr(tree.type1(Fraction(-2, 3))) == "TreePoint(delta -2/3)"
+        assert repr(tree.eta(3, 0.25)) == "TreePoint(eta 3, logr=0.25)"
+
+    def test_segment(self):
+        seg = tree.segment_between(tree.eta(0, 0.0), tree.eta("1/5", 1.5), V5)
+        expected = "Segment(TreePoint(eta 0, logr=0), TreePoint(eta 1/5, logr=1.5), l=1.71888)"
+        assert repr(seg) == expected
+
+
 class TestHsiaKernel:
     def test_gauss_diagonal(self):
         assert tree.hsia_log_kernel(tree.GAUSS, tree.GAUSS, V5) == 0.0

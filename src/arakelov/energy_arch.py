@@ -35,12 +35,11 @@ import numpy as np
 from .errors import CoincidentAtoms, NonConvergentRoots, NonFiniteResult, SingularPair
 from .lattes import (
     adjugate_lift,
+    float_side,
     lattes_preimages,
     lattes_preimages_array,
     legendre_parameter,
-    normalize_to_legendre,
 )
-from .places import as_complex
 
 _TILE = 256
 _UPPER = np.triu(np.ones((_TILE, _TILE), dtype=bool), k=1)
@@ -88,18 +87,17 @@ class Cloud:
 class LattesMeasure:
     """Equilibrium measure of the Lattes map of a Legendre parameter or quadruple.
 
-    ``side`` is resolved once by ``normalize_to_legendre`` into lambda and the
-    normalizing matrix M (the identity for a parameter); G(v) = G_lambda(M v)
-    is the escape rate of the lift.  ``n`` sets the level k = min(7, max(2,
-    ceil(log_4 n))) of the preimage grids of ``lattes_pairing``.  The measure
-    keeps no grids: a pairing builds them and frees them when it returns.
+    ``side`` is resolved once by ``float_side`` into lambda, the normalizing
+    matrix M (the identity for a parameter) and log|det M|, all as floats;
+    G(v) = G_lambda(M v) is the escape rate of the lift.  ``n`` sets the level
+    k = min(7, max(2, ceil(log_4 n))) of the preimage grids of
+    ``lattes_pairing``.  The measure keeps no grids: a pairing builds them and
+    frees them when it returns.
     """
 
     def __init__(self, side, n: int = 4000):
-        lam, mob = normalize_to_legendre(side)
-        self.lam = as_complex(lam)
+        _, self.lam, self.mat, self.log_det = float_side(side)
         self.level = min(_GRID_LEVEL_CAP, max(2, ((n - 1).bit_length() + 1) // 2))
-        self.mat = tuple(map(as_complex, (mob.a, mob.b, mob.c, mob.d)))
 
     def lift(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """M v for vectors v = (x, y)."""
@@ -119,15 +117,10 @@ class LattesMeasure:
         return self.escape(u, 1.0) - self._g_inf
 
     @cached_property
-    def _log_det(self) -> float:
-        a, b, c, d = self.mat
-        return math.log(abs(a * d - b * c))
-
-    @cached_property
     def self_energy(self) -> float:
         """I = -(1/3) log|4 lam (lam - 1)| - log|det M| + 2 G(1, 0), from Res F_lam."""
         lam = self.lam
-        return -math.log(abs(4.0 * lam * (lam - 1.0))) / 3.0 - self._log_det + 2.0 * self._g_inf
+        return -math.log(abs(4.0 * lam * (lam - 1.0))) / 3.0 - self.log_det + 2.0 * self._g_inf
 
     def _walk(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """L^-(k-1)(w_0) and L^-k(w_0), and log|4u(u - 1)(u - lambda)| on every
@@ -149,7 +142,7 @@ class LattesMeasure:
         coarse = g = g0
         for log in logs:
             coarse, g = g, 0.25 * (np.tile(g, 4) + log)
-        return coarse + self._log_det, g + self._log_det
+        return coarse + self.log_det, g + self.log_det
 
     def grid_levels(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], np.ndarray], ...]:
         """adj(M)(w, 1) and G there, for w over L^-(k-1)(w_0) and L^-k(w_0).
@@ -158,6 +151,8 @@ class LattesMeasure:
         dividing or dropping points.  G comes from G_lambda(w_0, 1) by the
         preimage recursion (``_grid_escapes``).  Built afresh at every call
         and kept nowhere; the series ``escape(*grid)`` is the oracle of G.
+        No library route calls it (``_side_means`` composes ``_walk`` and
+        ``_grid_escapes`` itself): it is the tests' view of the grids.
         """
         coarse, fine, logs = self._walk()
         g = self._grid_escapes(escape_rate(self.lam, np.array([_START]), 1.0), logs)
@@ -315,16 +310,21 @@ def sample_lattes_equilibrium(lam, n: int, seed: int = 0) -> Cloud:
     one of the four preimages of L(t) = current, repeated by multiplicity and
     sorted by (real, imag) as ``lattes_preimages`` returns them.  The first
     ``_BURN_IN`` points are discarded.  Deterministic given the seed.  ``lam`` is
-    read by ``legendre_parameter``; a side with M != 1 raises ``TypeError``.
+    read by ``legendre_parameter``; a side with M != 1 raises ``TypeError``.  An
+    orbit that leaves the finite plane or meets a pole of the deck group (a
+    float lam of 1) raises ``NonConvergentRoots``.
     """
     if n < 100:
         raise ValueError("need n >= 100 samples")
-    lamc = as_complex(legendre_parameter(lam))
+    _, lamc, _, _ = float_side(legendre_parameter(lam))
     rng = np.random.default_rng(seed)
     t = _START
     out = np.empty(n, dtype=complex)
     for k in range(_BURN_IN + n):
-        t = lattes_preimages(t, lamc)[rng.integers(4)]
+        try:
+            t = lattes_preimages(t, lamc)[rng.integers(4)]
+        except ZeroDivisionError:  # a deck-group map at its pole, as at a float lam of 1
+            raise NonConvergentRoots("backward orbit met a pole of the deck group") from None
         if not (math.isfinite(t.real) and math.isfinite(t.imag)):
             raise NonConvergentRoots("backward orbit left the finite plane")
         if k >= _BURN_IN:

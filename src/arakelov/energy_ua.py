@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadBoundParameters, BadRadii, NotAbuttable, PlaceMismatch
+from .errors import BadBoundParameters, BadRadii, NonFiniteResult, NotAbuttable, PlaceMismatch
 from .places import NEG_INF, Place, log_abs_diff, parse_rational
 from .tree import (
     Disjoint,
@@ -193,6 +193,15 @@ def mutual_energy_raw(mu: SegmentMeasure | Atoms, nu: SegmentMeasure | Atoms, v:
 # closed forms from the pair configuration
 
 
+def _power(x: float, k: int) -> float:
+    """x ** k; an overflow (the cube of a length from about 10^103) raises
+    ``NonFiniteResult``."""
+    try:
+        return x ** k
+    except OverflowError:
+        raise NonFiniteResult(f"{x:.3g} ** {k} lies beyond float range") from None
+
+
 def _half_product(l1: float, l2: float, total: float) -> float:
     # degenerate quotient l1*l2/total at total=0 is the continuity limit 0
     if total == 0.0:
@@ -214,7 +223,7 @@ def energy_from_configuration(cfg: PairConfiguration) -> float:
         la / 6.0
         + lb / 6.0
         - lab / 2.0
-        + lab ** 3 / (6.0 * la * lb)
+        + _power(lab, 3) / (6.0 * la * lb)
         - 0.5 * _half_product(cfg.la1, cfg.la2, la)
         - 0.5 * _half_product(cfg.lb1, cfg.lb2, lb)
         - 0.5 * (cfg.la1 * cfg.lb1 + cfg.la2 * cfg.lb2) * lab / (la * lb)
@@ -338,25 +347,31 @@ def energy_oracle(ia: SegmentMeasure, ib: SegmentMeasure, v: Place, n: int = 200
     group paired with itself (D = -inf) takes one sort and reads its ranks from
     the runs of equal radii (`_self_block_sum`).
     Deterministic; O(n log n); error O((total length)^3 / n^2).  A segment
-    over a place other than v raises ``PlaceMismatch``.
+    over a place other than v raises ``PlaceMismatch``; a numpy overflow or
+    invalid operation on the way (log radii or lengths near float range)
+    raises ``NonFiniteResult``.
     """
     _check_place(v, ia, ib)
     if n < 2:
         raise ValueError("oracle needs n >= 2")
     groups: dict[Fraction, tuple[np.ndarray, np.ndarray]] = {}
-    for sign, mu in ((1.0, ia), (-1.0, ib)):
-        for c, r, w in _discretize(mu, n):
-            r0, w0 = groups.get(c, ((), ()))
-            groups[c] = (np.concatenate((r0, r)), np.concatenate((w0, sign * w)))
-    centers = list(groups)
     total = 0.0
-    for i, ci in enumerate(centers):
-        ri, wi = groups[ci]
-        total += _self_block_sum(ri, wi)
-        for cj in centers[i + 1:]:
-            rj, wj = groups[cj]
-            log_d = log_abs_diff(ci, cj, v)
-            total += 2.0 * _block_sum(np.maximum(ri, log_d), wi, np.maximum(rj, log_d), wj)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for sign, mu in ((1.0, ia), (-1.0, ib)):
+                for c, r, w in _discretize(mu, n):
+                    r0, w0 = groups.get(c, ((), ()))
+                    groups[c] = (np.concatenate((r0, r)), np.concatenate((w0, sign * w)))
+            centers = list(groups)
+            for i, ci in enumerate(centers):
+                ri, wi = groups[ci]
+                total += _self_block_sum(ri, wi)
+                for cj in centers[i + 1:]:
+                    rj, wj = groups[cj]
+                    log_d = log_abs_diff(ci, cj, v)
+                    total += 2.0 * _block_sum(np.maximum(ri, log_d), wi, np.maximum(rj, log_d), wj)
+    except FloatingPointError as exc:
+        raise NonFiniteResult(f"the kernel oracle left float range ({exc})") from None
     return -0.5 * total
 
 
@@ -405,8 +420,9 @@ def lower_bound_report(
         "meeting_quadratic",
         ma * ma / (6.0 * la) + mb * mb / (6.0 * lb) - lab * ma * mb / (3.0 * la * lb),
     )
-    record("meeting_gap", (la - lb) ** 2 / (24.0 * max(la, lb)))
-    printed = (la - lb) ** 2 / (6.0 * max(la, lb))
+    gap = _power(la - lb, 2)
+    record("meeting_gap", gap / (24.0 * max(la, lb)))
+    printed = gap / (6.0 * max(la, lb))
     report["bounds"]["meeting_gap_printed"] = {
         "bound": printed,
         "holds": energy >= printed - BOUND_SLOP,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,10 +80,13 @@ def as_side(side) -> Quadruple:
 # cross-ratios and Moebius normalization
 
 
+_ONE, _ZERO = Fraction(1), Fraction(0)  # shared: each Fraction(1) built costs about 0.4 us
+
+
 def _homog(p: P1Point) -> tuple[Fraction, Fraction]:
     if p is INFINITY:
-        return Fraction(1), Fraction(0)
-    return p, Fraction(1)
+        return _ONE, _ZERO
+    return p, _ONE
 
 
 def _det(p: P1Point, q: P1Point) -> Fraction:
@@ -125,12 +129,11 @@ class MobiusMap:
             raise DegenerateQuadruple("Moebius map needs a nonzero determinant")
 
     def apply(self, t: P1Point) -> P1Point:
-        if t is INFINITY:
-            return INFINITY if self.c == 0 else self.a / self.c
-        den = self.c * t + self.d
+        x, y = _homog(t)
+        den = self.c * x + self.d * y
         if den == 0:
             return INFINITY
-        return (self.a * t + self.b) / den
+        return (self.a * x + self.b * y) / den
 
     @property
     def is_identity(self) -> bool:
@@ -150,6 +153,34 @@ def normalize_to_legendre(side) -> tuple[Fraction, MobiusMap]:
     k, l = _det(g1, g3), _det(g2, g3)
     m = MobiusMap(k * y2, -k * x2, l * y1, -l * x1)
     return m.apply(g4), m
+
+
+def _normal_complex(x: Fraction) -> complex:
+    """``as_complex(x)``; a nonzero x whose float is 0 or subnormal, which the
+    float routes would read as 0 or with lost digits, raises ``NonFiniteResult``."""
+    z = as_complex(x)
+    if abs(z.real) < sys.float_info.min and x:
+        size = x.numerator.bit_length() - x.denominator.bit_length()
+        raise NonFiniteResult(f"a nonzero rational near 2^{size} lies below the normal float range")
+    return z
+
+
+def float_side(side) -> tuple[Fraction, complex, tuple[complex, ...], float]:
+    """The exact lam of ``normalize_to_legendre``, then lam, the entries (a, b,
+    c, d) of M and log|det M| as floats: a side as the float routes read it.
+
+    Every cast is ``_normal_complex``.  log|det M| is log|a d - b c| of the
+    float entries, or log|num| - log|den| of the exact determinant when the
+    float one is not a normal finite float.
+    """
+    lam, mob = normalize_to_legendre(side)
+    lamc = _normal_complex(lam)
+    mat = a, b, c, d = tuple(map(_normal_complex, (mob.a, mob.b, mob.c, mob.d)))
+    det = abs(a * d - b * c)
+    if sys.float_info.min <= det < math.inf:
+        return lam, lamc, mat, math.log(det)
+    exact = mob.a * mob.d - mob.b * mob.c
+    return lam, lamc, mat, math.log(abs(exact.numerator)) - math.log(exact.denominator)
 
 
 def legendre_parameter(side) -> Fraction:
@@ -229,7 +260,7 @@ def legendre_lattes_eval(lam, t):
     """
     lam_p = legendre_parameter(lam)
     if isinstance(t, complex):
-        lam_p = as_complex(lam_p)
+        lam_p = _normal_complex(lam_p)
     else:
         t = parse_p1_point(t)
         if t is INFINITY:
@@ -396,19 +427,18 @@ def torsion_image_arrays(side, level: int) -> tuple[np.ndarray, np.ndarray, int]
     float ``<``, so -0.0 and +0.0 tie and ties keep the build order.  A side
     whose float lam makes some image infinite or NaN (lam = 1 + 10^-16 rounds
     to the critical value 1) raises ``NonFiniteResult`` before the sort, and
-    so does one with a rational beyond float range (``as_complex``).
+    so does one with a rational beyond float range or, if nonzero, below the
+    normal floats: lam, M, a branch point, 1 - lam or lam^2 - lam.
     """
     if level < 0 or level > TORSION_LEVEL_CAP:
         raise LevelTooLarge(f"level must lie in [0, {TORSION_LEVEL_CAP}]")
     quad = as_side(side)
-    lam, mobius = normalize_to_legendre(quad)
-    lamc = as_complex(lam)
-    mat = tuple(map(as_complex, (mobius.a, mobius.b, mobius.c, mobius.d)))
-    branch = [as_complex(p) for p in quad.finite_points()]
+    lam, lamc, mat, _ = float_side(quad)
+    branch = [_normal_complex(p) for p in quad.finite_points()]
     added = [np.empty(0, dtype=complex)]
     if level:
         centres = np.array([0, 1, lamc])
-        radii = np.sqrt(np.array([lamc, as_complex(1 - lam), as_complex(lam * lam - lam)]))
+        radii = np.sqrt(np.array([lamc, *map(_normal_complex, (1 - lam, lam * lam - lam))]))
         added.append(np.concatenate([centres + radii, centres - radii]))
     # a side whose float lam is a critical value divides by zero on the way
     # down; its non-finite points raise below, before the sort

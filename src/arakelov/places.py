@@ -22,6 +22,15 @@ NEG_INF = -math.inf
 _TRIAL_LIMIT = 10**6  # the largest trial divisor
 
 
+def _split(n: int, p: int) -> tuple[int, int]:
+    """(m, k) with n = m p^k and p not dividing m, for n != 0."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return n, k
+
+
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of |n|, by trial division up to 10^6.
 
@@ -35,16 +44,14 @@ def prime_factors(n: int) -> list[int]:
     for p in (2, 3):
         if n % p == 0:
             out.append(p)
-            while n % p == 0:
-                n //= p
+            n = _split(n, p)[0]
     f = 5
     while f * f <= n:
         if f > _TRIAL_LIMIT:
             raise FactorizationTooLarge(f"the cofactor {n} has no prime factor up to 10^6")
         if n % f == 0:
             out.append(f)
-            while n % f == 0:
-                n //= f
+            n = _split(n, f)[0]
         f += 2
     if n > 1:
         out.append(n)
@@ -114,16 +121,7 @@ def padic_valuation(x: Fraction | int, p: int) -> int | float:
     x = Fraction(x)
     if x == 0:
         return INF
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _split(x.numerator, p)[1] - _split(x.denominator, p)[1]
 
 
 def log_abs(x: Fraction | int, v: Place) -> float:
@@ -155,14 +153,7 @@ def log_abs_diff(a: Fraction | int, b: Fraction | int, v: Place) -> float:
     if num == 0:
         return NEG_INF
     p = v.p
-    val = 0
-    while num % p == 0:
-        num //= p
-        val += 1
-    den = a.denominator * b.denominator
-    while den % p == 0:
-        den //= p
-        val -= 1
+    val = _split(num, p)[1] - _split(a.denominator * b.denominator, p)[1]
     return v.epsilon * (-val * math.log(p))
 
 

@@ -270,6 +270,7 @@ def classify_pair(ia: Segment, ib: Segment, v: Place) -> PairConfiguration:
     p2 = _segment_median(ia, ib.b)
     la, lb = ia.length, ib.length
 
+    zb, d_ab = p1, 0.0  # touching: the intersection is the single point p1
     if point_on_segment(p1, ib) and point_on_segment(p2, ib):
         l_ab = path_length(p1, p2, v)
         if l_ab > EQ_TOL:
@@ -284,19 +285,12 @@ def classify_pair(ia: Segment, ib: Segment, v: Place) -> PairConfiguration:
             else:
                 lb1, lb2 = max(lb - eu, 0.0), ev
             return Meeting(la, lb, l_ab, la1, la2, lb1, lb2, u, w)
-        # touching: intersection is a single point
-        za = p1
-        la1 = path_length(xa, za, v)
-        lb1 = path_length(xb, za, v)
-        return Disjoint(la, lb, la1, max(la - la1, 0.0), lb1, max(lb - lb1, 0.0), 0.0, za, za)
-
-    # genuinely disjoint: the projections collapse to single split points
-    za = p1
-    zb = _segment_median(ib, xa)
-    d_ab = path_length(za, zb, v)
-    la1 = path_length(xa, za, v)
+    else:  # genuinely disjoint: the projections collapse to single split points
+        zb = _segment_median(ib, xa)
+        d_ab = path_length(p1, zb, v)
+    la1 = path_length(xa, p1, v)
     lb1 = path_length(xb, zb, v)
-    return Disjoint(la, lb, la1, max(la - la1, 0.0), lb1, max(lb - lb1, 0.0), d_ab, za, zb)
+    return Disjoint(la, lb, la1, max(la - la1, 0.0), lb1, max(lb - lb1, 0.0), d_ab, p1, zb)
 
 
 def invert_point(x: TreePoint, v: Place) -> TreePoint:

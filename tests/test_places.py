@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,46 @@ class TestPlaceSum:
         assert places.projective_height(xs) == places.place_sum(xs, primes, max)
         x = Fraction(-35, 4)
         assert places.product_formula_residual(x) == places.place_sum([x], [2, 5, 7], max)
+
+
+def reference_split(n, p):
+    """(m, k) with n = m p^k and p not dividing m, for n != 0: the plain loop."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return n, k
+
+
+def reference_prime_factors(n):
+    n, out, d = abs(n), [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            n = reference_split(n, d)[0]
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def test_valuations_match_a_reference_loop():
+    rng = random.Random(31)
+    primes = [2, 3, 5, 7, 11, 101]
+    ints = [0, 1, -1, *(s * p**k for p in primes for k in range(12) for s in (1, -1))]
+    ints += [rng.randrange(-10**9, 10**9) for _ in range(300)]
+    ints += [rng.randrange(1, 10**4) * rng.choice(primes) ** rng.randrange(30) for _ in range(300)]
+    for n in ints:
+        assert places.prime_factors(n) == reference_prime_factors(n), n
+    for _ in range(1000):
+        p = rng.choice(primes)
+        x, y = (Fraction(rng.choice(ints), rng.choice([i for i in ints if i])) for _ in range(2))
+        want = math.inf if x == 0 else reference_split(x.numerator, p)[1] - reference_split(
+            x.denominator, p)[1]
+        assert places.padic_valuation(x, p) == want
+        v = places.finite(p, rng.choice([1.0, 0.3]))
+        d = x - y
+        k = reference_split(d.numerator, p)[1] - reference_split(d.denominator, p)[1] if d else None
+        want = -math.inf if d == 0 else v.epsilon * (-k * math.log(p))
+        assert places.log_abs_diff(x, y, v) == want
 
 
 class TestAsComplex:

@@ -358,6 +358,16 @@ FUZZ_ARGV = [
     ["adelic", "bft", "--lambda-a", "1" + "0" * 400, "--lambda-b", "2", "--level", "1"],
     ["adelic", "energy", "--config-json", json.dumps({"a": ["1" + "0" * 400, "2", "3"],
                                                       "b": ["4", "5", "6"]})],
+    ["adelic", "energy", "--config-json", json.dumps({"a": [f"{k}/1{'0' * 150}" for k in (1, 2, 3)],
+                                                      "b": ["4", "5", "6"]})],
+    ["adelic", "energy", "--config-json", json.dumps({"a": [f"{k}/1{'0' * 200}" for k in (1, 2, 3)],
+                                                      "b": ["4", "5", "6"]})],
+    ["energy", "ua", "--place", "5",
+     "--ia", '{"endpoints":[{"center":"0","log_radius":-1e308},{"center":"0","log_radius":0}]}',
+     "--ib", '{"endpoints":[{"center":"0","log_radius":-1e308},{"center":"0","log_radius":1}]}'],
+    ["energy", "ua", "--place", "5", "--epsilon", "1e300",
+     "--ia", '{"endpoints":[{"center":"0","log_radius":0},{"center":"1/5","log_radius":0}]}',
+     "--ib", '{"endpoints":[{"center":"0","log_radius":0},{"center":"2/5","log_radius":0}]}'],
 ]
 
 

@@ -36,7 +36,7 @@ from .lattes import (
     equilibrium_measure_ua,
     local_discrepancy,
     positive_tolerance,
-    torsion_image_arrays,
+    torsion_points,
 )
 from .places import (
     ARCH,
@@ -605,17 +605,19 @@ def bft_scan(side_a, side_b, level: int, tol: float = 1e-7) -> dict:
     Points are matched by euclidean distance <= tol; a collision audit
     reports the minimum pairwise gap inside each set, the numeric evidence
     that the exactly distinct images stay apart as floats.  Both go through
-    one ``PointIndex`` per set, a sweep over real parts within tol for the
-    match and within the smallest neighbour gap for the audit.  Matched
-    points keep the order of ``torsion_image_arrays``, finite ones by
-    (real, imag) and infinity last.  A ``tol`` outside (0, 2^1022) raises
-    ``ValueError``.
+    one ``PointIndex`` per set of ``torsion_points``, a sweep over real parts
+    within tol for the match and within the smallest gap between neighbours
+    in real-part order for the audit.  Only the matched points are put in
+    (real, imag) order, by a stable sort that keeps build order on ties, so
+    they come out as ``torsion_image_arrays`` would order them, infinity
+    last.  A ``tol`` outside (0, 2^1022) raises ``ValueError``.
     """
     positive_tolerance(tol)
-    finite_a, _, inf_a = torsion_image_arrays(side_a, level)
-    finite_b, _, inf_b = torsion_image_arrays(side_b, level)
+    finite_a, _, inf_a = torsion_points(side_a, level)
+    finite_b, _, inf_b = torsion_points(side_b, level)
     index_a, index_b = PointIndex(finite_a), PointIndex(finite_b)
-    matched = finite_a[index_a.near(index_b, tol)].view(float).reshape(-1, 2).tolist()
+    hits = finite_a[index_a.near(index_b, tol)]
+    matched = hits[np.argsort(hits, kind="stable")].view(float).reshape(-1, 2).tolist()
     if inf_a and inf_b:
         matched.append("inf")
     return {

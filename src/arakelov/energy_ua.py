@@ -98,7 +98,7 @@ def _sigma_integral(lo: float, hi: float, c: float, a: float, b: float) -> float
     ell = hi - lo
 
     def antideriv_mid(x: float) -> float:
-        return x ** 3 / 6.0 - lo * x * x / 2.0 + hi * hi * x / 2.0
+        return _power(x, 3) / 6.0 - lo * x * x / 2.0 + hi * hi * x / 2.0
 
     pieces = [
         (t0, min(b, lo)),
@@ -111,7 +111,7 @@ def _sigma_integral(lo: float, hi: float, c: float, a: float, b: float) -> float
     if mid_piece[1] > mid_piece[0]:
         total += antideriv_mid(mid_piece[1]) - antideriv_mid(mid_piece[0])
     if hi_piece[1] > hi_piece[0]:
-        total += ell * (hi_piece[1] ** 2 - hi_piece[0] ** 2) / 2.0
+        total += ell * (_power(hi_piece[1], 2) - _power(hi_piece[0], 2)) / 2.0
     return total
 
 

@@ -329,7 +329,8 @@ _WIDEN = 1.0 + 2.0**-50
 
 
 class PointIndex:
-    """Finite complex points, sorted once by real part and searched by a sweep.
+    """Finite complex points, sorted once by real part and searched by a sweep;
+    the order within equal real parts is numpy's, and no result depends on it.
 
     A search within r looks up, for each query point b, the window
     [fl(b.real - rs), fl(b.real + rs)] of sorted real parts with
@@ -351,7 +352,7 @@ class PointIndex:
 
     def __init__(self, points):
         self.z = np.asarray(points, dtype=complex)
-        self.order = np.argsort(self.z.real, kind="stable")
+        self.order = np.argsort(self.z.real)
         self.sorted = self.z[self.order]
         self.real = np.ascontiguousarray(self.sorted.real)
 
@@ -367,26 +368,29 @@ class PointIndex:
 
     def near(self, other: "PointIndex", r: float) -> np.ndarray:
         """The sorted indices, in the caller's order, of the points p with
-        np.abs(q - p) <= r for some q of ``other``."""
-        lo = np.searchsorted(self.real, other.z.real - r * _WIDEN, side="left")
-        k, m = self._window(other.z, lo, r)
-        return np.unique(self.order[m[np.abs(other.z[k] - self.sorted[m]) <= r]])
+        np.abs(q - p) <= r for some q of ``other``.  The queries are the
+        other index's sorted points, so the binary searches get sorted keys."""
+        q = other.sorted
+        lo = np.searchsorted(self.real, q.real - r * _WIDEN, side="left")
+        k, m = self._window(q, lo, r)
+        return np.unique(self.order[m[np.abs(q[k] - self.sorted[m]) <= r]])
 
     def min_gap(self) -> float:
         """The minimum of np.abs(p - q) over pairs of distinct indices; inf below two points.
 
         The gap between any two points bounds it from above, so the smallest
-        gap between neighbours in index order is a bound in any order, and
-        the sweep within that bound over forward windows (later sorted
-        positions only) finds every pair that attains the minimum; np.abs of
-        a difference does not depend on its sign.  The bound is tight when the
-        points are sorted by (real, imag), as ``torsion_image_arrays`` returns
-        them.
+        gap between neighbours in real-part order is a bound, and the sweep
+        within that bound over forward windows (later sorted positions only)
+        finds every pair that attains the minimum; np.abs of a difference
+        does not depend on its sign.  Only the bound reads the order within
+        equal real parts, and any bound serves.  Offsets of up to four sorted
+        positions tighten it on some torsion sets but cost more to take than
+        the narrower sweep saves.
         """
         n = len(self.z)
         if n < 2:
             return math.inf
-        bound = np.abs(np.diff(self.z)).min()
+        bound = np.abs(np.diff(self.sorted)).min()
         k, m = self._window(self.sorted, np.arange(1, n + 1), bound)
         return float(np.abs(self.sorted[m] - self.sorted[k]).min())
 
@@ -407,28 +411,30 @@ def adjugate_lift(mat, w):
     return d * w - b, a - c * w
 
 
-def torsion_image_arrays(side, level: int) -> tuple[np.ndarray, np.ndarray, int]:
+def torsion_points(side, level: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Images of the 2^(level+1)-torsion: the branch points of a side and the
     pullbacks through its normalizing map M of L^{-level}(infinity).
 
-    Returns the distinct finite points sorted by (real, imag), their
-    multiplicities, and the multiplicity of infinity (0 when it is no image);
-    the total is 4^(level+1).  The branch points have multiplicity 1; level 1
-    adds the six critical points +-sqrt(lam), 1 +- sqrt(1 - lam),
-    lam +- sqrt(lam^2 - lam), double roots of L = 0, 1, lam; each further
-    level adds the four simple preimages of every point the level before
-    added, with multiplicity 2.  L sends the critical values 0, 1, lam to
-    infinity, so no point below a critical point is critical or repeated, and
-    the points are built distinct with no merge.  The side is read by
-    ``as_side``: its branch points are exactly its own, and every other point
-    is pulled back through adj(M).
+    Returns the distinct finite points in build order, their multiplicities,
+    and the multiplicity of infinity (0 when it is no image); the total is
+    4^(level+1).  The build order is the finite branch points, then the
+    points each level adds, levels 1 to ``level`` in turn.  The branch points
+    have multiplicity 1; level 1 adds the six critical points +-sqrt(lam),
+    1 +- sqrt(1 - lam), lam +- sqrt(lam^2 - lam), double roots of
+    L = 0, 1, lam; each further level adds the four simple preimages of every
+    point the level before added, with multiplicity 2.  L sends the critical
+    values 0, 1, lam to infinity, so no point below a critical point is
+    critical or repeated, and the points are built distinct with no merge.
+    The side is read by ``as_side``: its branch points are exactly its own,
+    and every other point is pulled back through adj(M).
 
-    The sort is numpy's stable sort of complex values, lexicographic with the
-    float ``<``, so -0.0 and +0.0 tie and ties keep the build order.  A side
-    whose float lam makes some image infinite or NaN (lam = 1 + 10^-16 rounds
-    to the critical value 1) raises ``NonFiniteResult`` before the sort, and
-    so does one with a rational beyond float range or, if nonzero, below the
-    normal floats: lam, M, a branch point, 1 - lam or lam^2 - lam.
+    A side whose float lam makes some image infinite or NaN raises
+    ``NonFiniteResult`` (lam = 1 + 10^-16 rounds to the critical value 1 and
+    level 5 divides by zero), and so does one with a rational beyond float
+    range or, if nonzero, below the normal floats: lam, M, a branch point,
+    1 - lam or lam^2 - lam.  Any other side whose float lam is 1 raises it
+    after that count: at lam = 1 + 10^-20 every image is finite, but the
+    branch points 1 and lam and the critical point sqrt(lam) coincide.
     """
     if level < 0 or level > TORSION_LEVEL_CAP:
         raise LevelTooLarge(f"level must lie in [0, {TORSION_LEVEL_CAP}]")
@@ -441,7 +447,7 @@ def torsion_image_arrays(side, level: int) -> tuple[np.ndarray, np.ndarray, int]
         radii = np.sqrt(np.array([lamc, *map(_normal_complex, (1 - lam, lam * lam - lam))]))
         added.append(np.concatenate([centres + radii, centres - radii]))
     # a side whose float lam is a critical value divides by zero on the way
-    # down; its non-finite points raise below, before the sort
+    # down; its non-finite points raise below
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(1, level):
             added.append(lattes_preimages_array(added[-1], lamc))
@@ -454,9 +460,24 @@ def torsion_image_arrays(side, level: int) -> tuple[np.ndarray, np.ndarray, int]
     bad = len(points) - np.count_nonzero(np.isfinite(points))
     if bad:
         raise NonFiniteResult(f"{bad} torsion images of {quad} at level {level} are not finite")
+    if lamc == 1:
+        gap = lam - 1
+        size = gap.numerator.bit_length() - gap.denominator.bit_length()
+        raise NonFiniteResult(f"|lam - 1| is near 2^{size}, so the float lam is the critical value 1")
     mults = np.repeat([1, 2], [len(branch), len(w)])
+    return points, mults, 4 - len(branch) + 2 * (below - len(w))
+
+
+def torsion_image_arrays(side, level: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``torsion_points`` with the finite points sorted by (real, imag).
+
+    The sort is numpy's stable sort of complex values, lexicographic with the
+    float ``<``, so -0.0 and +0.0 tie and ties keep the build order; the
+    multiplicities follow their points.
+    """
+    points, mults, inf_mult = torsion_points(side, level)
     order = np.argsort(points, kind="stable")
-    return points[order], mults[order], 4 - len(branch) + 2 * (below - len(w))
+    return points[order], mults[order], inf_mult
 
 
 def torsion_images(side, level: int) -> list[tuple[complex | object, int]]:

@@ -582,13 +582,19 @@ def match_all_pairs(pts_a, pts_b, tol):
     return matched
 
 
+# every pair of sides at the default tolerance (ids as before for lam = 2, 3,
+# 5), then again at a tolerance wide enough to match near points
+ORACLE_SIDES = (2, 3, 5, 4, ("3", "1/7", "-5", "inf"))
+ORACLE_PAIRS = list(itertools.combinations_with_replacement(ORACLE_SIDES, 2))
+ORACLE_CASES = [pytest.param(lams, 1e-7, id=str(lams)) for lams in ORACLE_PAIRS]
+ORACLE_CASES += [pytest.param(lams, 1e-3, id=f"{lams}-tol=0.001") for lams in ORACLE_PAIRS]
+
+
 class TestPointIndexOracles:
     @pytest.mark.parametrize("level", range(6))
-    @pytest.mark.parametrize(
-        "lams", list(itertools.combinations_with_replacement((2, 3, 5), 2)), ids=str
-    )
-    def test_bft_scan_matches_oracles(self, lams, level):
-        rep = bft_scan(*lams, level)
+    @pytest.mark.parametrize("lams, tol", ORACLE_CASES)
+    def test_bft_scan_matches_oracles(self, lams, tol, level):
+        rep = bft_scan(*lams, level, tol)
         pts_a, pts_b = ([p for p, _ in torsion_images(lam, level)] for lam in lams)
         matched = sorted(match_all_pairs(pts_a, pts_b, rep["tol"]), key=point_key)
         assert rep["matched"] == [
@@ -612,10 +618,18 @@ class TestPointIndexOracles:
     def test_min_gap_below_two_points(self):
         assert PointIndex([]).min_gap() == PointIndex([1j]).min_gap() == math.inf
 
+    def test_bft_scan_sorts_only_the_matched_points(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bft_scan sorted a whole side")
+
+        for module in (lattes, adelic):
+            monkeypatch.setattr(module, "torsion_image_arrays", refuse, raising=False)
+        assert bft_scan(2, 3, 5)["count"] == 3
+
 
 class TestMinGapBound:
     """``min_gap`` bounds its search by the smallest gap between neighbours in
-    index order: loose on unsorted points, but the minimum stays exact."""
+    real-part order, whatever the input order; the minimum stays exact."""
 
     @pytest.mark.parametrize("lam", [2, 3, 5])
     def test_shuffled_level_five_images(self, lam):

@@ -13,8 +13,11 @@ import pytest
 
 from arakelov import cli
 from arakelov.energy_arch import LattesMeasure, sample_lattes_equilibrium
+from arakelov.energy_ua import mutual_energy_raw, pair_raw, segment_measure
 from arakelov.errors import NonConvergentRoots, NonFiniteResult
 from arakelov.lattes import float_side, legendre_lattes_eval, normalize_to_legendre, torsion_images
+from arakelov.places import finite
+from arakelov.tree import eta, segment_between
 
 
 def run_cli(argv):
@@ -31,6 +34,7 @@ def scaled_config(scale):
 
 TINY = Fraction(1, 10**400)  # nonzero; its float is 0
 NEAR_ONE = 1 + TINY  # its float is 1, and 1 - lam and lam^2 - lam have float 0
+ROUNDS_TO_ONE = Fraction(10**20 + 1, 10**20)  # its float is 1; 1 - lam is a normal float
 
 
 class TestSmallEnd:
@@ -42,6 +46,18 @@ class TestSmallEnd:
         code, payload = run_cli(["lattes", "torsion", "--lambda", str(lam), "--level", "1"])
         assert (code, payload["error"]) == (1, "NonFiniteResult")
         assert len(payload["message"]) < 100  # sized, not the 400-digit rational
+
+    @pytest.mark.parametrize("argv", [
+        ["lattes", "torsion", "--lambda", str(ROUNDS_TO_ONE), "--level", "0"],
+        ["lattes", "torsion", "--lambda", str(ROUNDS_TO_ONE), "--level", "1"],
+        ["adelic", "bft", "--lambda-a", str(ROUNDS_TO_ONE), "--lambda-b", "2", "--level", "1"],
+    ], ids=["torsion-0", "torsion-1", "bft"])
+    def test_torsion_refuses_a_float_lambda_of_one(self, argv):
+        # exit 0 before, with [1.0, 0.0] listed twice (level 0) or three times (level 1)
+        code, payload = run_cli(argv)
+        assert (code, payload["error"]) == (1, "NonFiniteResult")
+        assert "near 2^-66, so the float lam is the critical value 1" in payload["message"]
+        assert len(payload["message"]) < 100  # sized, not the 21-digit rational
 
     def test_branch_point_below_the_normal_floats(self):
         # lam and M are ordinary floats here; the fourth branch point is not
@@ -123,6 +139,14 @@ class TestSegmentPairsBeyondFloatRange:
                 "--ib", segment(("1", 1e200), ("3", -1e100)), "--place", "5"]
         code, payload = run_cli(argv)
         assert (code, payload["error"]) == (1, "NonFiniteResult")
+
+    def test_raw_pairing_overflow_is_an_error(self):
+        # the exact segment integral cubed 1e200: a bare OverflowError before
+        v = finite(5)
+        mu = segment_measure(segment_between(eta(0, 0), eta(0, 1e200), v))
+        for call in (lambda: pair_raw(mu, mu, v), lambda: mutual_energy_raw(mu, mu, v)):
+            with pytest.raises(NonFiniteResult, match=r"1e\+200 \*\* 3 lies beyond float range"):
+                call()
 
     def test_radii_of_1e100_still_pair(self):
         argv = ["energy", "ua", "--ia", segment(("0", -1e100), ("0", 0)),

@@ -24,6 +24,7 @@ from arakelov.lattes import (
     normalize_to_legendre,
     torsion_image_arrays,
     torsion_images,
+    torsion_points,
 )
 from arakelov.places import INFINITY
 from arakelov.suite import random_quadruple
@@ -497,6 +498,19 @@ class TestBitwisePins:
                 digest.update(repr(inf_mult).encode())
         want = "ca8ed5f722ffceb9be92928ff749d696fba7944a4cbbb5c88da411e8d5ecaaa2"
         assert digest.hexdigest() == want
+
+    @pytest.mark.parametrize("level", range(6))
+    def test_image_arrays_are_the_sorted_build(self, level):
+        rng = np.random.default_rng(60 + level)
+        sides = [2, 3, 4, 5, ("3", "1/7", "-5", "inf")]
+        sides += [random_quadruple(rng, 12) for _ in range(4)]
+        for side in sides:
+            points, mults, inf_mult = torsion_points(side, level)
+            order = np.argsort(points, kind="stable")
+            got = torsion_image_arrays(side, level)
+            assert got[0].tobytes() == points[order].tobytes()  # bit for bit, -0.0 too
+            assert got[1].tobytes() == mults[order].tobytes()
+            assert got[2] == inf_mult
 
     def test_lattes_walk_pinned(self):
         # levels 2, 6 and 7

@@ -368,6 +368,7 @@ FUZZ_ARGV = [
     ["energy", "ua", "--place", "5", "--epsilon", "1e300",
      "--ia", '{"endpoints":[{"center":"0","log_radius":0},{"center":"1/5","log_radius":0}]}',
      "--ib", '{"endpoints":[{"center":"0","log_radius":0},{"center":"2/5","log_radius":0}]}'],
+    ["lattes", "torsion", "--lambda", "100000000000000000001/100000000000000000000", "--level", "1"],
 ]
 
 
